@@ -17,7 +17,7 @@ from .density import (CauchyPower, Constant, DensityField, Exponent,
                       evaluate, normalize, power, scale, stretched, total_mass)
 from .assembly import ModeProblem, TridiagonalPencil, assemble, quadrature_weights
 from .eigensolver import (EigenPairs, EigenSolveError, IndefiniteMassError,
-                          cholesky_tridiagonal, solve_generalized)
+                          solve_generalized)
 from .spectrum import (HolderChainReport, SpectrumResult, TestFunction,
                        build_collar_function, build_plateau_function,
                        full_spectrum, holder_chain_check, minmax_bound,
@@ -34,7 +34,7 @@ __all__ = [
     "scale", "stretched", "total_mass",
     "ModeProblem", "TridiagonalPencil", "assemble", "quadrature_weights",
     "EigenPairs", "EigenSolveError", "IndefiniteMassError",
-    "cholesky_tridiagonal", "solve_generalized",
+    "solve_generalized",
     "HolderChainReport", "SpectrumResult", "TestFunction",
     "build_collar_function", "build_plateau_function", "full_spectrum",
     "holder_chain_check", "minmax_bound", "rayleigh_quotient",

@@ -134,7 +134,7 @@ def _cmd_solve(args):
 def _cmd_scan_blowup(args):
     cfg = _config(args, "scan-blowup")
     report = exp.exp_blowup_scan(_domain(cfg), cfg.alpha_values, cfg.m_values,
-                                 cfg.grid_n, workers=cfg.workers,
+                                 cfg.grid_n,
                                  assert_slopes=not cfg.exploratory)
     return _emit(report, cfg)
 
@@ -143,14 +143,14 @@ def _cmd_scan_bounded(args):
     cfg = _config(args, "scan-bounded")
     report = exp.exp_bounded_scan(_domain(cfg), cfg.alpha_values, cfg.m_values,
                                   companion_alpha=args.companion_alpha,
-                                  grid_n=cfg.grid_n, workers=cfg.workers)
+                                  grid_n=cfg.grid_n)
     return _emit(report, cfg)
 
 
 def _cmd_verify_1d(args):
     cfg = _config(args, "verify-1d")
     report = exp.exp_one_d_construction(cfg.m_values, cfg.alpha_values,
-                                        cfg.grid_n, workers=cfg.workers)
+                                        cfg.grid_n)
     return _emit(report, cfg)
 
 

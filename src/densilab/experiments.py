@@ -12,7 +12,6 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,14 +62,13 @@ class ExperimentConfig:
     fmt: str = "csv"
     seed: int = 7
     exploratory: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if len(self.alpha_values) == 0 or len(self.m_values) == 0:
             raise ValueError("parameter ranges must be nonempty")
         n = self.grid_n
-        if n < 64 or n > 4096 or (n & (n - 1)):
-            raise ValueError("grid_n must be a power of two in [64, 4096]")
+        if n < 64 or n > 65536 or (n & (n - 1)):
+            raise ValueError("grid_n must be a power of two in [64, 65536]")
         if not self.exploratory:
             for a in self.alpha_values:
                 if not 0.0 <= a <= 1.0:
@@ -193,13 +191,6 @@ def _weighted_slope(log_m, log_lam):
     return float(slope), 2.0 * se
 
 
-def _scan_rows(jobs, worker, workers=1):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, jobs))
-    return [worker(job) for job in jobs]
-
-
 _SCAN_COLUMNS = ["alpha", "m", "grid_n", "lambda1_raw", "lambda1_extrapolated",
                  "lambda1_normalized", "mass", "richardson_ratio",
                  "richardson_error", "resolved", "passed", "note"]
@@ -216,7 +207,7 @@ def _scan_row(domain, alpha, m, rho, grid_n, j_max=None):
 
 def exp_one_d_construction(m_values=(1.0, 10.0, 100.0, 1e3, 1e4),
                            alpha_values=(0.3, 0.5, 0.7),
-                           grid_n=2048, interval=None, workers=1,
+                           grid_n=2048, interval=None,
                            slack=0.01):
     """Interval scan with the rational-bump family: lambda_1 >= m.
 
@@ -236,7 +227,7 @@ def exp_one_d_construction(m_values=(1.0, 10.0, 100.0, 1e3, 1e4),
             row["note"] = f"lambda1 {row['lambda1_extrapolated']:.6g} < {(1 - slack) * m:.6g}"
         return row
 
-    rows = _scan_rows(jobs, run, workers)
+    rows = [run(job) for job in jobs]
     fits = _slope_fits(rows, alpha_values)
     return ScanReport("verify-1d", _SCAN_COLUMNS, rows, fits,
                       _metadata(t0=t0))
@@ -261,7 +252,7 @@ def _slope_fits(rows, alpha_values, floor=None):
 
 
 def exp_blowup_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
-                    grid_n=2048, workers=1, assert_slopes=True):
+                    grid_n=2048, assert_slopes=True):
     """Gaussian-density scan in the supercritical regime alpha > (n-2)/n.
 
     The fitted log-log slope of the normalized lambda_1 against m must
@@ -284,7 +275,7 @@ def exp_blowup_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
         row["passed"] = True
         return row
 
-    rows = _scan_rows(jobs, run, workers)
+    rows = [run(job) for job in jobs]
     floor = (lambda a: 1.0 - (n / 2.0) * (1.0 - a) - 0.1) if assert_slopes else None
     fits = _slope_fits(rows, alpha_values, floor=floor)
     for a in alpha_values:
@@ -304,7 +295,7 @@ def exp_blowup_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
 
 
 def exp_bounded_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
-                     companion_alpha=0.5, grid_n=2048, workers=1,
+                     companion_alpha=0.5, grid_n=2048,
                      plateau_rtol=0.05, companion_growth=3.0):
     """Subcritical scan: normalized lambda_1 |M|^{2/n} stays bounded.
 
@@ -337,7 +328,7 @@ def exp_bounded_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
         row["passed"] = True
         return row
 
-    rows = _scan_rows(jobs, run, workers)
+    rows = [run(job) for job in jobs]
     fits = {}
     for a in alpha_values:
         sub = sorted((r for r in rows if r["alpha"] == a), key=lambda r: r["m"])

@@ -4,12 +4,14 @@ Everything here is deliberately decoupled from the package internals:
 series evaluations of the error function and of (spherical) Bessel
 functions, and bisection root finding on their derivatives.  These give
 closed-form spectra of the unweighted Neumann problem on disks and balls
-and reference values for Gaussian integrals.
+and reference values for Gaussian integrals.  A dense LAPACK solve of an
+assembled pencil gives reference eigenvalues for the iterative solver.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg as sla
 
 
 def erf_series(x):
@@ -150,3 +152,20 @@ def ball_neumann_spectrum(count, x_max=25.0):
         if l > 60:
             break
     return np.sort(np.array(lams))[:count]
+
+
+def dense_pencil_eigenvalues(pencil, count):
+    """Lowest ``count`` eigenvalues of K v = lambda M v, densely.
+
+    Equilibrates to a unit mass diagonal and solves the inverted pencil
+    M v = nu (K + tau M) v, nu = 1/(lambda + tau), whose top eigenvalues
+    keep relative accuracy when K spans hundreds of decades.
+    """
+    n = pencil.size
+    s = 1.0 / np.sqrt(pencil.m_diag)
+    k = s[:, None] * pencil.dense_k() * s
+    m = s[:, None] * pencil.dense_m() * s
+    ramp = np.linspace(0.0, 1.0, n) / s
+    tau = (ramp @ k @ ramp) / (ramp @ m @ ramp)
+    nu = sla.eigh(m, k + tau * m, eigvals_only=True, subset_by_index=[n - count, n - 1])
+    return np.sort(1.0 / nu - tau)

@@ -7,40 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import densilab as dl
 from densilab.assembly import ModeProblem, TridiagonalPencil, assemble
-from densilab.eigensolver import (IndefiniteMassError, cholesky_tridiagonal,
-                                  solve_generalized)
+from densilab.eigensolver import IndefiniteMassError, solve_generalized
+from densilab.spectrum import full_spectrum
 
-
-def test_cholesky_identity_and_diagonal():
-    d, e = cholesky_tridiagonal(np.ones(5), np.zeros(4))
-    assert np.allclose(d, 1.0) and np.allclose(e, 0.0)
-    d, e = cholesky_tridiagonal(4.0 * np.ones(3), np.zeros(2))
-    assert np.allclose(d, 2.0)
-
-
-def test_cholesky_two_by_two():
-    d, e = cholesky_tridiagonal(np.array([2.0, 2.0]), np.array([1.0]))
-    assert d[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert e[0] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
-    assert d[1] == pytest.approx(math.sqrt(1.5), rel=1e-15)
-
-
-def test_cholesky_reconstructs():
-    rng = np.random.default_rng(0)
-    diag = 2.0 + rng.uniform(size=30)
-    off = 0.3 * rng.uniform(size=29)
-    d, e = cholesky_tridiagonal(diag, off)
-    recon_diag = d ** 2
-    recon_diag[1:] += e ** 2
-    assert np.allclose(recon_diag, diag, rtol=1e-12)
-    assert np.allclose(d[:-1] * e, off, rtol=1e-12)
-
-
-def test_cholesky_rejects_indefinite():
-    with pytest.raises(IndefiniteMassError):
-        cholesky_tridiagonal(np.array([1.0, -1.0]), np.array([0.0]))
-    with pytest.raises(IndefiniteMassError):
-        cholesky_tridiagonal(np.array([1.0, 1.0]), np.array([2.0]))
+from oracles import dense_pencil_eigenvalues
 
 
 def _pencil(kd, ke, md, me):
@@ -63,8 +33,41 @@ def test_size_and_kmax_validation():
         solve_generalized(p, 12)
     big = 5000
     pb = _pencil(np.ones(big), np.zeros(big - 1), np.ones(big), np.zeros(big - 1))
-    with pytest.raises(ValueError, match="cap"):
-        solve_generalized(pb, 1)
+    pairs = solve_generalized(pb, 1)
+    assert np.allclose(pairs.values, 1.0, rtol=1e-12)
+    assert np.all(pairs.residual_norms < 1e-12)
+
+
+def test_cholesky_rejects_indefinite():
+    n = 3
+    with pytest.raises(IndefiniteMassError):
+        solve_generalized(_pencil(np.ones(n), np.zeros(n - 1),
+                                  np.array([1.0, -1.0, 1.0]), np.zeros(n - 1)), 0)
+    # positive diagonal, indefinite matrix: caught by the mass factorization
+    with pytest.raises(IndefiniteMassError):
+        solve_generalized(_pencil(np.ones(n), np.zeros(n - 1),
+                                  np.ones(n), 2.0 * np.ones(n - 1)), 0)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_all_pairs_of_a_pencil(n):
+    # k_max + 1 == size is out of the Lanczos solver's reach
+    p = _random_spd_pencil(np.random.default_rng(n), n)
+    pairs = solve_generalized(p, n - 1)
+    ref = sla.eigh(p.dense_k(), p.dense_m(), eigvals_only=True)
+    assert np.allclose(pairs.values, ref, rtol=1e-9, atol=1e-12 * ref[-1])
+    gram = pairs.vectors.T @ p.dense_m() @ pairs.vectors
+    assert np.max(np.abs(gram - np.eye(n))) <= 1e-8
+    assert np.all(pairs.residual_norms <= 1e-8)
+
+
+def test_full_spectrum_asks_for_every_pair():
+    iv = dl.Interval(-1.0, 1.0)
+    grid = dl.RadialGrid.uniform(iv, 8)
+    lams = full_spectrum(iv, dl.Constant(1.0), 0.5, 8, grid=grid).lambdas
+    p = assemble(ModeProblem(domain=iv, rho=dl.Constant(1.0), alpha=0.5, grid=grid, j=0))
+    ref = sla.eigh(p.dense_k(), p.dense_m(), eigvals_only=True)
+    assert np.allclose(lams, ref, rtol=1e-9, atol=1e-12 * ref[-1])
 
 
 def test_interval_closed_form_spectrum():
@@ -161,3 +164,23 @@ def test_extreme_dynamic_range_gaussian():
     assert abs(pairs.values[0]) < 1e-9 * pairs.values[1]
     assert pairs.values[1] >= 1e4
     assert np.all(pairs.residual_norms < 1e-8)
+
+
+_EXTREME = {
+    "interval-gaussian-1e3": (dl.Interval(-1.0, 1.0), dl.GaussianRadial(1e3), 0.5, 0),
+    "interval-cauchy-1e4": (dl.Interval(-1.0, 1.0), dl.CauchyPower(1e4, 0.5), 0.5, 0),
+    "disk-gaussian-1e4-j0": (dl.RevolutionManifold.ball(2, 1.0), dl.GaussianRadial(1e4), 0.75, 0),
+    "disk-gaussian-1e4-j1": (dl.RevolutionManifold.ball(2, 1.0), dl.GaussianRadial(1e4), 0.75, 1),
+    "ball-gaussian-1e4-j2": (dl.RevolutionManifold.ball(3, 1.0), dl.GaussianRadial(1e4), 0.75, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_EXTREME))
+def test_extreme_pencils_match_dense_oracle(name):
+    domain, rho, alpha, j = _EXTREME[name]
+    grid = dl.RadialGrid.for_density(domain, 1024, m=rho.m)
+    p = assemble(ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid, j=j))
+    pairs = solve_generalized(p, 3)
+    ref = dense_pencil_eigenvalues(p, 4)
+    # the zero mode (j = 0) is rounding noise on the scale of lambda_1
+    assert np.allclose(pairs.values, ref, rtol=1e-9, atol=1e-9 * ref[1])

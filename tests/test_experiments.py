@@ -177,15 +177,6 @@ def test_scan_report_serialization(tmp_path):
         assert json.load(fh)["experiment"] == "gaussian-lemma"
 
 
-def test_workers_give_same_rows():
-    rep1 = exp.exp_one_d_construction(m_values=(1.0, 10.0), alpha_values=(0.5,),
-                                      grid_n=256, workers=1)
-    rep2 = exp.exp_one_d_construction(m_values=(1.0, 10.0), alpha_values=(0.5,),
-                                      grid_n=256, workers=3)
-    for a, b in zip(rep1.rows, rep2.rows):
-        assert a["lambda1_extrapolated"] == b["lambda1_extrapolated"]
-
-
 def test_cli_gaussian_lemma(tmp_path, capsys):
     rc = cli_main(["gaussian-lemma", "--m", "100,1000", "--dims", "1,2",
                    "--out", str(tmp_path), "--grid", "256"])
