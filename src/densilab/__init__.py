@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 from .geometry import (EuclideanBox, Interval, RadialGrid, RevolutionManifold,
                        conformal_reparametrize, homothety, sphere_eigenvalue,
                        sphere_multiplicity, unit_sphere_area, volume)
-from .density import (CauchyPower, Constant, DensityField, Exponent,
-                      GaussianRadial, PowerDensity, Scaled, Tabulated,
-                      evaluate, normalize, power, scale, stretched, total_mass)
+from .density import (CauchyPower, Constant, DensityField, GaussianRadial,
+                      PowerDensity, Scaled, Tabulated, normalize, power, scale,
+                      stretched, total_mass)
 from .assembly import ModeProblem, TridiagonalPencil, assemble, quadrature_weights
 from .eigensolver import (EigenPairs, EigenSolveError, IndefiniteMassError,
                           solve_generalized)
@@ -29,9 +29,9 @@ __all__ = [
     "EuclideanBox", "Interval", "RadialGrid", "RevolutionManifold",
     "conformal_reparametrize", "homothety", "sphere_eigenvalue",
     "sphere_multiplicity", "unit_sphere_area", "volume",
-    "CauchyPower", "Constant", "DensityField", "Exponent", "GaussianRadial",
-    "PowerDensity", "Scaled", "Tabulated", "evaluate", "normalize", "power",
-    "scale", "stretched", "total_mass",
+    "CauchyPower", "Constant", "DensityField", "GaussianRadial",
+    "PowerDensity", "Scaled", "Tabulated", "normalize", "power", "scale",
+    "stretched", "total_mass",
     "ModeProblem", "TridiagonalPencil", "assemble", "quadrature_weights",
     "EigenPairs", "EigenSolveError", "IndefiniteMassError",
     "solve_generalized",

@@ -193,7 +193,8 @@ def _cmd_measure(args):
 def _cmd_gaussian(args):
     cfg = _config(args, "gaussian-lemma")
     dims = args.dims or cfg.dims
-    report = exp.exp_gaussian_integral_lemma(dims, cfg.m_values, args.L,
+    half_side = cfg.box_half_side if args.L is None else args.L
+    report = exp.exp_gaussian_integral_lemma(dims, cfg.m_values, half_side,
                                              cfg.grid_n)
     return _emit(report, cfg)
 
@@ -256,7 +257,7 @@ def build_parser():
             p.add_argument("--csv", help="load one instance from a CSV file")
         if name == "gaussian-lemma":
             p.add_argument("--dims", type=_ints, help="dimensions, e.g. 1,2,3")
-            p.add_argument("--L", type=float, default=1.0, help="box half-side")
+            p.add_argument("--L", type=float, help="box half-side, default box_half_side")
         if name == "scaling-check":
             p.add_argument("--c", type=_floats, help="scale factors")
         if name == "converge":

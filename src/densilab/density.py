@@ -15,36 +15,13 @@ hit a common floor, and the discrete problem grows spurious low
 eigenvalues that the continuum problem does not have.
 """
 
-import logging
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import geometry
 from .quadrature import integrate
 
-log = logging.getLogger(__name__)
-
 DENSITY_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class Exponent:
-    """The weight exponent: stiffness weight is density**alpha.
-
-    The supported regimes live in [0, 1]; anything outside is allowed but
-    logged as exploratory.
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            log.warning("exponent alpha=%s outside [0, 1]; exploratory regime", self.alpha)
-
-    def __float__(self):
-        return float(self.alpha)
 
 
 class DensityField:
@@ -179,7 +156,8 @@ class Tabulated(DensityField):
 class Scaled(DensityField):
     """c * base, kept as a wrapper so c^alpha factors out exactly.
 
-    The floor scales along: max(c*raw, c*floor) = c*max(raw, floor).
+    The floor scales along: max(c*raw, c*floor) = c*max(raw, floor).  The
+    base's width parameter ``m``, if any, carries over: it sets the grid.
     """
 
     kind = "scaled"
@@ -189,6 +167,7 @@ class Scaled(DensityField):
             raise ValueError("scale factor must be positive")
         self.base = base
         self.c = float(c)
+        self.m = getattr(base, "m", None)
         self.domain = base.domain
         self.floor = c * base.floor
 
@@ -226,11 +205,6 @@ class PowerDensity(DensityField):
 
     def to_config(self):
         return {"kind": "power", "alpha": self.alpha, "base": self.base.to_config()}
-
-
-def evaluate(rho, r):
-    """Pointwise value(s) of the density at radial coordinate(s) r."""
-    return rho.evaluate(r)
 
 
 def power(rho, alpha):

@@ -62,7 +62,7 @@ def solve_generalized(pencil, k_max):
                       (pencil.k_diag, pencil.k_off, pencil.m_diag, pencil.m_off))
     n = len(kd)
     k_need = k_max + 1
-    if k_need > n:
+    if not 0 < k_need <= n:
         raise ValueError(f"requested {k_need} pairs from a pencil of size {n}")
     if np.any(md <= 0):
         raise IndefiniteMassError("mass diagonal has non-positive entries")

@@ -69,6 +69,8 @@ class ExperimentConfig:
         n = self.grid_n
         if n < 64 or n > 65536 or (n & (n - 1)):
             raise ValueError("grid_n must be a power of two in [64, 65536]")
+        if self.k_max < 0:
+            raise ValueError(f"k_max must be nonnegative, got {self.k_max}")
         if not self.exploratory:
             for a in self.alpha_values:
                 if not 0.0 <= a <= 1.0:
@@ -131,11 +133,24 @@ def _metadata(config=None, t0=None):
     return meta
 
 
-def _grid_for(domain, n_elements, m=None):
-    return RadialGrid.for_density(domain, n_elements, m=m)
+def _richardson(coarse, mid, fine):
+    """Richardson row of values on three grids nested by doubling.
+
+    A last difference at rounding level counts as resolved, whatever the ratio.
+    """
+    d1, d2 = coarse - mid, mid - fine
+    ratio = float(d1 / d2) if d2 != 0 else math.inf
+    at_rounding = abs(d2) <= 1e-10 * abs(fine)
+    return {
+        "lambda1_extrapolated": fine + d2 / 3.0,
+        "richardson_ratio": ratio,
+        "richardson_error": abs(d2) / 3.0,
+        "resolved": bool(RICHARDSON_WINDOW[0] <= ratio <= RICHARDSON_WINDOW[1]
+                         or at_rounding),
+    }
 
 
-def lambda1_richardson(domain, rho, alpha, grid_n, j_max=None):
+def lambda1_richardson(domain, rho, alpha, grid_n):
     """lambda_1 on three nested grids with a Richardson error estimate.
 
     Returns a dict with the raw value at the finest grid, the
@@ -143,34 +158,10 @@ def lambda1_richardson(domain, rho, alpha, grid_n, j_max=None):
     discretization) and the error estimate.
     """
     m = getattr(rho, "m", None)
-    if isinstance(rho, density_mod.Scaled):
-        m = getattr(rho.base, "m", None)
-    lams = []
-    for n_el in (grid_n // 4, grid_n // 2, grid_n):
-        grid = _grid_for(domain, n_el, m=m)
-        lams.append(full_spectrum(domain, rho, alpha, k_max=1,
-                                  grid=grid, j_max=j_max).lambdas[1])
-    d1, d2 = lams[0] - lams[1], lams[1] - lams[2]
-    ratio = d1 / d2 if d2 != 0 else np.inf
-    extrapolated = lams[2] + d2 / 3.0
-    err = abs(d2) / 3.0
-    at_rounding = abs(d2) <= 1e-10 * abs(lams[2])  # converged past the ratio test
-    return {
-        "lambda1_raw": lams[2],
-        "lambda1_extrapolated": extrapolated,
-        "richardson_ratio": ratio,
-        "richardson_error": err,
-        "resolved": bool(RICHARDSON_WINDOW[0] <= ratio <= RICHARDSON_WINDOW[1]
-                         or at_rounding),
-    }
-
-
-def _mass_factor(domain, rho, alpha, grid_n, m=None):
-    """(int rho / |M|)^(1 - alpha): the exact normalization factor."""
-    grid = _grid_for(domain, grid_n, m=m)
-    mass = density_mod.total_mass(rho, domain, grid)
-    vol = volume(domain, grid)
-    return (mass / vol) ** (1.0 - float(alpha)), mass, vol
+    lams = [full_spectrum(domain, rho, alpha, k_max=1,
+                          grid=RadialGrid.for_density(domain, n_el, m=m)).lambdas[1]
+            for n_el in (grid_n // 4, grid_n // 2, grid_n)]
+    return {"lambda1_raw": lams[2], **_richardson(*lams)}
 
 
 def _weighted_slope(log_m, log_lam):
@@ -196,9 +187,11 @@ _SCAN_COLUMNS = ["alpha", "m", "grid_n", "lambda1_raw", "lambda1_extrapolated",
                  "richardson_error", "resolved", "passed", "note"]
 
 
-def _scan_row(domain, alpha, m, rho, grid_n, j_max=None):
-    rich = lambda1_richardson(domain, rho, alpha, grid_n, j_max=j_max)
-    factor, mass, _vol = _mass_factor(domain, rho, alpha, grid_n, m=m)
+def _scan_row(domain, alpha, m, rho, grid_n):
+    rich = lambda1_richardson(domain, rho, alpha, grid_n)
+    grid = RadialGrid.for_density(domain, grid_n, m=m)
+    mass = density_mod.total_mass(rho, domain, grid)
+    factor = (mass / volume(domain, grid)) ** (1.0 - float(alpha))  # exact normalization
     row = {"alpha": alpha, "m": m, "grid_n": grid_n, "mass": mass, "note": ""}
     row.update(rich)
     row["lambda1_normalized"] = rich["lambda1_extrapolated"] * factor
@@ -217,17 +210,15 @@ def exp_one_d_construction(m_values=(1.0, 10.0, 100.0, 1e3, 1e4),
     """
     t0 = time.perf_counter()
     interval = interval or Interval(-1.0, 1.0)
-    jobs = [(a, m) for a in sorted(alpha_values) for m in sorted(m_values)]
-
-    def run(job):
-        a, m = job
-        row = _scan_row(interval, a, m, CauchyPower(m, a), grid_n)
-        row["passed"] = bool(row["lambda1_extrapolated"] >= (1.0 - slack) * m)
-        if not row["passed"]:
-            row["note"] = f"lambda1 {row['lambda1_extrapolated']:.6g} < {(1 - slack) * m:.6g}"
-        return row
-
-    rows = [run(job) for job in jobs]
+    rows = []
+    for a in sorted(alpha_values):
+        for m in sorted(m_values):
+            row = _scan_row(interval, a, m, CauchyPower(m, a), grid_n)
+            row["passed"] = bool(row["lambda1_extrapolated"] >= (1.0 - slack) * m)
+            if not row["passed"]:
+                row["note"] = (f"lambda1 {row['lambda1_extrapolated']:.6g} "
+                               f"< {(1 - slack) * m:.6g}")
+            rows.append(row)
     fits = _slope_fits(rows, alpha_values)
     return ScanReport("verify-1d", _SCAN_COLUMNS, rows, fits,
                       _metadata(t0=t0))
@@ -267,15 +258,12 @@ def exp_blowup_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
         for a in alpha_values:
             if not a > critical:
                 raise ValueError(f"alpha={a} is not above the critical exponent {critical}")
-    jobs = [(a, m) for a in sorted(alpha_values) for m in sorted(m_values)]
-
-    def run(job):
-        a, m = job
-        row = _scan_row(domain, a, m, GaussianRadial(m), grid_n)
-        row["passed"] = True
-        return row
-
-    rows = [run(job) for job in jobs]
+    rows = []
+    for a in sorted(alpha_values):
+        for m in sorted(m_values):
+            row = _scan_row(domain, a, m, GaussianRadial(m), grid_n)
+            row["passed"] = True
+            rows.append(row)
     floor = (lambda a: 1.0 - (n / 2.0) * (1.0 - a) - 0.1) if assert_slopes else None
     fits = _slope_fits(rows, alpha_values, floor=floor)
     for a in alpha_values:
@@ -318,17 +306,14 @@ def exp_bounded_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
 
     vol_pow = volume(domain) ** (2.0 / n)
     all_alphas = list(alpha_values) + ([companion_alpha] if companion_alpha else [])
-    jobs = [(a, m) for a in all_alphas for m in sorted(m_values)]
-
-    def run(job):
-        a, m = job
-        row = _scan_row(domain, a, m, GaussianRadial(m), grid_n)
-        row["lambda1_normalized"] *= vol_pow
-        row["note"] = "companion" if a == companion_alpha else ""
-        row["passed"] = True
-        return row
-
-    rows = [run(job) for job in jobs]
+    rows = []
+    for a in all_alphas:
+        for m in sorted(m_values):
+            row = _scan_row(domain, a, m, GaussianRadial(m), grid_n)
+            row["lambda1_normalized"] *= vol_pow
+            row["note"] = "companion" if a == companion_alpha else ""
+            row["passed"] = True
+            rows.append(row)
     fits = {}
     for a in alpha_values:
         sub = sorted((r for r in rows if r["alpha"] == a), key=lambda r: r["m"])
@@ -422,7 +407,7 @@ def exp_gaussian_integral_lemma(dims=(1, 2, 3), m_values=(10.0, 100.0, 1e3),
                       rows, {}, _metadata(t0=t0))
 
 
-def exp_weyl_fit(domain, rho, alpha, k_max=30, grid_n=2048, j_max=None):
+def exp_weyl_fit(domain, rho, alpha, k_max=30, grid_n=2048):
     """Least-squares fit of lambda_k against k^{2/n}.
 
     Diagnostic: reports slope, intercept and R^2 of the growth law.
@@ -432,7 +417,7 @@ def exp_weyl_fit(domain, rho, alpha, k_max=30, grid_n=2048, j_max=None):
         raise ValueError("the fit needs k_max >= 20")
     n = domain.dim
     grid = RadialGrid.for_density(domain, grid_n, m=getattr(rho, "m", None))
-    lams = full_spectrum(domain, rho, alpha, k_max, grid=grid, j_max=j_max).lambdas
+    lams = full_spectrum(domain, rho, alpha, k_max, grid=grid).lambdas
     k = np.arange(1, k_max + 1)
     x = k ** (2.0 / n)
     y = lams[1:]
@@ -475,8 +460,7 @@ def exp_scaling_identity(domain, rho, alpha, c_values=(1e-3, 1.0, 1e3),
                       rows, {}, _metadata(t0=t0))
 
 
-def exp_convergence(domain, rho, alpha, n_values=(512, 1024, 2048), j_max=None,
-                    grading="auto"):
+def exp_convergence(domain, rho, alpha, n_values=(512, 1024, 2048), grading="auto"):
     """Richardson study of lambda_1 over nested grids.
 
     Ratios outside [3.5, 4.5] flag under-resolution (density too sharp
@@ -497,23 +481,12 @@ def exp_convergence(domain, rho, alpha, n_values=(512, 1024, 2048), j_max=None,
             return RadialGrid.uniform(domain, n_el)
         if grading == "graded":
             return RadialGrid.graded(domain, n_el)
-        return _grid_for(domain, n_el, m=m)
+        return RadialGrid.for_density(domain, n_el, m=m)
 
-    lams = [full_spectrum(domain, rho, alpha, 1, grid=grid_of(n_el),
-                          j_max=j_max).lambdas[1]
+    lams = [full_spectrum(domain, rho, alpha, 1, grid=grid_of(n_el)).lambdas[1]
             for n_el in n_values]
-    rows = []
-    for i in range(2, len(lams)):
-        d1, d2 = lams[i - 2] - lams[i - 1], lams[i - 1] - lams[i]
-        ratio = d1 / d2 if d2 != 0 else np.inf
-        rows.append({
-            "grid_n": n_values[i],
-            "lambda1": lams[i],
-            "lambda1_extrapolated": lams[i] + d2 / 3.0,
-            "richardson_ratio": float(ratio),
-            "richardson_error": abs(d2) / 3.0,
-            "resolved": bool(RICHARDSON_WINDOW[0] <= ratio <= RICHARDSON_WINDOW[1]),
-        })
+    rows = [{"grid_n": n_values[i], "lambda1": lams[i], **_richardson(*lams[i - 2:i + 1])}
+            for i in range(2, len(lams))]
     return ScanReport("converge",
                       ["grid_n", "lambda1", "lambda1_extrapolated",
                        "richardson_ratio", "richardson_error", "resolved"],

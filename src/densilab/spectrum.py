@@ -41,17 +41,18 @@ class SpectrumResult:
     """Merged spectrum with mode provenance; counts multiplicities."""
 
     def __init__(self, entries, k_max):
-        entries = sorted(entries, key=lambda t: t.value)
-        slots = []
-        kept = []
-        for ent in entries:
-            if len(slots) > k_max:
+        self.entries = []
+        self._rows = []  # (k, lambda, mode_j, multiplicity), one per slot
+        for ent in sorted(entries, key=lambda t: t.value):
+            if len(self._rows) > k_max:
                 break
-            kept.append(ent)
-            slots.extend([ent.value] * ent.multiplicity)
-        self.entries = kept
+            self.entries.append(ent)
+            k = len(self._rows)
+            self._rows.extend((k + i, ent.value, ent.mode_j, ent.multiplicity)
+                              for i in range(ent.multiplicity))
+        del self._rows[k_max + 1:]
         self.k_max = k_max
-        self._slots = np.array(slots[:k_max + 1])
+        self._slots = np.array([row[1] for row in self._rows])
         if len(self._slots) < k_max + 1:
             raise ValueError("not enough eigenvalues computed to fill k_max + 1 slots")
         lam1 = self._slots[1] if k_max >= 1 else None
@@ -65,15 +66,7 @@ class SpectrumResult:
 
     def slot_entries(self):
         """One (k, lambda, mode_j, multiplicity) row per slot."""
-        rows = []
-        k = 0
-        for ent in self.entries:
-            for _ in range(ent.multiplicity):
-                if k > self.k_max:
-                    return rows
-                rows.append((k, ent.value, ent.mode_j, ent.multiplicity))
-                k += 1
-        return rows
+        return self._rows
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -95,54 +88,53 @@ class SpectrumResult:
         return payload
 
 
-def _solve_mode(domain, rho, alpha, grid, j, k_need, sigma=None):
-    problem = ModeProblem(domain=domain, rho=rho, alpha=float(alpha),
-                          grid=grid, j=j, sigma=sigma)
+def _solve_mode(domain, rho, alpha, grid, j, count):
+    problem = ModeProblem(domain=domain, rho=rho, alpha=float(alpha), grid=grid, j=j)
     pencil = assemble(problem)
-    pairs = solve_generalized(pencil, min(k_need, pencil.size) - 1)
+    pairs = solve_generalized(pencil, min(count, pencil.size) - 1)
     vectors = pairs.vectors
     if problem.pole_constrained:
         vectors = np.vstack([np.zeros(vectors.shape[1]), vectors])
     return pairs.values, vectors
 
 
-def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None, sigma=None):
-    """First k_max + 1 eigenvalues of the full problem, multiplicity-correct."""
+def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None):
+    """First k_max + 1 eigenvalues of the full problem, multiplicity-correct.
+
+    Mode j is asked for ceil((k_max + 1) / multiplicity) pairs: its next
+    pair would lie above that many of its own filled slots, so it could
+    never reach slot k_max.
+    """
     grid = _default_grid(domain, grid)
     k_need = k_max + 1
 
     if isinstance(domain, Interval):
-        values, vectors = _solve_mode(domain, rho, alpha, grid, 0, k_need, sigma)
+        values, vectors = _solve_mode(domain, rho, alpha, grid, 0, k_need)
         entries = [SpectrumEntry(v, 0, i, 1, vectors[:, i])
                    for i, v in enumerate(values)]
         return SpectrumResult(entries, k_max)
 
     n = domain.n
     entries = []
-    slots_filled = 0
+    slots = np.empty(0)  # the lowest k_need slot values so far, sorted
     cutoff = np.inf
     hard_cap = _HARD_MODE_CAP if j_max is None else j_max
     j = 0
-    mode_min = np.inf
     while True:
-        values, vectors = _solve_mode(domain, rho, alpha, grid, j, k_need, sigma)
         mult = sphere_multiplicity(j, n)
-        mode_min = values[0]
-        if mode_min <= cutoff:
-            for i, v in enumerate(values):
-                entries.append(SpectrumEntry(v, j, i, mult, vectors[:, i]))
-            slots_filled += mult * len(values)
-            expanded = np.sort(np.concatenate(
-                [np.full(e.multiplicity, e.value) for e in entries]))
-            if len(expanded) >= k_need:
-                cutoff = expanded[k_max]
-        if slots_filled >= k_need and mode_min > cutoff:
+        values, vectors = _solve_mode(domain, rho, alpha, grid, j, -(-k_need // mult))
+        if values[0] > cutoff:
             break
+        entries.extend(SpectrumEntry(v, j, i, mult, vectors[:, i])
+                       for i, v in enumerate(values))
+        slots = np.sort(np.concatenate([slots, np.repeat(values, mult)]))[:k_need]
+        if len(slots) == k_need:
+            cutoff = slots[-1]
         if j >= hard_cap:
             if j_max is not None:
                 raise ValueError(
                     f"j_max={j_max} insufficient: mode {j} still reaches "
-                    f"{mode_min:.6g} <= lambda_k_max={cutoff:.6g}; raise j_max "
+                    f"{values[0]:.6g} <= lambda_k_max={cutoff:.6g}; raise j_max "
                     f"until a whole mode clears that value")
             raise RuntimeError(f"mode sweep did not terminate below j={j}")
         j += 1

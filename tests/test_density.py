@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -134,13 +133,6 @@ def test_tabulated_csv_roundtrip(tmp_path):
     assert rho(0.5) == pytest.approx(1.0 + math.cos(0.5), abs=1e-6)
     with pytest.raises(ValueError, match="positive"):
         dl.Tabulated(r, vals - 2.0)
-
-
-def test_exponent_warns_outside_unit_interval(caplog):
-    with caplog.at_level(logging.WARNING):
-        dl.Exponent(1.5)
-    assert any("exploratory" in rec.message for rec in caplog.records)
-    assert float(dl.Exponent(0.5)) == 0.5
 
 
 def test_density_config_roundtrip():

@@ -31,6 +31,8 @@ def test_size_and_kmax_validation():
     p = _pencil(np.ones(n), np.zeros(n - 1), np.ones(n), np.zeros(n - 1))
     with pytest.raises(ValueError, match="pairs"):
         solve_generalized(p, 12)
+    with pytest.raises(ValueError, match="pairs"):
+        solve_generalized(p, -1)
     big = 5000
     pb = _pencil(np.ones(big), np.zeros(big - 1), np.ones(big), np.zeros(big - 1))
     pairs = solve_generalized(pb, 1)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ def test_config_validation():
         exp.ExperimentConfig(alpha_values=())
     with pytest.raises(ValueError, match="exploratory"):
         exp.ExperimentConfig(alpha_values=(1.5,))
+    with pytest.raises(ValueError, match="k_max"):
+        exp.ExperimentConfig(k_max=-1)
     cfg = exp.ExperimentConfig(alpha_values=(1.5,), exploratory=True)
     assert cfg.exploratory
 
@@ -87,6 +90,47 @@ def test_convergence_study_flags():
     assert not rep2.rows[-1]["resolved"]
     with pytest.raises(ValueError, match="nested"):
         exp.exp_convergence(iv, dl.Constant(1.0), 0.0, (128, 256, 384))
+
+
+def test_convergence_rows_match_lambda1_richardson():
+    disk = dl.RevolutionManifold.ball(2, 1.0)
+    rho, n = dl.GaussianRadial(100.0), 256
+    row = exp.exp_convergence(disk, rho, 0.5, (n // 4, n // 2, n)).rows[0]
+    rich = exp.lambda1_richardson(disk, rho, 0.5, n)
+    for key in ("lambda1_extrapolated", "richardson_ratio", "richardson_error",
+                "resolved"):
+        assert row[key] == rich[key]
+    assert row["lambda1"] == rich["lambda1_raw"]
+
+
+def test_convergence_at_rounding_level_is_resolved(monkeypatch):
+    # differences at rounding level make the ratio noise, not a resolution flag
+    values = iter([2.0 + 4e-15, 2.0 - 1e-15, 2.0])
+    monkeypatch.setattr(exp, "full_spectrum",
+                        lambda *args, **kwargs: SimpleNamespace(lambdas=[0.0, next(values)]))
+    row = exp.exp_convergence(dl.Interval(-1.0, 1.0), dl.Constant(1.0), 0.0,
+                              (64, 128, 256)).rows[0]
+    assert not 3.5 <= row["richardson_ratio"] <= 4.5
+    assert row["resolved"]
+
+
+def test_convergence_scaled_density_uses_base_grid_policy():
+    # exact scaling identity: c rho must get the same (graded) grids as rho
+    iv = dl.Interval(-1.0, 1.0)
+    alpha, c = 0.5, 10.0
+    rho = dl.GaussianRadial(1e4)
+    base = exp.exp_convergence(iv, rho, alpha, (256, 512, 1024)).rows
+    scaled = exp.exp_convergence(iv, dl.scale(rho, c), alpha, (256, 512, 1024)).rows
+    factor = c ** (alpha - 1.0)
+    for rb, rs in zip(base, scaled):
+        lam = factor * rb["lambda1"]
+        assert rs["lambda1"] == pytest.approx(lam, rel=1e-12)
+        assert rs["lambda1_extrapolated"] == pytest.approx(
+            factor * rb["lambda1_extrapolated"], rel=1e-12)
+        # a difference of nearby values: compare on the eigenvalue's scale
+        assert rs["richardson_error"] == pytest.approx(
+            factor * rb["richardson_error"], abs=1e-12 * lam)
+        assert rs["resolved"] == rb["resolved"]
 
 
 def test_convergence_cauchy_resolved_by_2048():
@@ -254,10 +298,12 @@ def test_cli_weyl_fit(tmp_path):
 
 def test_cli_config_file(tmp_path):
     cfg = {"experiment": "gaussian-lemma", "grid_n": 256,
-           "m_values": [100.0], "dims": [1, 2]}
+           "m_values": [100.0], "dims": [1, 2], "box_half_side": 2.0}
     path = tmp_path / "cfg.json"
     with open(path, "w") as fh:
         json.dump(cfg, fh)
     rc = cli_main(["gaussian-lemma", "--config", str(path),
                    "--out", str(tmp_path)])
     assert rc == 0
+    with open(tmp_path / "gaussian-lemma.csv") as fh:
+        assert [float(r["L"]) for r in csv.DictReader(fh)] == [2.0, 2.0]

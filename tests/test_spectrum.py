@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import densilab as dl
+from densilab import spectrum
 from densilab.assembly import ModeProblem, assemble
 from densilab.spectrum import TestFunction
 
@@ -39,7 +40,9 @@ def test_ball_spectrum_matches_spherical_bessel_oracle():
                            grid=dl.RadialGrid.uniform(ball, 1024))
     exact = oracles.ball_neumann_spectrum(9)
     assert np.max(np.abs(res.lambdas[1:] - exact[1:]) / exact[1:]) < 2e-4
-    assert res.slot_entries()[1][3] == 3  # first cluster has multiplicity 3
+    rows = res.slot_entries()
+    assert rows[1][3] == 3  # first cluster has multiplicity 3
+    assert [row[0] for row in rows] == list(range(9))
 
 
 def test_hemisphere_closed_form():
@@ -65,6 +68,44 @@ def test_j_max_insufficient_reports_bound():
     with pytest.raises(ValueError, match="insufficient"):
         dl.full_spectrum(disk, dl.Constant(1.0), 0.0, 8,
                          grid=dl.RadialGrid.uniform(disk, 256), j_max=1)
+
+
+def test_each_mode_asks_only_for_pairs_it_can_place(monkeypatch):
+    ball = dl.RevolutionManifold.ball(3, 1.0)
+    asked = []
+
+    def spy(pencil, k_max):
+        asked.append(k_max + 1)
+        return dl.solve_generalized(pencil, k_max)
+
+    monkeypatch.setattr(spectrum, "solve_generalized", spy)
+    dl.full_spectrum(ball, dl.Constant(1.0), 0.0, 12,
+                     grid=dl.RadialGrid.uniform(ball, 128))
+    assert len(asked) > 3
+    assert asked == [math.ceil(13 / dl.sphere_multiplicity(j, 3))
+                     for j in range(len(asked))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([1.0, 100.0]),
+       st.integers(min_value=0, max_value=30))
+def test_mode_sweep_misses_no_eigenvalue(n, m, k_max):
+    # every pair of every mode, solved densely, then merged: the sweep's
+    # pair rule and stopping rule must not change the lowest k_max + 1
+    dom = dl.RevolutionManifold.ball(n, 1.0)
+    grid = dl.RadialGrid.uniform(dom, 64)
+    rho = dl.GaussianRadial(m)
+    union, mode_minima = [], []
+    for j in range(32):
+        pencil = assemble(ModeProblem(domain=dom, rho=rho, alpha=0.5, grid=grid, j=j))
+        values = oracles.dense_pencil_eigenvalues(pencil, pencil.size)
+        union.extend(np.repeat(values, dl.sphere_multiplicity(j, n)))
+        mode_minima.append(values[0])
+    expected = np.sort(union)[:k_max + 1]
+    assert mode_minima[-1] > expected[-1]  # the oracle swept far enough
+    got = dl.full_spectrum(dom, rho, 0.5, k_max, grid=grid).lambdas
+    lam1 = expected[1] if k_max >= 1 else 1.0
+    assert np.allclose(got, expected, rtol=1e-9, atol=1e-9 * lam1)
 
 
 def test_mode_minima_increase_with_j():

@@ -1,0 +1,42 @@
+"""The demos and the benchmark tracer use the package's public names.
+
+Both live outside ``tests/``; running them here makes a renamed or deleted
+name fail the suite instead of only the demo or the traced benchmark run.
+"""
+
+import importlib
+import runpy
+from pathlib import Path
+
+import pytest
+
+import densilab as dl
+from densilab import experiments, spectrum
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_are_present():
+    assert len(DEMOS) == 6
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_tracer_patches_and_restores(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    spans = importlib.import_module("perfbench.spans")
+    solve = spectrum.solve_generalized
+    disk = dl.RevolutionManifold.ball(2, 1.0)
+    with spans.Tracer() as tracer:
+        experiments.full_spectrum(disk, dl.Constant(1.0), 0.0, 3,
+                                  grid=dl.RadialGrid.uniform(disk, 64))
+    assert spectrum.solve_generalized is solve
+    top = [s for s in tracer.spans if s.parent is None]
+    assert [s.name for s in top] == ["full_spectrum"]
+    assert top[0].info["modes_swept"] >= 2
