@@ -67,11 +67,11 @@ def _config(args, experiment):
         cfg = exp.ExperimentConfig(experiment=experiment)
     if args.n is not None:
         cfg.domain = {"kind": "ball", "n": args.n} if args.n >= 2 else {"kind": "interval"}
-    if args.alpha:
+    if args.alpha is not None:
         cfg.alpha_values = args.alpha
-    if args.m:
+    if args.m is not None:
         cfg.m_values = args.m
-    if args.grid:
+    if args.grid is not None:
         cfg.grid_n = args.grid
     if args.kmax is not None:
         cfg.k_max = args.kmax
@@ -86,7 +86,10 @@ def _config(args, experiment):
     if args.exploratory:
         cfg.exploratory = True
     # re-run the range validation with the overrides in place
-    cfg.__post_init__()
+    try:
+        cfg.__post_init__()
+    except ValueError as exc:
+        args.parser.error(str(exc))
     return cfg
 
 
@@ -248,7 +251,7 @@ def build_parser():
     for name, (help_text, fn) in specs.items():
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, parser=p)
         if name == "scan-bounded":
             p.add_argument("--companion-alpha", type=float, default=0.5)
         if name == "measure-lemma":

@@ -24,6 +24,13 @@ from .quadrature import integrate
 DENSITY_FLOOR = 1e-300
 
 
+def _check_range(r, lo, hi, what):
+    """Reject points outside [lo, hi] beyond a rounding-level pad."""
+    pad = 1e-12 * max(1.0, abs(lo), abs(hi))
+    if np.any(r < lo - pad) or np.any(r > hi + pad):
+        raise ValueError(f"evaluation point outside {what}")
+
+
 class DensityField:
     """Base class; subclasses implement ``_raw`` (vectorized, unclamped)."""
 
@@ -37,10 +44,7 @@ class DensityField:
     def evaluate(self, r):
         r = np.asarray(r, dtype=float)
         if self.domain is not None:
-            lo, hi = self.domain.bounds
-            pad = 1e-12 * max(1.0, abs(lo), abs(hi))
-            if np.any(r < lo - pad) or np.any(r > hi + pad):
-                raise ValueError("evaluation point outside the density's domain")
+            _check_range(r, *self.domain.bounds, "the density's domain")
         return np.maximum(self._raw(r), self.floor)
 
     def __call__(self, r):
@@ -124,7 +128,11 @@ class CauchyPower(DensityField):
 
 
 class Tabulated(DensityField):
-    """Samples (r_i, rho_i) interpolated monotone-cubically."""
+    """Samples (r_i, rho_i) interpolated monotone-cubically.
+
+    Evaluation outside [r_0, r_last] raises: the interpolant there is an
+    extrapolation that can turn negative and be floored unseen.
+    """
 
     kind = "tabulated"
 
@@ -144,7 +152,9 @@ class Tabulated(DensityField):
         return cls(data[:, 0], data[:, 1], domain=domain)
 
     def _raw(self, r):
-        return self._spline(np.asarray(r, dtype=float))
+        r = np.asarray(r, dtype=float)
+        _check_range(r, self.r_nodes[0], self.r_nodes[-1], "the tabulated range")
+        return self._spline(r)
 
     def __repr__(self):
         return f"Tabulated({len(self.r_nodes)} nodes)"

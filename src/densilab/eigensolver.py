@@ -1,20 +1,20 @@
 """Generalized symmetric eigensolver for tridiagonal pencils.
 
-Solves K v = lambda M v for the lowest eigenpairs by shift-invert Lanczos
-(ARPACK ``eigsh``) on the inverted pencil M v = nu (K + tau M) v with
-nu = 1/(lambda + tau); an iteration costs one tridiagonal product and one
-banded Cholesky solve.  Densities like exp(-m r^2), m ~ 1e4, give
-stiffness/mass ratios spanning ~300 decades: the inverted pencil has norm
-1/tau and keeps the sought eigenvalues at relative accuracy, and the unit
-mass diagonal of the equilibrated variables keeps eigenvector components
-in the underflowed-density region near zero instead of blowing eps-level
-noise up by ~1e150.  Eigenvalues are Rayleigh quotients of Ritz vectors.
+Shift-invert Lanczos in standard form (ARPACK Users' Guide, sec. 3.2): with
+M = U^T U from LAPACK ``dpttrf`` (U = D^{1/2} L^T), ARPACK ``eigsh`` runs on
+OP = U (K + tau M)^{-1} U^T, one ``dpttrs`` solve per product, whose top
+eigenvalues 1/(lambda + tau) give the lowest lambda of K v = lambda M v;
+Ritz vectors map back by v = M^{-1} U^T y, eigenvalues are their Rayleigh
+quotients.  The inverted pencil keeps lambda at relative accuracy across the
+~300 decades of densities like exp(-m r^2), m ~ 1e4, and the unit mass
+diagonal of the equilibrated variables keeps eigenvector noise near zero
+where the density underflows.
 """
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 from dataclasses import dataclass
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 
@@ -38,22 +38,17 @@ class EigenPairs:
     residual_norms: np.ndarray
 
 
-def _tridiagonal(d, e):
-    return sp.diags([e, d, e], [-1, 0, 1], format="csr")
+def _tri_mul(d, e, x):
+    """The tridiagonal (d, e) times the columns of ``x``."""
+    y = d[:, None] * x
+    y[:-1] += e[:, None] * x[1:]
+    y[1:] += e[:, None] * x[:-1]
+    return y
 
 
-def _quadratic(a, x):
-    """x^T A x per column of ``x``."""
-    return np.sum(x * (a @ x), axis=0)
-
-
-def _cholesky(d, e, name):
-    """Upper banded Cholesky factor of the tridiagonal (d, e)."""
-    try:
-        return sla.cholesky_banded(np.vstack([np.append(0.0, e), d]),
-                                   check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise IndefiniteMassError(f"{name} is not positive definite") from exc
+def _quadratic(d, e, x):
+    """x^T A x per column of ``x`` for the tridiagonal A = (d, e)."""
+    return np.sum(x * _tri_mul(d, e, x), axis=0)
 
 
 def solve_generalized(pencil, k_max):
@@ -66,14 +61,12 @@ def solve_generalized(pencil, k_max):
         raise ValueError(f"requested {k_need} pairs from a pencil of size {n}")
     if np.any(md <= 0):
         raise IndefiniteMassError("mass diagonal has non-positive entries")
-    k, m = _tridiagonal(kd, ke), _tridiagonal(md, me)
 
     # scale of the low end of the spectrum: Rayleigh quotient of a ramp
-    ramp = np.linspace(0.0, 1.0, n)
-    tau = float(_quadratic(k, ramp) / _quadratic(m, ramp))
+    ramp = np.linspace(0.0, 1.0, n)[:, None]
+    tau = (_quadratic(kd, ke, ramp) / _quadratic(md, me, ramp)).item()
     if not (np.isfinite(tau) and tau > 0):
         raise EigenSolveError(f"could not establish a spectral scale (tau={tau})")
-
     # symmetric diagonal equilibration: unit mass diagonal
     s = 1.0 / np.sqrt(md)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -81,39 +74,46 @@ def solve_generalized(pencil, k_max):
         ke_h = ke * s[:-1] * s[1:]
         me_h = me * s[:-1] * s[1:]
     if not all(np.all(np.isfinite(x)) for x in (kd_h, ke_h, me_h)):
-        raise EigenSolveError(
-            "pencil dynamic range exceeds double precision after equilibration; "
-            "reduce the density contrast or the grid grading")
-    k_h, m_h = _tridiagonal(kd_h, ke_h), _tridiagonal(np.ones(n), me_h)
-    _cholesky(np.ones(n), me_h, "mass matrix")  # positive-definiteness check only
-    a_factor = (_cholesky(kd_h + tau, ke_h + tau * me_h, "K + tau M"), False)
+        raise EigenSolveError("pencil dynamic range exceeds double precision after "
+                              "equilibration; reduce the density contrast or the grid grading")
+    m_diag, m_low, m_info = dpttrf(np.ones(n), me_h)  # M_h = L D L^T
+    a_diag, a_low, a_info = dpttrf(kd_h + tau, ke_h + tau * me_h)
+    if m_info or a_info:
+        name = "mass matrix" if m_info else "K + tau M"
+        raise IndefiniteMassError(f"{name} is not positive definite")
+    root = np.sqrt(m_diag)[:, None]  # M_h = U^T U: U = D^{1/2} L^T has diagonal root
+    upper = root[:-1] * m_low[:, None]  # and superdiagonal upper
+
+    def u_t(y):  # U^T y per column
+        z = root * y
+        z[1:] += upper * y[:-1]
+        return z
+
+    def op(y):  # U (K + tau M)^{-1} U^T y per column
+        x = dpttrs(a_diag, a_low, u_t(y.reshape(n, -1)))[0]
+        u = root * x
+        u[:-1] += upper * x[1:]
+        return u
 
     if k_need < n:
-        def inverse(x):
-            return sla.cho_solve_banded(a_factor, x, check_finite=False)
-
         try:
-            _, w = eigsh(k_h, k_need, M=m_h, sigma=-tau, tol=0,
-                         OPinv=LinearOperator((n, n), matvec=inverse, dtype=float),
-                         v0=np.random.default_rng(0).uniform(0.5, 1.5, n))
+            _, y = eigsh(LinearOperator((n, n), matvec=op, dtype=float), k_need,
+                         which="LA", tol=0, v0=np.random.default_rng(0).uniform(0.5, 1.5, n))
         except ArpackError as exc:
             raise EigenSolveError(f"shift-invert Lanczos failed: {exc}") from exc
-    else:
-        # ARPACK needs k < n: solve the whole inverted pencil densely
-        _, w = sla.eigh(m_h.toarray(), (k_h + tau * m_h).toarray(), check_finite=False)
-
-    values = _quadratic(k_h, w) / _quadratic(m_h, w)
+    else:  # ARPACK needs k < n: the whole operator, densely
+        _, y = sla.eigh(op(np.eye(n)), check_finite=False)
+    w = dpttrs(m_diag, m_low, u_t(y))[0]
+    # Rayleigh quotients; M-normalize, then a deterministic sign: largest component positive
+    w_mass = _quadratic(np.ones(n), me_h, w)
+    values = _quadratic(kd_h, ke_h, w) / w_mass
     order = np.argsort(values, kind="stable")
     values = values[order]
-    vectors = s[:, None] * w[:, order]
-
-    # M-normalize, then a deterministic sign: largest component positive
-    vectors /= np.sqrt(_quadratic(m, vectors))
+    vectors = s[:, None] * (w / np.sqrt(w_mass))[:, order]
     vectors *= np.sign(vectors[np.argmax(np.abs(vectors), axis=0), np.arange(k_need)])
-    mv = m @ vectors
-    residuals = (np.linalg.norm(k @ vectors - values * mv, axis=0)
+    mv = _tri_mul(md, me, vectors)
+    residuals = (np.linalg.norm(_tri_mul(kd, ke, vectors) - values * mv, axis=0)
                  / (pencil.k_norm1() + np.abs(values) * pencil.m_norm1()))
-
     gram = vectors.T @ mv
     if not np.max(np.abs(gram - np.eye(k_need))) <= 1e-8:
         raise EigenSolveError("M-orthonormality of the computed eigenvectors failed")

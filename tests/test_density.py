@@ -135,6 +135,17 @@ def test_tabulated_csv_roundtrip(tmp_path):
         dl.Tabulated(r, vals - 2.0)
 
 
+def test_tabulated_rejects_points_outside_its_nodes():
+    rho = dl.Tabulated([0.0, 0.25, 0.5], [1.0, 0.5, 0.1])
+    assert rho(0.5 + 1e-13) == pytest.approx(0.1)
+    with pytest.raises(ValueError, match="tabulated range"):
+        rho(0.6)
+    # the pchip extrapolation past r = 0.5 goes negative and was floored unseen
+    disk = dl.RevolutionManifold.ball(2, 1.0)
+    with pytest.raises(ValueError, match="tabulated range"):
+        dl.full_spectrum(disk, rho, 0.5, 3, grid=dl.RadialGrid.uniform(disk, 64))
+
+
 def test_density_config_roundtrip():
     from densilab import density as density_mod
     for rho in (dl.Constant(2.0), dl.GaussianRadial(3.0), dl.CauchyPower(5.0, 0.4),

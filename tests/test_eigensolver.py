@@ -168,21 +168,25 @@ def test_extreme_dynamic_range_gaussian():
     assert np.all(pairs.residual_norms < 1e-8)
 
 
+_BALL = dl.RevolutionManifold.ball(3, 1.0)
 _EXTREME = {
-    "interval-gaussian-1e3": (dl.Interval(-1.0, 1.0), dl.GaussianRadial(1e3), 0.5, 0),
-    "interval-cauchy-1e4": (dl.Interval(-1.0, 1.0), dl.CauchyPower(1e4, 0.5), 0.5, 0),
-    "disk-gaussian-1e4-j0": (dl.RevolutionManifold.ball(2, 1.0), dl.GaussianRadial(1e4), 0.75, 0),
-    "disk-gaussian-1e4-j1": (dl.RevolutionManifold.ball(2, 1.0), dl.GaussianRadial(1e4), 0.75, 1),
-    "ball-gaussian-1e4-j2": (dl.RevolutionManifold.ball(3, 1.0), dl.GaussianRadial(1e4), 0.75, 2),
+    "interval-gaussian-1e3": (dl.Interval(-1.0, 1.0), dl.GaussianRadial(1e3), 0.5, 0, 3),
+    "interval-cauchy-1e4": (dl.Interval(-1.0, 1.0), dl.CauchyPower(1e4, 0.5), 0.5, 0, 3),
+    "disk-gaussian-1e4-j0": (dl.RevolutionManifold.ball(2, 1.0), dl.GaussianRadial(1e4), 0.75, 0, 3),
+    "disk-gaussian-1e4-j1": (dl.RevolutionManifold.ball(2, 1.0), dl.GaussianRadial(1e4), 0.75, 1, 3),
+    "ball-gaussian-1e4-j2": (_BALL, dl.GaussianRadial(1e4), 0.75, 2, 3),
+    # many pairs: the j = 0 pencil of the k_max = 40 conformal check
+    "ball-normalized-gaussian-1-j0-k40": (_BALL, dl.normalize(dl.GaussianRadial(1.0), _BALL),
+                                          1.0 / 3.0, 0, 40),
 }
 
 
 @pytest.mark.parametrize("name", list(_EXTREME))
 def test_extreme_pencils_match_dense_oracle(name):
-    domain, rho, alpha, j = _EXTREME[name]
+    domain, rho, alpha, j, k_max = _EXTREME[name]
     grid = dl.RadialGrid.for_density(domain, 1024, m=rho.m)
     p = assemble(ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid, j=j))
-    pairs = solve_generalized(p, 3)
-    ref = dense_pencil_eigenvalues(p, 4)
+    pairs = solve_generalized(p, k_max)
+    ref = dense_pencil_eigenvalues(p, k_max + 1)
     # the zero mode (j = 0) is rounding noise on the scale of lambda_1
     assert np.allclose(pairs.values, ref, rtol=1e-9, atol=1e-9 * ref[1])

@@ -26,6 +26,17 @@ def test_config_validation():
     assert cfg.exploratory
 
 
+@pytest.mark.parametrize("flags", [["--kmax", "-1"], ["--grid", "1000"], ["--grid", "0"],
+                                   ["--alpha", ""], ["--m", ""]],
+                         ids=["kmax-negative", "grid-not-power-of-two", "grid-zero",
+                              "alpha-empty", "m-empty"])
+def test_cli_config_errors_are_usage_errors(flags, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["solve", "--out", str(tmp_path), *flags])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_config_json_roundtrip(tmp_path):
     cfg = exp.ExperimentConfig(experiment="scan-blowup", grid_n=256,
                                alpha_values=(0.5,), m_values=(10.0, 100.0))

@@ -1,11 +1,17 @@
-"""The demos and the benchmark tracer use the package's public names.
+"""The demos, the benchmark tracer and ``python -m densilab`` still work.
 
-Both live outside ``tests/``; running them here makes a renamed or deleted
-name fail the suite instead of only the demo or the traced benchmark run.
+The demos and the tracer live outside ``tests/`` and use the package's
+public names; running them here makes a renamed or deleted name fail the
+suite instead of only the demo or the traced benchmark run.  The entry
+point runs as its own process, so its exit code and stderr are what a
+shell sees.
 """
 
 import importlib
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +46,14 @@ def test_tracer_patches_and_restores(monkeypatch):
     top = [s for s in tracer.spans if s.parent is None]
     assert [s.name for s in top] == ["full_spectrum"]
     assert top[0].info["modes_swept"] >= 2
+
+
+def test_entry_point_reports_usage_errors():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "densilab", "solve", "--grid", "1000"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
+    assert "Traceback" not in proc.stderr
