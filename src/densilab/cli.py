@@ -61,7 +61,10 @@ def _add_common(p):
 
 def _config(args, experiment):
     if args.config:
-        cfg = exp.ExperimentConfig.from_json(args.config)
+        try:
+            cfg = exp.ExperimentConfig.from_json(args.config)
+        except (OSError, ValueError, TypeError) as exc:  # unreadable, not JSON, bad keys or values
+            args.parser.error(f"--config {args.config}: {exc}")
         cfg.experiment = experiment
     else:
         cfg = exp.ExperimentConfig(experiment=experiment)

@@ -9,6 +9,12 @@ quotients.  The inverted pencil keeps lambda at relative accuracy across the
 ~300 decades of densities like exp(-m r^2), m ~ 1e4, and the unit mass
 diagonal of the equilibrated variables keeps eigenvector noise near zero
 where the density underflows.
+
+``exceeds`` answers "does every eigenvalue exceed sigma?" without solving:
+by Sylvester's law of inertia that holds exactly when K - sigma M is
+positive definite, which one O(N) ``dpttrf`` of the equilibrated pencil
+decides (``dpttrf`` forms (e/d) e, never e^2, so its pivots do not
+overflow where the density underflows).
 """
 
 import numpy as np
@@ -51,23 +57,13 @@ def _quadratic(d, e, x):
     return np.sum(x * _tri_mul(d, e, x), axis=0)
 
 
-def solve_generalized(pencil, k_max):
-    """Lowest ``k_max + 1`` eigenpairs of the pencil K v = lambda M v."""
-    kd, ke, md, me = (np.asarray(a, dtype=float) for a in
-                      (pencil.k_diag, pencil.k_off, pencil.m_diag, pencil.m_off))
-    n = len(kd)
-    k_need = k_max + 1
-    if not 0 < k_need <= n:
-        raise ValueError(f"requested {k_need} pairs from a pencil of size {n}")
+def _equilibrate(kd, ke, md, me):
+    """The congruence s (K, M) s with s = 1/sqrt(m_diag): unit mass diagonal.
+
+    Returns ``s`` and the equilibrated ``(k_diag, k_off, m_off)``.
+    """
     if np.any(md <= 0):
         raise IndefiniteMassError("mass diagonal has non-positive entries")
-
-    # scale of the low end of the spectrum: Rayleigh quotient of a ramp
-    ramp = np.linspace(0.0, 1.0, n)[:, None]
-    tau = (_quadratic(kd, ke, ramp) / _quadratic(md, me, ramp)).item()
-    if not (np.isfinite(tau) and tau > 0):
-        raise EigenSolveError(f"could not establish a spectral scale (tau={tau})")
-    # symmetric diagonal equilibration: unit mass diagonal
     s = 1.0 / np.sqrt(md)
     with np.errstate(over="ignore", invalid="ignore"):
         kd_h = kd * s ** 2
@@ -76,6 +72,37 @@ def solve_generalized(pencil, k_max):
     if not all(np.all(np.isfinite(x)) for x in (kd_h, ke_h, me_h)):
         raise EigenSolveError("pencil dynamic range exceeds double precision after "
                               "equilibration; reduce the density contrast or the grid grading")
+    return s, kd_h, ke_h, me_h
+
+
+def _arrays(pencil):
+    return tuple(np.asarray(a, dtype=float) for a in
+                 (pencil.k_diag, pencil.k_off, pencil.m_diag, pencil.m_off))
+
+
+def exceeds(pencil, sigma):
+    """True iff every eigenvalue of K v = lambda M v exceeds ``sigma``."""
+    _, kd_h, ke_h, me_h = _equilibrate(*_arrays(pencil))
+    return dpttrf(kd_h - sigma, ke_h - sigma * me_h)[2] == 0
+
+
+def solve_generalized(pencil, k_max):
+    """Lowest ``k_max + 1`` eigenpairs of the pencil K v = lambda M v.
+
+    Raises ``EigenSolveError`` when a pair's residual exceeds 1e-8 or the
+    vectors are not M-orthonormal to 1e-8.
+    """
+    kd, ke, md, me = _arrays(pencil)
+    n = len(kd)
+    k_need = k_max + 1
+    if not 0 < k_need <= n:
+        raise ValueError(f"requested {k_need} pairs from a pencil of size {n}")
+    s, kd_h, ke_h, me_h = _equilibrate(kd, ke, md, me)
+    # scale of the low end of the spectrum: Rayleigh quotient of a ramp
+    ramp = np.linspace(0.0, 1.0, n)[:, None]
+    tau = (_quadratic(kd, ke, ramp) / _quadratic(md, me, ramp)).item()
+    if not (np.isfinite(tau) and tau > 0):
+        raise EigenSolveError(f"could not establish a spectral scale (tau={tau})")
     m_diag, m_low, m_info = dpttrf(np.ones(n), me_h)  # M_h = L D L^T
     a_diag, a_low, a_info = dpttrf(kd_h + tau, ke_h + tau * me_h)
     if m_info or a_info:
@@ -114,6 +141,8 @@ def solve_generalized(pencil, k_max):
     mv = _tri_mul(md, me, vectors)
     residuals = (np.linalg.norm(_tri_mul(kd, ke, vectors) - values * mv, axis=0)
                  / (pencil.k_norm1() + np.abs(values) * pencil.m_norm1()))
+    if not np.max(residuals) <= 1e-8:
+        raise EigenSolveError(f"eigenpair residual {np.max(residuals):.3g} exceeds 1e-8")
     gram = vectors.T @ mv
     if not np.max(np.abs(gram - np.eye(k_need))) <= 1e-8:
         raise EigenSolveError("M-orthonormality of the computed eigenvectors failed")

@@ -2,10 +2,15 @@
 
 ``full_spectrum`` merges the angular-mode Sturm-Liouville problems with
 their spherical-harmonic multiplicities into the ordered sequence
-lambda_0 <= lambda_1 <= ...  The smallest eigenvalue of mode j is
-nondecreasing in j (the extra stiffness term is mu_j times a fixed
-positive form), so the mode sweep stops safely once a whole mode lies
-above the current lambda_{k_max} candidate.
+lambda_0 <= lambda_1 <= ...  Once k_max + 1 slots are filled, the
+sweep tests each next mode j for K_j - cutoff M_j positive definite (an
+O(N) factorization, ``eigensolver.exceeds``), cutoff being the running
+lambda_{k_max}; by Sylvester's law of inertia that holds exactly when every
+eigenvalue of mode j exceeds the cutoff, and the sweep stops there without
+solving mode j.  No later mode can reach the cutoff either: K_{j+1} - K_j
+is a nonnegative multiple of one positive semidefinite angular form, and a
+pole-constrained mode's pencil is a principal submatrix of the unconstrained
+one, so positive definiteness at mode j carries over to every mode after it.
 
 Radial plateau ("annulus") test functions give min-max upper bounds:
 any k+1 of them with pairwise disjoint supports span a (k+1)-dimensional
@@ -21,7 +26,7 @@ import numpy as np
 
 from . import density as density_mod
 from .assembly import ModeProblem, assemble, quadrature_weights
-from .eigensolver import solve_generalized
+from .eigensolver import exceeds, solve_generalized
 from .geometry import (Interval, RevolutionManifold, sphere_multiplicity,
                        unit_sphere_area, _default_grid)
 
@@ -88,12 +93,14 @@ class SpectrumResult:
         return payload
 
 
-def _solve_mode(domain, rho, alpha, grid, j, count):
-    problem = ModeProblem(domain=domain, rho=rho, alpha=float(alpha), grid=grid, j=j)
-    pencil = assemble(problem)
+def _assemble_mode(domain, rho, alpha, grid, j):
+    return assemble(ModeProblem(domain=domain, rho=rho, alpha=float(alpha), grid=grid, j=j))
+
+
+def _solve_mode(pencil, count):
     pairs = solve_generalized(pencil, min(count, pencil.size) - 1)
     vectors = pairs.vectors
-    if problem.pole_constrained:
+    if pencil.problem.pole_constrained:
         vectors = np.vstack([np.zeros(vectors.shape[1]), vectors])
     return pairs.values, vectors
 
@@ -103,13 +110,15 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None):
 
     Mode j is asked for ceil((k_max + 1) / multiplicity) pairs: its next
     pair would lie above that many of its own filled slots, so it could
-    never reach slot k_max.
+    never reach slot k_max.  The sweep stops at the first mode j whose
+    K_j - lambda_{k_max} M_j is positive definite (see the module
+    docstring); that mode is assembled and factored, never solved.
     """
     grid = _default_grid(domain, grid)
     k_need = k_max + 1
 
     if isinstance(domain, Interval):
-        values, vectors = _solve_mode(domain, rho, alpha, grid, 0, k_need)
+        values, vectors = _solve_mode(_assemble_mode(domain, rho, alpha, grid, 0), k_need)
         entries = [SpectrumEntry(v, 0, i, 1, vectors[:, i])
                    for i, v in enumerate(values)]
         return SpectrumResult(entries, k_max)
@@ -121,10 +130,11 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None):
     hard_cap = _HARD_MODE_CAP if j_max is None else j_max
     j = 0
     while True:
-        mult = sphere_multiplicity(j, n)
-        values, vectors = _solve_mode(domain, rho, alpha, grid, j, -(-k_need // mult))
-        if values[0] > cutoff:
+        pencil = _assemble_mode(domain, rho, alpha, grid, j)
+        if cutoff < np.inf and exceeds(pencil, cutoff):
             break
+        mult = sphere_multiplicity(j, n)
+        values, vectors = _solve_mode(pencil, -(-k_need // mult))
         entries.extend(SpectrumEntry(v, j, i, mult, vectors[:, i])
                        for i, v in enumerate(values))
         slots = np.sort(np.concatenate([slots, np.repeat(values, mult)]))[:k_need]

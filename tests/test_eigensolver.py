@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import densilab as dl
 from densilab.assembly import ModeProblem, TridiagonalPencil, assemble
-from densilab.eigensolver import IndefiniteMassError, solve_generalized
+from densilab.eigensolver import (EigenSolveError, IndefiniteMassError, exceeds,
+                                  solve_generalized)
 from densilab.spectrum import full_spectrum
 
 from oracles import dense_pencil_eigenvalues
@@ -190,3 +191,37 @@ def test_extreme_pencils_match_dense_oracle(name):
     ref = dense_pencil_eigenvalues(p, k_max + 1)
     # the zero mode (j = 0) is rounding noise on the scale of lambda_1
     assert np.allclose(pairs.values, ref, rtol=1e-9, atol=1e-9 * ref[1])
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_inaccurate_pairs_raise(j):
+    # alpha = 0.1 on a 256-element grid: Lanczos returns 54502.8 for the
+    # j = 1 minimum (dense: 52234.2, residual 0.07) and 1358 for the j = 0
+    # zero mode; neither may come back as an answer
+    disk = dl.RevolutionManifold.ball(2, 1.0)
+    grid = dl.RadialGrid.for_density(disk, 256, m=1e4)
+    p = assemble(ModeProblem(domain=disk, rho=dl.GaussianRadial(1e4), alpha=0.1,
+                             grid=grid, j=j))
+    with pytest.raises(EigenSolveError, match="residual"):
+        solve_generalized(p, 1)
+
+
+_DEFINITENESS = {**_EXTREME, **{
+    f"{name}-gaussian-1e6-j{j}": (dom, dl.GaussianRadial(1e6), 0.75, j, 0)
+    for name, dom in (("disk", dl.RevolutionManifold.ball(2, 1.0)), ("ball", _BALL))
+    for j in (1, 2)}}
+
+
+@pytest.mark.parametrize("name", list(_DEFINITENESS))
+def test_exceeds_brackets_the_lowest_eigenvalue(name):
+    domain, rho, alpha, j, _ = _DEFINITENESS[name]
+    grid = dl.RadialGrid.for_density(domain, 1024, m=rho.m)
+    p = assemble(ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid, j=j))
+    lam = dense_pencil_eigenvalues(p, 2)
+    if j == 0:
+        # the zero mode: below lambda_1, within 1e-9 lambda_1 of zero
+        assert not exceeds(p, lam[1] * (1 - 1e-8))
+        assert exceeds(p, -1e-9 * lam[1])
+    else:
+        assert exceeds(p, lam[0] * (1 - 1e-8))
+        assert not exceeds(p, lam[0] * (1 + 1e-8))

@@ -26,11 +26,18 @@ def test_config_validation():
     assert cfg.exploratory
 
 
-@pytest.mark.parametrize("flags", [["--kmax", "-1"], ["--grid", "1000"], ["--grid", "0"],
-                                   ["--alpha", ""], ["--m", ""]],
-                         ids=["kmax-negative", "grid-not-power-of-two", "grid-zero",
-                              "alpha-empty", "m-empty"])
-def test_cli_config_errors_are_usage_errors(flags, tmp_path, capsys):
+@pytest.mark.parametrize("flags, config", [
+    (["--kmax", "-1"], None), (["--grid", "1000"], None), (["--grid", "0"], None),
+    (["--alpha", ""], None), (["--m", ""], None),
+    (["--config", "cfg.json"], '{"grid_n": 1000}'), (["--config", "cfg.json"], '{"grid_n": 10'),
+    (["--config", "cfg.json"], '{"gridn": 1024}'), (["--config", "missing.json"], None)],
+    ids=["kmax-negative", "grid-not-power-of-two", "grid-zero", "alpha-empty", "m-empty",
+         "config-grid-not-power-of-two", "config-truncated", "config-unknown-key",
+         "config-missing"])
+def test_cli_config_errors_are_usage_errors(flags, config, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
     with pytest.raises(SystemExit) as exc:
         cli_main(["solve", "--out", str(tmp_path), *flags])
     assert exc.value.code == 2

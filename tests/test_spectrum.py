@@ -79,11 +79,19 @@ def test_each_mode_asks_only_for_pairs_it_can_place(monkeypatch):
         return dl.solve_generalized(pencil, k_max)
 
     monkeypatch.setattr(spectrum, "solve_generalized", spy)
-    dl.full_spectrum(ball, dl.Constant(1.0), 0.0, 12,
-                     grid=dl.RadialGrid.uniform(ball, 128))
+    res = dl.full_spectrum(ball, dl.Constant(1.0), 0.0, 12,
+                           grid=dl.RadialGrid.uniform(ball, 128))
     assert len(asked) > 3
     assert asked == [math.ceil(13 / dl.sphere_multiplicity(j, 3))
                      for j in range(len(asked))]
+    # the stop mode is tested for definiteness, never solved
+    assert len(asked) == 1 + max(e.mode_j for e in res.entries)
+    disk = dl.RevolutionManifold.ball(2, 1.0)
+    asked.clear()
+    res = dl.full_spectrum(disk, dl.GaussianRadial(100.0), 0.75, 1,
+                           grid=dl.RadialGrid.uniform(disk, 256))
+    assert asked == [2, 1]
+    assert max(e.mode_j for e in res.entries) == 1
 
 
 @settings(max_examples=25, deadline=None)

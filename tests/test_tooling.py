@@ -40,12 +40,16 @@ def test_tracer_patches_and_restores(monkeypatch):
     solve = spectrum.solve_generalized
     disk = dl.RevolutionManifold.ball(2, 1.0)
     with spans.Tracer() as tracer:
-        experiments.full_spectrum(disk, dl.Constant(1.0), 0.0, 3,
-                                  grid=dl.RadialGrid.uniform(disk, 64))
+        res = experiments.full_spectrum(disk, dl.Constant(1.0), 0.0, 3,
+                                        grid=dl.RadialGrid.uniform(disk, 64))
     assert spectrum.solve_generalized is solve
     top = [s for s in tracer.spans if s.parent is None]
     assert [s.name for s in top] == ["full_spectrum"]
-    assert top[0].info["modes_swept"] >= 2
+    # one eigensolver span per mode solved, so calls and mode_yield count solves
+    solved = 1 + max(e.mode_j for e in res.entries)
+    assert solved >= 2
+    assert sum(s.layer == "eigensolver" for s in tracer.spans) == solved
+    assert top[0].info["modes_swept"] == top[0].info["modes_used"] == solved
 
 
 def test_entry_point_reports_usage_errors():
