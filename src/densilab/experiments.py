@@ -9,7 +9,6 @@ c = |M| / int rho, which ``exp_scaling_identity`` verifies separately.
 
 import csv
 import json
-import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -23,8 +22,6 @@ from .geometry import (EuclideanBox, Interval, RadialGrid, RevolutionManifold,
                        conformal_reparametrize, volume)
 from .quadrature import integrate
 from .spectrum import full_spectrum
-
-log = logging.getLogger(__name__)
 
 DEFAULT_M_GRID = tuple(10.0 ** e for e in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0))
 RICHARDSON_WINDOW = (3.5, 4.5)
@@ -150,6 +147,15 @@ def _richardson(coarse, mid, fine):
     }
 
 
+def _nested_lambda1(domain, rho, alpha, grids):
+    """lambda_1 on each grid; each solve warm-starts from the one before it."""
+    lams, prev = [], None
+    for grid in grids:
+        prev = full_spectrum(domain, rho, alpha, 1, grid=grid, start=prev)
+        lams.append(prev.lambdas[1])
+    return lams
+
+
 def lambda1_richardson(domain, rho, alpha, grid_n):
     """lambda_1 on three nested grids with a Richardson error estimate.
 
@@ -158,9 +164,9 @@ def lambda1_richardson(domain, rho, alpha, grid_n):
     discretization) and the error estimate.
     """
     m = getattr(rho, "m", None)
-    lams = [full_spectrum(domain, rho, alpha, k_max=1,
-                          grid=RadialGrid.for_density(domain, n_el, m=m)).lambdas[1]
-            for n_el in (grid_n // 4, grid_n // 2, grid_n)]
+    lams = _nested_lambda1(domain, rho, alpha,
+                           [RadialGrid.for_density(domain, n_el, m=m)
+                            for n_el in (grid_n // 4, grid_n // 2, grid_n)])
     return {"lambda1_raw": lams[2], **_richardson(*lams)}
 
 
@@ -483,8 +489,7 @@ def exp_convergence(domain, rho, alpha, n_values=(512, 1024, 2048), grading="aut
             return RadialGrid.graded(domain, n_el)
         return RadialGrid.for_density(domain, n_el, m=m)
 
-    lams = [full_spectrum(domain, rho, alpha, 1, grid=grid_of(n_el)).lambdas[1]
-            for n_el in n_values]
+    lams = _nested_lambda1(domain, rho, alpha, [grid_of(n_el) for n_el in n_values])
     rows = [{"grid_n": n_values[i], "lambda1": lams[i], **_richardson(*lams[i - 2:i + 1])}
             for i in range(2, len(lams))]
     return ScanReport("converge",

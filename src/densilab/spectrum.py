@@ -20,7 +20,7 @@ quotient.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,9 +43,14 @@ class SpectrumEntry:
 
 
 class SpectrumResult:
-    """Merged spectrum with mode provenance; counts multiplicities."""
+    """Merged spectrum with mode provenance; counts multiplicities.
 
-    def __init__(self, entries, k_max):
+    ``modes`` maps each solved mode j to its ``EigenPairs`` (every pair
+    solved, not only those placed in slots, vectors on all of ``nodes``, the
+    grid's nodes), which a finer grid's ``full_spectrum(start=...)`` reuses.
+    """
+
+    def __init__(self, entries, k_max, modes, nodes):
         self.entries = []
         self._rows = []  # (k, lambda, mode_j, multiplicity), one per slot
         for ent in sorted(entries, key=lambda t: t.value):
@@ -57,12 +62,19 @@ class SpectrumResult:
                               for i in range(ent.multiplicity))
         del self._rows[k_max + 1:]
         self.k_max = k_max
+        self.modes = modes
+        self.nodes = nodes
         self._slots = np.array([row[1] for row in self._rows])
         if len(self._slots) < k_max + 1:
             raise ValueError("not enough eigenvalues computed to fill k_max + 1 slots")
         lam1 = self._slots[1] if k_max >= 1 else None
         if lam1 is not None and abs(self._slots[0]) > 1e-9 * max(lam1, 1e-300):
             raise ValueError(f"zero mode came out as {self._slots[0]}, expected ~0")
+
+    @property
+    def paths(self):
+        """The solver path of each solved mode: ``{j: "lanczos" | "dense" | "rqi"}``."""
+        return {j: pairs.path for j, pairs in self.modes.items()}
 
     @property
     def lambdas(self):
@@ -97,15 +109,30 @@ def _assemble_mode(domain, rho, alpha, grid, j):
     return assemble(ModeProblem(domain=domain, rho=rho, alpha=float(alpha), grid=grid, j=j))
 
 
-def _solve_mode(pencil, count):
-    pairs = solve_generalized(pencil, min(count, pencil.size) - 1)
-    vectors = pairs.vectors
-    if pencil.problem.pole_constrained:
-        vectors = np.vstack([np.zeros(vectors.shape[1]), vectors])
-    return pairs.values, vectors
+def _start_vectors(start, nodes, j, count, pole_constrained):
+    """Mode j's vectors from ``start`` interpolated onto ``nodes``, if it solved ``count`` pairs."""
+    pairs = None if start is None else start.modes.get(j)
+    if pairs is None or pairs.vectors.shape[1] != count:
+        return None
+    guess = np.column_stack([np.interp(nodes, start.nodes, v) for v in pairs.vectors.T])
+    return guess[1:] if pole_constrained else guess
 
 
-def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None):
+def _solve_mode(pencil, count, start):
+    count = min(count, pencil.size)
+    problem = pencil.problem
+    guess = _start_vectors(start, problem.grid.nodes, problem.j, count,
+                           problem.pole_constrained)
+    if guess is None:
+        pairs = solve_generalized(pencil, count - 1)
+    else:
+        pairs = solve_generalized(pencil, count - 1, guess=guess)
+    if problem.pole_constrained:
+        pairs = replace(pairs, vectors=np.vstack([np.zeros(count), pairs.vectors]))
+    return pairs
+
+
+def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None, start=None):
     """First k_max + 1 eigenvalues of the full problem, multiplicity-correct.
 
     Mode j is asked for ceil((k_max + 1) / multiplicity) pairs: its next
@@ -113,15 +140,22 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None):
     never reach slot k_max.  The sweep stops at the first mode j whose
     K_j - lambda_{k_max} M_j is positive definite (see the module
     docstring); that mode is assembled and factored, never solved.
+
+    ``start``, a ``SpectrumResult`` of the same problem on another (coarser)
+    grid, warm-starts each mode it solved for the same number of pairs:
+    its vectors, interpolated onto ``grid``, seed count-certified Rayleigh
+    quotient iteration (``solve_generalized(guess=...)``).
     """
     grid = _default_grid(domain, grid)
     k_need = k_max + 1
+    modes = {}
 
     if isinstance(domain, Interval):
-        values, vectors = _solve_mode(_assemble_mode(domain, rho, alpha, grid, 0), k_need)
-        entries = [SpectrumEntry(v, 0, i, 1, vectors[:, i])
-                   for i, v in enumerate(values)]
-        return SpectrumResult(entries, k_max)
+        pairs = modes[0] = _solve_mode(_assemble_mode(domain, rho, alpha, grid, 0),
+                                       k_need, start)
+        entries = [SpectrumEntry(v, 0, i, 1, pairs.vectors[:, i])
+                   for i, v in enumerate(pairs.values)]
+        return SpectrumResult(entries, k_max, modes, grid.nodes)
 
     n = domain.n
     entries = []
@@ -134,8 +168,9 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None):
         if cutoff < np.inf and exceeds(pencil, cutoff):
             break
         mult = sphere_multiplicity(j, n)
-        values, vectors = _solve_mode(pencil, -(-k_need // mult))
-        entries.extend(SpectrumEntry(v, j, i, mult, vectors[:, i])
+        pairs = modes[j] = _solve_mode(pencil, -(-k_need // mult), start)
+        values = pairs.values
+        entries.extend(SpectrumEntry(v, j, i, mult, pairs.vectors[:, i])
                        for i, v in enumerate(values))
         slots = np.sort(np.concatenate([slots, np.repeat(values, mult)]))[:k_need]
         if len(slots) == k_need:
@@ -148,7 +183,7 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None):
                     f"until a whole mode clears that value")
             raise RuntimeError(f"mode sweep did not terminate below j={j}")
         j += 1
-    return SpectrumResult(entries, k_max)
+    return SpectrumResult(entries, k_max, modes, grid.nodes)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import densilab as dl
 from densilab.assembly import ModeProblem, TridiagonalPencil, assemble
-from densilab.eigensolver import (EigenSolveError, IndefiniteMassError, exceeds,
-                                  solve_generalized)
+from densilab.eigensolver import (EigenSolveError, IndefiniteMassError, count_below,
+                                  exceeds, solve_generalized)
 from densilab.spectrum import full_spectrum
 
 from oracles import dense_pencil_eigenvalues
@@ -225,3 +226,67 @@ def test_exceeds_brackets_the_lowest_eigenvalue(name):
     else:
         assert exceeds(p, lam[0] * (1 - 1e-8))
         assert not exceeds(p, lam[0] * (1 + 1e-8))
+
+
+@pytest.mark.parametrize("n_el", [256, 1024])
+@pytest.mark.parametrize("name", list(_DEFINITENESS))
+def test_count_below_matches_dense_oracle(name, n_el):
+    domain, rho, alpha, j, _ = _DEFINITENESS[name]
+    grid = dl.RadialGrid.for_density(domain, n_el, m=rho.m)
+    p = assemble(ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid, j=j))
+    lam = dense_pencil_eigenvalues(p, 4)
+    for k in (1, 2, 3):
+        assert count_below(p, lam[k] * (1 - 1e-8)) == k
+        assert count_below(p, lam[k] * (1 + 1e-8)) == k + 1
+
+
+def test_count_below_restarts_past_negative_pivots():
+    # K = diag(1, 2, ..., n), M = I: the count is the number of integers below sigma
+    n = 9
+    p = _pencil(np.arange(1.0, n + 1), np.zeros(n - 1), np.ones(n), np.zeros(n - 1))
+    assert [count_below(p, s) for s in (0.5, 1.5, 4.5, 8.5, 9.5)] == [0, 1, 4, 8, 9]
+    # an exactly zero pivot counts as negative: sigma = 1 puts it in row 1
+    assert count_below(p, 1.0) == 1
+
+
+def test_zero_mode_is_deflated():
+    # alpha = 1, m = 1e4: Lanczos left lambda_0 = 1.67e-8 against lambda_1 = 2.614,
+    # above the 1e-9 lambda_1 zero-mode gate of full_spectrum
+    disk = dl.RevolutionManifold.ball(2, 1.0)
+    res = full_spectrum(disk, dl.GaussianRadial(1e4), 1.0, 1,
+                        grid=dl.RadialGrid.for_density(disk, 4096, m=1e4))
+    assert res.lambdas[0] == 0.0
+    pairs = res.modes[0]
+    assert np.all(pairs.residual_norms <= 1e-12)
+    v = pairs.vectors[:, 0]
+    assert np.max(np.abs(v - v[0])) <= 1e-14 * abs(v[0])
+
+
+def test_residuals_do_not_overflow():
+    # vectors reach ~1e151 where the density is floored; squaring them in
+    # the norm used to overflow and report the residual as inf
+    disk = dl.RevolutionManifold.ball(2, 1.0)
+    grid = dl.RadialGrid.for_density(disk, 256, m=1e6)
+    p = assemble(ModeProblem(domain=disk, rho=dl.GaussianRadial(1e6), alpha=0.1,
+                             grid=grid, j=0))
+    try:
+        pairs = solve_generalized(p, 40)
+    except EigenSolveError as exc:
+        found = re.search(r"residual (\S+) exceeds", str(exc))
+        assert found and math.isfinite(float(found.group(1)))
+    else:
+        assert np.all(np.isfinite(pairs.residual_norms))
+
+
+def test_paths_name_the_solver():
+    iv = dl.Interval(-1.0, 1.0)
+    rho = dl.GaussianRadial(2.0)
+    coarse = full_spectrum(iv, rho, 0.5, 2, grid=dl.RadialGrid.uniform(iv, 64))
+    fine = full_spectrum(iv, rho, 0.5, 2, grid=dl.RadialGrid.uniform(iv, 128), start=coarse)
+    every = full_spectrum(iv, rho, 0.5, 8, grid=dl.RadialGrid.uniform(iv, 8))
+    assert (coarse.paths, fine.paths, every.paths) == ({0: "lanczos"}, {0: "rqi"}, {0: "dense"})
+    assert fine.modes[0].refused is None
+    assert np.allclose(fine.lambdas, dense_pencil_eigenvalues(
+        assemble(ModeProblem(domain=iv, rho=rho, alpha=0.5,
+                             grid=dl.RadialGrid.uniform(iv, 128))), 3),
+        rtol=1e-10, atol=1e-12)

@@ -325,3 +325,18 @@ def test_cli_config_file(tmp_path):
     assert rc == 0
     with open(tmp_path / "gaussian-lemma.csv") as fh:
         assert [float(r["L"]) for r in csv.DictReader(fh)] == [2.0, 2.0]
+
+
+def test_richardson_grids_warm_start_from_the_coarser_grid(monkeypatch):
+    disk = dl.RevolutionManifold.ball(2, 1.0)
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(dl.full_spectrum(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(exp, "full_spectrum", spy)
+    exp.lambda1_richardson(disk, dl.GaussianRadial(1e4), 0.75, 2048)
+    assert [r.paths for r in results] == [{0: "lanczos", 1: "lanczos"},
+                                          {0: "rqi", 1: "rqi"}, {0: "rqi", 1: "rqi"}]
+    assert all(p.refused is None for r in results for p in r.modes.values())

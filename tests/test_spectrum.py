@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 import densilab as dl
@@ -317,3 +318,57 @@ def test_spectrum_serialization(tmp_path):
     assert payload["k_max"] == 3
     with open(tmp_path / "spec.json") as fh:
         assert json.load(fh)["entries"][0]["k"] == 0
+
+
+_WARM_DOMAINS = {"disk": dl.RevolutionManifold.ball(2, 1.0),
+                 "ball": dl.RevolutionManifold.ball(3, 1.0),
+                 "interval": dl.Interval(-1.0, 1.0)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_WARM_DOMAINS)), st.floats(min_value=0.0, max_value=4.0),
+       st.floats(min_value=0.5, max_value=1.0), st.sampled_from([64, 128, 256]),
+       st.integers(min_value=1, max_value=4))
+def test_warm_start_matches_cold_and_refinement_is_monotone(name, log_m, alpha, n_el, k_max):
+    dom, rho = _WARM_DOMAINS[name], dl.GaussianRadial(10.0 ** log_m)
+    coarse_grid, fine_grid = (dl.RadialGrid.for_density(dom, n, m=rho.m)
+                              for n in (n_el, 2 * n_el))
+    coarse = dl.full_spectrum(dom, rho, alpha, k_max, grid=coarse_grid)
+    warm = dl.full_spectrum(dom, rho, alpha, k_max, grid=fine_grid, start=coarse)
+    cold = dl.full_spectrum(dom, rho, alpha, k_max, grid=fine_grid)
+    assert warm.lambdas[0] == cold.lambdas[0] == 0.0
+    assert np.allclose(warm.lambdas[1:], cold.lambdas[1:], rtol=1e-10, atol=0.0)
+    for j, pairs in warm.modes.items():
+        count = len(pairs.values)
+        pencil = assemble(ModeProblem(domain=dom, rho=rho, alpha=alpha, grid=fine_grid, j=j))
+        prolonged = spectrum._start_vectors(coarse, fine_grid.nodes, j, count,
+                                            pencil.problem.pole_constrained)
+        if prolonged is None:  # the start did not solve this mode for as many pairs
+            assert pairs.path == "lanczos" and pairs.refused is None
+            continue
+        # a warm start either ran or says why not
+        assert (pairs.path == "rqi") != (pairs.refused is not None)
+        # nested conforming spaces (Poincare separation): the fine pencil's
+        # Ritz values on the prolonged coarse vectors bound its eigenvalues
+        ritz = sla.eigh(prolonged.T @ pencil.dense_k() @ prolonged,
+                        prolonged.T @ pencil.dense_m() @ prolonged, eigvals_only=True)
+        assert np.all(pairs.values <= ritz + 1e-10 * ritz[-1])
+
+
+def test_wrong_start_is_refused_and_solved_cold():
+    # the start's vectors are localized at the pole (m = 1e4): RQI from them
+    # lands on eigenvalues with 143 (j = 0, pair 1) and 83 (j = 1, pair 0)
+    # others below, so the count refuses both modes
+    disk = dl.RevolutionManifold.ball(2, 1.0)
+    start = dl.full_spectrum(disk, dl.GaussianRadial(1e4), 0.75, 1,
+                             grid=dl.RadialGrid.uniform(disk, 256))
+    grid = dl.RadialGrid.uniform(disk, 512)
+    warm = dl.full_spectrum(disk, dl.GaussianRadial(1.0), 0.75, 1, grid=grid, start=start)
+    cold = dl.full_spectrum(disk, dl.GaussianRadial(1.0), 0.75, 1, grid=grid)
+    assert warm.paths == cold.paths == {0: "lanczos", 1: "lanczos"}
+    for j, pairs in warm.modes.items():
+        assert pairs.refused.startswith("warm start refused: pair")
+        assert cold.modes[j].refused is None
+        assert np.array_equal(pairs.values, cold.modes[j].values)
+        assert np.array_equal(pairs.vectors, cold.modes[j].vectors)
+    assert np.array_equal(warm.lambdas, cold.lambdas)
