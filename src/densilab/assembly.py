@@ -20,7 +20,7 @@ of f Y_j), which also keeps the theta^{n-3} weight integrable.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import density as density_mod
 from .geometry import Interval, RadialGrid, RevolutionManifold, sphere_eigenvalue
@@ -78,6 +78,28 @@ class TridiagonalPencil:
     m_diag: np.ndarray
     m_off: np.ndarray
     problem: ModeProblem = field(default=None, repr=False)
+    # set by ``assemble``: what every mode shares, (hw, G bands, M bands, wk, theta)
+    family: tuple = field(default=None, repr=False)
+
+    def mode(self, j):
+        """Mode j's pencil K_j = G + mu_j A of the family, with no density evaluation.
+
+        The angular form A is positive semidefinite, so K_{j+1} - K_j =
+        (mu_{j+1} - mu_j) A is too; for j >= 1 the pole node is removed.
+        """
+        problem = replace(self.problem, j=j)
+        hw, k_diag, k_off, m_diag, m_off, wk, th = self.family
+        if problem.pole_constrained:
+            n = problem.domain.n
+            wj = sphere_eigenvalue(j, n) * wk * th ** float(n - 3)
+            _check_finite("angular weight", wj)
+            k_diag, k_off = k_diag.copy(), k_off.copy()
+            _accumulate(hw, wj, k_diag, k_off)
+            k_diag, k_off, m_diag, m_off = k_diag[1:], k_off[1:], m_diag[1:], m_off[1:]
+        if np.any(m_diag <= 0):
+            raise ValueError("mass matrix not positive definite: "
+                             "non-positive density or degenerate grid")
+        return TridiagonalPencil(k_diag, k_off, m_diag, m_off, problem, self.family)
 
     @property
     def size(self):
@@ -122,37 +144,39 @@ def _check_finite(name, vals):
         raise ValueError(f"non-finite {name} value at a quadrature node")
 
 
+def _accumulate(hw, w, diag, off):
+    """Add the P1 element mass form of the Gauss-point weights ``w`` to the bands."""
+    b11 = hw * (w[:, 0] * _P ** 2 + w[:, 1] * _Q ** 2)
+    b22 = hw * (w[:, 0] * _Q ** 2 + w[:, 1] * _P ** 2)
+    b12 = hw * (w[:, 0] + w[:, 1]) * (_P * _Q)
+    diag[:-1] += b11
+    diag[1:] += b22
+    off += b12
+
+
 def assemble(problem):
     """Assemble the tridiagonal pencil of a ModeProblem.
 
     Only the diagonal and one off-diagonal band are built, so K and M are
     exactly symmetric.  For j = 0 the element stiffness has exact zero
     row sums (constants are in the kernel); for j >= 1 the pole node is
-    removed.
+    removed.  Densities, profile and Gauss points are evaluated once per
+    call; ``mode(j)`` of the result derives any other mode from them.
     """
     nodes = problem.grid.nodes
     pts, hw = gauss_points(nodes)
     h = 2.0 * hw
-    rho = problem.rho
-    sig = problem.stiffness_density
 
-    wm = rho(pts)
-    wk = sig(pts)
+    wm = problem.rho(pts)
+    wk = wg = problem.stiffness_density(pts)
+    th = None
     if isinstance(problem.domain, RevolutionManifold):
         n = problem.domain.n
         th = problem.domain.profile(pts)
         wm = wm * th ** (n - 1)
-        wj = None
-        if problem.j >= 1:
-            mu = sphere_eigenvalue(problem.j, n)
-            wj = mu * wk * th ** float(n - 3)
-        wk = wk * th ** (n - 1)
-    else:
-        wj = None
-    _check_finite("stiffness weight", wk)
+        wg = wk * th ** (n - 1)
+    _check_finite("stiffness weight", wg)
     _check_finite("mass weight", wm)
-    if wj is not None:
-        _check_finite("angular weight", wj)
 
     npts = len(nodes)
     k_diag = np.zeros(npts)
@@ -160,29 +184,13 @@ def assemble(problem):
     m_diag = np.zeros(npts)
     m_off = np.zeros(npts - 1)
 
-    # gradient part: (int_e wk) / h^2 * [[1, -1], [-1, 1]]
-    g = hw * (wk[:, 0] + wk[:, 1]) / h ** 2
+    # gradient part G: (int_e wg) / h^2 * [[1, -1], [-1, 1]]
+    g = hw * (wg[:, 0] + wg[:, 1]) / h ** 2
     k_diag[:-1] += g
     k_diag[1:] += g
     k_off -= g
-
-    def accumulate(w, diag, off):
-        b11 = hw * (w[:, 0] * _P ** 2 + w[:, 1] * _Q ** 2)
-        b22 = hw * (w[:, 0] * _Q ** 2 + w[:, 1] * _P ** 2)
-        b12 = hw * (w[:, 0] + w[:, 1]) * (_P * _Q)
-        diag[:-1] += b11
-        diag[1:] += b22
-        off += b12
-
-    accumulate(wm, m_diag, m_off)
-    if wj is not None:
-        accumulate(wj, k_diag, k_off)
-
-    if problem.pole_constrained:
-        k_diag, k_off = k_diag[1:], k_off[1:]
-        m_diag, m_off = m_diag[1:], m_off[1:]
-
-    if np.any(m_diag <= 0):
-        raise ValueError("mass matrix not positive definite: "
-                         "non-positive density or degenerate grid")
-    return TridiagonalPencil(k_diag, k_off, m_diag, m_off, problem=problem)
+    _accumulate(hw, wm, m_diag, m_off)
+    # mode j's angular weight is mu_j wk theta^{n-3}, from wk before its theta^{n-1}
+    family = (hw, k_diag, k_off, m_diag, m_off, wk, th)
+    return TridiagonalPencil(k_diag, k_off, m_diag, m_off, replace(problem, j=0),
+                             family).mode(problem.j)

@@ -164,7 +164,7 @@ def _cmd_conformal(args):
     cfg = _config(args, "conformal-check")
     domain = _domain(cfg)
     if not isinstance(domain, RevolutionManifold):
-        raise SystemExit("conformal-check needs a manifold of revolution (--n 2 or 3)")
+        args.parser.error("conformal-check needs a manifold of revolution (--n 2 or 3)")
     m = cfg.m_values[0]
     rho = density_mod.normalize(density_mod.GaussianRadial(m), domain)
     report = exp.exp_conformal_identity(domain, rho, cfg.k_max, cfg.grid_n)
@@ -173,18 +173,20 @@ def _cmd_conformal(args):
 
 def _cmd_measure(args):
     cfg = _config(args, "measure-lemma")
+    if args.k is not None and args.k < 1:
+        args.parser.error(f"--k must be >= 1, got {args.k}")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     if args.csv:
         triple = MeasureTriple.from_csv(args.csv)
-        k = args.k or (triple.k_sets - 1) // 4
+        k = (triple.k_sets - 1) // 4 if args.k is None else args.k
         sel = select_small_sets(triple, k)
         rows.append({"instance": 0, "k": k, "K": triple.k_sets,
                      "selected": len(sel), "indices": " ".join(map(str, sel)),
                      "passed": brute_force_verify(triple, k, sel)})
     else:
         for i in range(args.instances):
-            k = args.k or int(rng.integers(1, 11))
+            k = int(rng.integers(1, 11)) if args.k is None else args.k
             triple = MeasureTriple.random(k, rng)
             sel = select_small_sets(triple, k)
             rows.append({"instance": i, "k": k, "K": triple.k_sets,
@@ -198,7 +200,7 @@ def _cmd_measure(args):
 
 def _cmd_gaussian(args):
     cfg = _config(args, "gaussian-lemma")
-    dims = args.dims or cfg.dims
+    dims = cfg.dims if args.dims is None else args.dims
     half_side = cfg.box_half_side if args.L is None else args.L
     report = exp.exp_gaussian_integral_lemma(dims, cfg.m_values, half_side,
                                              cfg.grid_n)
@@ -214,7 +216,7 @@ def _cmd_weyl(args):
 
 def _cmd_scaling(args):
     cfg = _config(args, "scaling-check")
-    c_values = args.c or cfg.c_values
+    c_values = cfg.c_values if args.c is None else args.c
     report = exp.exp_scaling_identity(_domain(cfg),
                                       density_mod.from_config(cfg.density),
                                       cfg.alpha_values[0], c_values,
@@ -224,7 +226,7 @@ def _cmd_scaling(args):
 
 def _cmd_converge(args):
     cfg = _config(args, "converge")
-    n_values = args.grids or (cfg.grid_n // 4, cfg.grid_n // 2, cfg.grid_n)
+    n_values = (cfg.grid_n // 4, cfg.grid_n // 2, cfg.grid_n) if args.grids is None else args.grids
     report = exp.exp_convergence(_domain(cfg), density_mod.from_config(cfg.density),
                                  cfg.alpha_values[0], n_values)
     return _emit(report, cfg)
@@ -273,7 +275,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except exp.UsageError as exc:  # raised by an experiment's checks, before any solve
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -19,11 +19,12 @@ solver first tries Rayleigh quotient iteration (Parlett, *The Symmetric
 Eigenvalue Problem*, ch. 4): shifted solves of the indefinite K - lambda M
 with LAPACK ``dgtsv``.  RQI converges to whichever eigenvalue is nearest,
 so each pair i is certified by counting: exactly i eigenvalues lie below
-lambda_i (1 - 1e-8) and i + 1 below lambda_i (1 + 1e-8).  A pair that fails
-the count, a singular solve or a failed gate sends the solve to Lanczos,
-and the result records why.
+lambda_i (1 - 1e-8) and i + 1 below lambda_i (1 + 1e-8).  An exactly
+singular solve ends the iteration: the quotient is then an eigenvalue to
+working precision.  A pair that fails the count, a non-finite solve or a
+failed gate sends the solve to Lanczos, and the result records why.
 
-``count_below`` and ``exceeds`` count without solving.  By Sylvester's law
+``count_below`` counts without solving.  By Sylvester's law
 of inertia the number of eigenvalues below sigma is the number of negative
 pivots of the LDL^T factorization of K - sigma M, which ``dpttrf`` computes
 on the equilibrated pencil in O(N) (it forms (e/d) e, never e^2, so its
@@ -112,12 +113,6 @@ def _arrays(pencil):
                  (pencil.k_diag, pencil.k_off, pencil.m_diag, pencil.m_off))
 
 
-def exceeds(pencil, sigma):
-    """True iff every eigenvalue of K v = lambda M v exceeds ``sigma``."""
-    _, kd_h, ke_h, me_h = _equilibrate(*_arrays(pencil))
-    return dpttrf(kd_h - sigma, ke_h - sigma * me_h)[2] == 0
-
-
 def _count(kd_h, ke_h, me_h, sigma):
     """Negative pivots of the equilibrated K - sigma M (unit mass diagonal).
 
@@ -190,9 +185,11 @@ def _rqi(kd_h, ke_h, me_h, w, zero):
         for _ in range(_RQI_MAX_STEPS):
             off = ke_h - lam * me_h
             *_, y, info = dgtsv(off, kd_h - lam, off, mx[:, None])
-            if info != 0 or not np.all(np.isfinite(y)):
-                raise EigenSolveError(f"warm start refused: singular shifted solve "
-                                      f"at pair {i} (dgtsv info {info})")
+            if info != 0:  # K - lam M exactly singular: lam is an eigenvalue
+                break
+            if not np.all(np.isfinite(y)):
+                raise EigenSolveError(f"warm start refused: non-finite shifted solve "
+                                      f"at pair {i}")
             x, mx, new = normalized(y[:, 0])
             converged = abs(new - lam) <= _RQI_RTOL * abs(new)
             lam = new

@@ -27,6 +27,10 @@ DEFAULT_M_GRID = tuple(10.0 ** e for e in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0))
 RICHARDSON_WINDOW = (3.5, 4.5)
 
 
+class UsageError(ValueError):
+    """An experiment's arguments are out of its range; raised before any solve."""
+
+
 def domain_from_config(cfg):
     kind = cfg.get("kind", "interval")
     if kind == "interval":
@@ -263,7 +267,7 @@ def exp_blowup_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
     if assert_slopes:
         for a in alpha_values:
             if not a > critical:
-                raise ValueError(f"alpha={a} is not above the critical exponent {critical}")
+                raise UsageError(f"alpha={a} is not above the critical exponent {critical}")
     rows = []
     for a in sorted(alpha_values):
         for m in sorted(m_values):
@@ -303,12 +307,14 @@ def exp_bounded_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
     n = domain.dim
     critical = (n - 2) / n
     if n < 3:
-        raise ValueError("bounded regime needs dimension n >= 3")
+        raise UsageError("bounded regime needs dimension n >= 3")
     for a in alpha_values:
         if not 0.0 <= a < critical:
-            raise ValueError(f"alpha={a} is not below the critical exponent {critical}")
+            raise UsageError(f"alpha={a} is not below the critical exponent {critical}")
     if companion_alpha is not None and companion_alpha <= critical:
-        raise ValueError("companion alpha must be supercritical")
+        raise UsageError("companion alpha must be supercritical")
+    if min(m_values) > max(m_values) / 10.0:
+        raise UsageError("m grid must span at least one decade")
 
     vol_pow = volume(domain) ** (2.0 / n)
     all_alphas = list(alpha_values) + ([companion_alpha] if companion_alpha else [])
@@ -326,8 +332,6 @@ def exp_bounded_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
         mm = np.array([r["m"] for r in sub])
         runmax = np.maximum.accumulate([r["lambda1_normalized"] for r in sub])
         before = runmax[mm <= mm[-1] / 10.0]
-        if len(before) == 0:
-            raise ValueError("m grid must span at least one decade")
         change = (runmax[-1] - before[-1]) / runmax[-1]
         fits[str(a)] = {
             "running_max": float(runmax[-1]),
@@ -394,8 +398,8 @@ def exp_gaussian_integral_lemma(dims=(1, 2, 3), m_values=(10.0, 100.0, 1e3),
     t0 = time.perf_counter()
     rows = []
     for m in sorted(m_values):
-        if m ** -0.5 > half_side:
-            raise ValueError(f"need m^(-1/2) <= L: m={m}, L={half_side}")
+        if not (m > 0 and m ** -0.5 <= half_side):
+            raise UsageError(f"need m > 0 and m^(-1/2) <= L: m={m}, L={half_side}")
         seg = Interval(-half_side, half_side)
         grid = RadialGrid.for_density(seg, grid_n, m=m)
         line = integrate(grid.nodes, GaussianRadial(m))
@@ -475,11 +479,11 @@ def exp_convergence(domain, rho, alpha, n_values=(512, 1024, 2048), grading="aut
     """
     t0 = time.perf_counter()
     if len(n_values) < 3:
-        raise ValueError("need at least 3 nested grids")
+        raise UsageError("need at least 3 nested grids")
     n_values = sorted(n_values)
     for a, b in zip(n_values, n_values[1:]):
         if b != 2 * a:
-            raise ValueError("grids must be nested by doubling")
+            raise UsageError("grids must be nested by doubling")
     m = getattr(rho, "m", None)
 
     def grid_of(n_el):

@@ -2,15 +2,15 @@
 
 ``full_spectrum`` merges the angular-mode Sturm-Liouville problems with
 their spherical-harmonic multiplicities into the ordered sequence
-lambda_0 <= lambda_1 <= ...  Once k_max + 1 slots are filled, the
-sweep tests each next mode j for K_j - cutoff M_j positive definite (an
-O(N) factorization, ``eigensolver.exceeds``), cutoff being the running
-lambda_{k_max}; by Sylvester's law of inertia that holds exactly when every
-eigenvalue of mode j exceeds the cutoff, and the sweep stops there without
-solving mode j.  No later mode can reach the cutoff either: K_{j+1} - K_j
-is a nonnegative multiple of one positive semidefinite angular form, and a
-pole-constrained mode's pencil is a principal submatrix of the unconstrained
-one, so positive definiteness at mode j carries over to every mode after it.
+lambda_0 <= lambda_1 <= ...  The modes are one family, assembled once:
+K_j = G + mu_j A (``TridiagonalPencil.mode``).  Once k_max + 1 slots are
+filled, the sweep stops at the first mode j with no eigenvalue below the
+cutoff, the running lambda_{k_max}: by Sylvester's law of inertia, when
+K_j - cutoff M_j has no negative pivot (``eigensolver.count_below``, O(N)).
+No later mode can reach the cutoff either: K_{j+1} - K_j =
+(mu_{j+1} - mu_j) A with A positive semidefinite, and a pole-constrained
+mode's pencil is a principal submatrix of the unconstrained one, so
+positive definiteness at mode j carries over to every mode after it.
 
 Radial plateau ("annulus") test functions give min-max upper bounds:
 any k+1 of them with pairwise disjoint supports span a (k+1)-dimensional
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import density as density_mod
 from .assembly import ModeProblem, assemble, quadrature_weights
-from .eigensolver import exceeds, solve_generalized
+from .eigensolver import count_below, solve_generalized
 from .geometry import (Interval, RevolutionManifold, sphere_multiplicity,
                        unit_sphere_area, _default_grid)
 
@@ -37,7 +37,6 @@ _HARD_MODE_CAP = 256
 class SpectrumEntry:
     value: float
     mode_j: int
-    radial_index: int
     multiplicity: int
     vector: np.ndarray = field(repr=False, compare=False)
 
@@ -105,10 +104,6 @@ class SpectrumResult:
         return payload
 
 
-def _assemble_mode(domain, rho, alpha, grid, j):
-    return assemble(ModeProblem(domain=domain, rho=rho, alpha=float(alpha), grid=grid, j=j))
-
-
 def _start_vectors(start, nodes, j, count, pole_constrained):
     """Mode j's vectors from ``start`` interpolated onto ``nodes``, if it solved ``count`` pairs."""
     pairs = None if start is None else start.modes.get(j)
@@ -123,10 +118,7 @@ def _solve_mode(pencil, count, start):
     problem = pencil.problem
     guess = _start_vectors(start, problem.grid.nodes, problem.j, count,
                            problem.pole_constrained)
-    if guess is None:
-        pairs = solve_generalized(pencil, count - 1)
-    else:
-        pairs = solve_generalized(pencil, count - 1, guess=guess)
+    pairs = solve_generalized(pencil, count - 1, guess=guess)
     if problem.pole_constrained:
         pairs = replace(pairs, vectors=np.vstack([np.zeros(count), pairs.vectors]))
     return pairs
@@ -139,7 +131,7 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None, start=None):
     pair would lie above that many of its own filled slots, so it could
     never reach slot k_max.  The sweep stops at the first mode j whose
     K_j - lambda_{k_max} M_j is positive definite (see the module
-    docstring); that mode is assembled and factored, never solved.
+    docstring); that mode is derived from the family and factored, never solved.
 
     ``start``, a ``SpectrumResult`` of the same problem on another (coarser)
     grid, warm-starts each mode it solved for the same number of pairs:
@@ -147,42 +139,35 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None, start=None):
     quotient iteration (``solve_generalized(guess=...)``).
     """
     grid = _default_grid(domain, grid)
+    family = assemble(ModeProblem(domain=domain, rho=rho, alpha=float(alpha), grid=grid))
+    # an interval's family has the one mode j = 0
+    j_last = 0 if isinstance(domain, Interval) else (
+        _HARD_MODE_CAP if j_max is None else j_max)
     k_need = k_max + 1
     modes = {}
-
-    if isinstance(domain, Interval):
-        pairs = modes[0] = _solve_mode(_assemble_mode(domain, rho, alpha, grid, 0),
-                                       k_need, start)
-        entries = [SpectrumEntry(v, 0, i, 1, pairs.vectors[:, i])
-                   for i, v in enumerate(pairs.values)]
-        return SpectrumResult(entries, k_max, modes, grid.nodes)
-
-    n = domain.n
     entries = []
     slots = np.empty(0)  # the lowest k_need slot values so far, sorted
     cutoff = np.inf
-    hard_cap = _HARD_MODE_CAP if j_max is None else j_max
-    j = 0
-    while True:
-        pencil = _assemble_mode(domain, rho, alpha, grid, j)
-        if cutoff < np.inf and exceeds(pencil, cutoff):
+    for j in range(j_last + 1):
+        pencil = family.mode(j)
+        if cutoff < np.inf and count_below(pencil, cutoff) == 0:
             break
-        mult = sphere_multiplicity(j, n)
+        mult = sphere_multiplicity(j, domain.n) if j else 1
         pairs = modes[j] = _solve_mode(pencil, -(-k_need // mult), start)
         values = pairs.values
-        entries.extend(SpectrumEntry(v, j, i, mult, pairs.vectors[:, i])
+        entries.extend(SpectrumEntry(v, j, mult, pairs.vectors[:, i])
                        for i, v in enumerate(values))
         slots = np.sort(np.concatenate([slots, np.repeat(values, mult)]))[:k_need]
         if len(slots) == k_need:
             cutoff = slots[-1]
-        if j >= hard_cap:
+    else:
+        if isinstance(domain, RevolutionManifold):
             if j_max is not None:
                 raise ValueError(
                     f"j_max={j_max} insufficient: mode {j} still reaches "
                     f"{values[0]:.6g} <= lambda_k_max={cutoff:.6g}; raise j_max "
                     f"until a whole mode clears that value")
             raise RuntimeError(f"mode sweep did not terminate below j={j}")
-        j += 1
     return SpectrumResult(entries, k_max, modes, grid.nodes)
 
 

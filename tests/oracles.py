@@ -1,17 +1,23 @@
 """Independent reference computations for the test suite.
 
-Everything here is deliberately decoupled from the package internals:
-series evaluations of the error function and of (spherical) Bessel
+Everything here but ``assemble_per_mode`` is decoupled from the package
+internals: series evaluations of the error function and of (spherical) Bessel
 functions, and bisection root finding on their derivatives.  These give
 closed-form spectra of the unweighted Neumann problem on disks and balls
 and reference values for Gaussian integrals.  A dense LAPACK solve of an
 assembled pencil gives reference eigenvalues for the iterative solver.
+``assemble_per_mode`` is the assembly that evaluates the densities again
+for every mode, kept as the bit-for-bit reference of the mode family.
 """
 
 import math
 
 import numpy as np
 import scipy.linalg as sla
+
+from densilab.assembly import _P, _Q, TridiagonalPencil, _check_finite
+from densilab.geometry import RevolutionManifold, sphere_eigenvalue
+from densilab.quadrature import gauss_points
 
 
 def erf_series(x):
@@ -169,3 +175,69 @@ def dense_pencil_eigenvalues(pencil, count):
     tau = (ramp @ k @ ramp) / (ramp @ m @ ramp)
     nu = sla.eigh(m, k + tau * m, eigvals_only=True, subset_by_index=[n - count, n - 1])
     return np.sort(1.0 / nu - tau)
+
+
+def assemble_per_mode(problem):
+    """Assemble the tridiagonal pencil of a ModeProblem, densities evaluated for its mode.
+
+    Only the diagonal and one off-diagonal band are built, so K and M are
+    exactly symmetric.  For j = 0 the element stiffness has exact zero
+    row sums (constants are in the kernel); for j >= 1 the pole node is
+    removed.
+    """
+    nodes = problem.grid.nodes
+    pts, hw = gauss_points(nodes)
+    h = 2.0 * hw
+    rho = problem.rho
+    sig = problem.stiffness_density
+
+    wm = rho(pts)
+    wk = sig(pts)
+    if isinstance(problem.domain, RevolutionManifold):
+        n = problem.domain.n
+        th = problem.domain.profile(pts)
+        wm = wm * th ** (n - 1)
+        wj = None
+        if problem.j >= 1:
+            mu = sphere_eigenvalue(problem.j, n)
+            wj = mu * wk * th ** float(n - 3)
+        wk = wk * th ** (n - 1)
+    else:
+        wj = None
+    _check_finite("stiffness weight", wk)
+    _check_finite("mass weight", wm)
+    if wj is not None:
+        _check_finite("angular weight", wj)
+
+    npts = len(nodes)
+    k_diag = np.zeros(npts)
+    k_off = np.zeros(npts - 1)
+    m_diag = np.zeros(npts)
+    m_off = np.zeros(npts - 1)
+
+    # gradient part: (int_e wk) / h^2 * [[1, -1], [-1, 1]]
+    g = hw * (wk[:, 0] + wk[:, 1]) / h ** 2
+    k_diag[:-1] += g
+    k_diag[1:] += g
+    k_off -= g
+
+    def accumulate(w, diag, off):
+        b11 = hw * (w[:, 0] * _P ** 2 + w[:, 1] * _Q ** 2)
+        b22 = hw * (w[:, 0] * _Q ** 2 + w[:, 1] * _P ** 2)
+        b12 = hw * (w[:, 0] + w[:, 1]) * (_P * _Q)
+        diag[:-1] += b11
+        diag[1:] += b22
+        off += b12
+
+    accumulate(wm, m_diag, m_off)
+    if wj is not None:
+        accumulate(wj, k_diag, k_off)
+
+    if problem.pole_constrained:
+        k_diag, k_off = k_diag[1:], k_off[1:]
+        m_diag, m_off = m_diag[1:], m_off[1:]
+
+    if np.any(m_diag <= 0):
+        raise ValueError("mass matrix not positive definite: "
+                         "non-positive density or degenerate grid")
+    return TridiagonalPencil(k_diag, k_off, m_diag, m_off, problem=problem)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import densilab as dl
+from densilab import spectrum
 from densilab.assembly import ModeProblem, assemble, quadrature_weights
 from densilab.eigensolver import solve_generalized
 
 import oracles
+from test_eigensolver import _DEFINITENESS
 
 
 def _interval_problem(n_el=64, rho=None, alpha=0.5, j=0):
@@ -130,3 +132,55 @@ def test_pencil_csv_dump(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (17, 5)
     assert np.allclose(data[:, 1], p.k_diag)
+
+
+_DISK = dl.RevolutionManifold.ball(2, 1.0)
+_BALL = dl.RevolutionManifold.ball(3, 1.0)
+_NORMALIZED = dl.normalize(dl.GaussianRadial(1.0), _BALL)
+_TILDE = dl.conformal_reparametrize(_BALL, _NORMALIZED, dl.RadialGrid.uniform(_BALL, 1024))
+# the definiteness pencils, then the benchmark's problems: the disk blow-up
+# row at its largest m and both sides of the 3-ball conformal check
+_FAMILIES = {
+    **{name: (dom, rho, alpha, dl.RadialGrid.for_density(dom, 1024, m=rho.m))
+       for name, (dom, rho, alpha, _, _) in _DEFINITENESS.items()},
+    "blowup-disk-gaussian-1e4": (_DISK, dl.GaussianRadial(1e4), 0.75,
+                                 dl.RadialGrid.for_density(_DISK, 2048, m=1e4)),
+    "conformal-weighted": (_BALL, _NORMALIZED, 1.0 / 3.0, dl.RadialGrid.uniform(_BALL, 1024)),
+    "conformal-tabulated": (_TILDE, dl.Constant(1.0), 0.0, dl.RadialGrid.uniform(_TILDE, 1024)),
+}
+
+
+def _bands(p):
+    return p.k_diag, p.k_off, p.m_diag, p.m_off
+
+
+@pytest.mark.parametrize("name", list(_FAMILIES))
+def test_mode_family_is_bit_identical_to_per_mode_assembly(name):
+    domain, rho, alpha, grid = _FAMILIES[name]
+    family = assemble(ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid))
+    for j in range(6) if isinstance(domain, dl.RevolutionManifold) else [0]:
+        problem = ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid, j=j)
+        ref = oracles.assemble_per_mode(problem)
+        for pencil in (family.mode(j), assemble(problem), assemble(problem).mode(0).mode(j)):
+            assert pencil.problem == problem
+            assert all(np.array_equal(a, b) for a, b in zip(_bands(pencil), _bands(ref)))
+
+
+def test_full_spectrum_solves_the_per_mode_pencils(monkeypatch):
+    # every pencil the sweep solves or tests for the stop, against the oracle
+    seen = []
+
+    def spy(fn):
+        def wrapped(pencil, *args, **kwargs):
+            seen.append(pencil)
+            return fn(pencil, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(spectrum, "solve_generalized", spy(spectrum.solve_generalized))
+    monkeypatch.setattr(spectrum, "count_below", spy(spectrum.count_below))
+    domain, rho, alpha, grid = _FAMILIES["conformal-weighted"]
+    dl.full_spectrum(domain, rho, alpha, 40, grid=grid)
+    assert {p.problem.j for p in seen} == set(range(1 + max(p.problem.j for p in seen)))
+    for pencil in seen:
+        ref = oracles.assemble_per_mode(pencil.problem)
+        assert all(np.array_equal(a, b) for a, b in zip(_bands(pencil), _bands(ref)))

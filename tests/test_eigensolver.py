@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import densilab as dl
 from densilab.assembly import ModeProblem, TridiagonalPencil, assemble
 from densilab.eigensolver import (EigenSolveError, IndefiniteMassError, count_below,
-                                  exceeds, solve_generalized)
+                                  solve_generalized)
 from densilab.spectrum import full_spectrum
 
 from oracles import dense_pencil_eigenvalues
@@ -219,13 +219,14 @@ def test_exceeds_brackets_the_lowest_eigenvalue(name):
     grid = dl.RadialGrid.for_density(domain, 1024, m=rho.m)
     p = assemble(ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid, j=j))
     lam = dense_pencil_eigenvalues(p, 2)
+    # a count of zero below sigma: every eigenvalue exceeds sigma (the sweep stop)
     if j == 0:
         # the zero mode: below lambda_1, within 1e-9 lambda_1 of zero
-        assert not exceeds(p, lam[1] * (1 - 1e-8))
-        assert exceeds(p, -1e-9 * lam[1])
+        assert count_below(p, lam[1] * (1 - 1e-8)) != 0
+        assert count_below(p, -1e-9 * lam[1]) == 0
     else:
-        assert exceeds(p, lam[0] * (1 - 1e-8))
-        assert not exceeds(p, lam[0] * (1 + 1e-8))
+        assert count_below(p, lam[0] * (1 - 1e-8)) == 0
+        assert count_below(p, lam[0] * (1 + 1e-8)) != 0
 
 
 @pytest.mark.parametrize("n_el", [256, 1024])

@@ -26,20 +26,30 @@ def test_config_validation():
     assert cfg.exploratory
 
 
-@pytest.mark.parametrize("flags, config", [
-    (["--kmax", "-1"], None), (["--grid", "1000"], None), (["--grid", "0"], None),
-    (["--alpha", ""], None), (["--m", ""], None),
-    (["--config", "cfg.json"], '{"grid_n": 1000}'), (["--config", "cfg.json"], '{"grid_n": 10'),
-    (["--config", "cfg.json"], '{"gridn": 1024}'), (["--config", "missing.json"], None)],
+@pytest.mark.parametrize("command, flags, config", [
+    ("solve", ["--kmax", "-1"], None), ("solve", ["--grid", "1000"], None),
+    ("solve", ["--grid", "0"], None), ("solve", ["--alpha", ""], None),
+    ("solve", ["--m", ""], None),
+    ("solve", ["--config", "cfg.json"], '{"grid_n": 1000}'),
+    ("solve", ["--config", "cfg.json"], '{"grid_n": 10'),
+    ("solve", ["--config", "cfg.json"], '{"gridn": 1024}'),
+    ("solve", ["--config", "missing.json"], None),
+    ("scan-bounded", [], None), ("scan-blowup", ["--n", "3", "--alpha", "0.3"], None),
+    ("converge", ["--grids", "64,100,200"], None), ("converge", ["--grids", ""], None),
+    ("gaussian-lemma", ["--m", "0.5"], None), ("conformal-check", [], None),
+    ("measure-lemma", ["--k", "0"], None)],
     ids=["kmax-negative", "grid-not-power-of-two", "grid-zero", "alpha-empty", "m-empty",
          "config-grid-not-power-of-two", "config-truncated", "config-unknown-key",
-         "config-missing"])
-def test_cli_config_errors_are_usage_errors(flags, config, tmp_path, monkeypatch, capsys):
+         "config-missing", "scan-bounded-on-interval", "scan-blowup-subcritical",
+         "converge-not-nested", "converge-grids-empty", "gaussian-lemma-m-too-small",
+         "conformal-check-on-interval", "measure-lemma-k-zero"])
+def test_cli_config_errors_are_usage_errors(command, flags, config, tmp_path, monkeypatch,
+                                            capsys):
     monkeypatch.chdir(tmp_path)
     if config is not None:
         (tmp_path / "cfg.json").write_text(config)
     with pytest.raises(SystemExit) as exc:
-        cli_main(["solve", "--out", str(tmp_path), *flags])
+        cli_main([command, "--out", str(tmp_path), *flags])
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
 

@@ -75,9 +75,9 @@ def test_each_mode_asks_only_for_pairs_it_can_place(monkeypatch):
     ball = dl.RevolutionManifold.ball(3, 1.0)
     asked = []
 
-    def spy(pencil, k_max):
+    def spy(pencil, k_max, guess=None):
         asked.append(k_max + 1)
-        return dl.solve_generalized(pencil, k_max)
+        return dl.solve_generalized(pencil, k_max, guess=guess)
 
     monkeypatch.setattr(spectrum, "solve_generalized", spy)
     res = dl.full_spectrum(ball, dl.Constant(1.0), 0.0, 12,
@@ -372,3 +372,18 @@ def test_wrong_start_is_refused_and_solved_cold():
         assert np.array_equal(pairs.values, cold.modes[j].values)
         assert np.array_equal(pairs.vectors, cold.modes[j].vectors)
     assert np.array_equal(warm.lambdas, cold.lambdas)
+
+
+def test_exactly_singular_shifted_solve_keeps_the_warm_start():
+    # mode 2's first RQI step meets an exactly zero dgtsv pivot: the start's
+    # quotient is already an eigenvalue to working precision
+    disk = dl.RevolutionManifold.ball(2, 1.0)
+    rho = dl.GaussianRadial(1.0)
+    coarse_grid, fine_grid = (dl.RadialGrid.for_density(disk, n, m=1.0) for n in (128, 256))
+    coarse = dl.full_spectrum(disk, rho, 0.75, 4, grid=coarse_grid)
+    warm = dl.full_spectrum(disk, rho, 0.75, 4, grid=fine_grid, start=coarse)
+    cold = dl.full_spectrum(disk, rho, 0.75, 4, grid=fine_grid)
+    assert warm.modes[2].path == "rqi" and warm.modes[2].refused is None
+    for j, pairs in warm.modes.items():
+        assert np.allclose(pairs.values, cold.modes[j].values, rtol=1e-10, atol=0.0)
+    assert np.allclose(warm.lambdas, cold.lambdas, rtol=1e-10, atol=0.0)

@@ -50,6 +50,9 @@ def test_tracer_patches_and_restores(monkeypatch):
     assert solved >= 2
     assert sum(s.layer == "eigensolver" for s in tracer.spans) == solved
     assert top[0].info["modes_swept"] == top[0].info["modes_used"] == solved
+    # the mode family is assembled once: one assembly, rho and rho^alpha once each
+    assert sum(s.layer == "assembly" for s in tracer.spans) == 1
+    assert sum(s.layer == "density" for s in tracer.spans) == 2
 
 
 def test_entry_point_reports_usage_errors():
