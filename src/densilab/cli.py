@@ -27,6 +27,11 @@ def _ints(text):
     return tuple(int(tok) for tok in text.split(",") if tok)
 
 
+def _dimension(text):
+    n = int(text)
+    return {"kind": "ball", "n": n} if n >= 2 else {"kind": "interval"}
+
+
 def _density_arg(text):
     """Parse 'kind:params', e.g. constant:2, gaussian:100, cauchy:100,0.5,
     tabulated:/path/to/rho.csv."""
@@ -43,61 +48,18 @@ def _density_arg(text):
     raise argparse.ArgumentTypeError(f"unknown density spec {text!r}")
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON file with ExperimentConfig defaults")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--n", type=int, help="dimension (2 -> flat disk, 3 -> flat ball)")
-    p.add_argument("--alpha", type=_floats, help="comma-separated exponents")
-    p.add_argument("--m", type=_floats, help="comma-separated density parameters")
-    p.add_argument("--grid", type=int, help="element count N (power of two)")
-    p.add_argument("--kmax", type=int, help="number of eigenvalues above the zero mode")
-    p.add_argument("--density", type=_density_arg,
-                   help="density spec, e.g. constant:1, gaussian:100, cauchy:100,0.5")
-    p.add_argument("--format", choices=("csv", "json"), help="report format")
-    p.add_argument("--seed", type=int, help="seed for randomized instances")
-    p.add_argument("--exploratory", action="store_true",
-                   help="allow alpha outside [0, 1]; assertions are skipped")
-
-
-def _config(args, experiment):
-    if args.config:
-        try:
-            cfg = exp.ExperimentConfig.from_json(args.config)
-        except (OSError, ValueError, TypeError) as exc:  # unreadable, not JSON, bad keys or values
-            args.parser.error(f"--config {args.config}: {exc}")
-        cfg.experiment = experiment
-    else:
-        cfg = exp.ExperimentConfig(experiment=experiment)
-    if args.n is not None:
-        cfg.domain = {"kind": "ball", "n": args.n} if args.n >= 2 else {"kind": "interval"}
-    if args.alpha is not None:
-        cfg.alpha_values = args.alpha
-    if args.m is not None:
-        cfg.m_values = args.m
-    if args.grid is not None:
-        cfg.grid_n = args.grid
-    if args.kmax is not None:
-        cfg.k_max = args.kmax
-    if args.density:
-        cfg.density = args.density
-    if args.format:
-        cfg.fmt = args.format
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out:
-        cfg.out_dir = args.out
-    if args.exploratory:
-        cfg.exploratory = True
-    # re-run the range validation with the overrides in place
+def _config(args):
+    """The subcommand's defaults, then the --config JSON, then the given flags."""
+    raw = dict(COMMANDS[args.command][3])
     try:
-        cfg.__post_init__()
-    except ValueError as exc:
+        if args.config:
+            with open(args.config) as fh:
+                raw.update(json.load(fh))
+        raw.update((k, v) for k, v in vars(args).items() if k in FIELDS)
+        raw["experiment"] = args.command
+        return exp.ExperimentConfig(**raw)
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # unreadable, bad keys or values
         args.parser.error(str(exc))
-    return cfg
-
-
-def _domain(cfg):
-    return exp.domain_from_config(cfg.domain)
 
 
 def _emit(report, cfg):
@@ -118,11 +80,16 @@ def _emit(report, cfg):
     return 0 if report.passed else 1
 
 
-def _cmd_solve(args):
-    cfg = _config(args, "solve")
-    domain = _domain(cfg)
+def _one(values, flag):
+    if len(values) != 1:
+        raise exp.UsageError(f"{flag} takes one value here, got {len(values)}")
+    return values[0]
+
+
+def _cmd_solve(cfg, args):
+    domain = exp.domain_from_config(cfg.domain)
     rho = density_mod.from_config(cfg.density)
-    alpha = cfg.alpha_values[0]
+    alpha = _one(cfg.alpha_values, "--alpha")
     grid = RadialGrid.for_density(domain, cfg.grid_n, m=getattr(rho, "m", None))
     result = full_spectrum(domain, rho, alpha, cfg.k_max, grid=grid,
                            j_max=cfg.j_max)
@@ -134,47 +101,39 @@ def _cmd_solve(args):
         result.to_csv(stem + ".csv")
     lam = ", ".join(f"{v:.6g}" for v in result.lambdas)
     print(f"solve: lambda_0..{cfg.k_max} = {lam}")
-    return 0
+    # the spectrum is the whole output: no report to emit
 
 
-def _cmd_scan_blowup(args):
-    cfg = _config(args, "scan-blowup")
-    report = exp.exp_blowup_scan(_domain(cfg), cfg.alpha_values, cfg.m_values,
-                                 cfg.grid_n,
-                                 assert_slopes=not cfg.exploratory)
-    return _emit(report, cfg)
+def _cmd_scan_blowup(cfg, args):
+    return exp.exp_blowup_scan(exp.domain_from_config(cfg.domain), cfg.alpha_values,
+                               cfg.m_values, cfg.grid_n,
+                               assert_slopes=not cfg.exploratory)
 
 
-def _cmd_scan_bounded(args):
-    cfg = _config(args, "scan-bounded")
-    report = exp.exp_bounded_scan(_domain(cfg), cfg.alpha_values, cfg.m_values,
-                                  companion_alpha=args.companion_alpha,
-                                  grid_n=cfg.grid_n)
-    return _emit(report, cfg)
+def _cmd_scan_bounded(cfg, args):
+    return exp.exp_bounded_scan(exp.domain_from_config(cfg.domain), cfg.alpha_values,
+                                cfg.m_values, companion_alpha=args.companion_alpha,
+                                grid_n=cfg.grid_n)
 
 
-def _cmd_verify_1d(args):
-    cfg = _config(args, "verify-1d")
-    report = exp.exp_one_d_construction(cfg.m_values, cfg.alpha_values,
-                                        cfg.grid_n)
-    return _emit(report, cfg)
+def _cmd_verify_1d(cfg, args):
+    return exp.exp_one_d_construction(cfg.m_values, cfg.alpha_values, cfg.grid_n)
 
 
-def _cmd_conformal(args):
-    cfg = _config(args, "conformal-check")
-    domain = _domain(cfg)
+def _cmd_conformal(cfg, args):
+    domain = exp.domain_from_config(cfg.domain)
     if not isinstance(domain, RevolutionManifold):
-        args.parser.error("conformal-check needs a manifold of revolution (--n 2 or 3)")
-    m = cfg.m_values[0]
+        raise exp.UsageError("conformal-check needs a manifold of revolution (--n 2 or 3)")
+    m = _one(cfg.m_values, "--m")
     rho = density_mod.normalize(density_mod.GaussianRadial(m), domain)
-    report = exp.exp_conformal_identity(domain, rho, cfg.k_max, cfg.grid_n)
-    return _emit(report, cfg)
+    return exp.exp_conformal_identity(domain, rho, cfg.k_max, cfg.grid_n)
 
 
-def _cmd_measure(args):
-    cfg = _config(args, "measure-lemma")
+def _cmd_measure(cfg, args):
     if args.k is not None and args.k < 1:
-        args.parser.error(f"--k must be >= 1, got {args.k}")
+        raise exp.UsageError(f"--k must be >= 1, got {args.k}")
+    if args.instances < 1:
+        raise exp.UsageError(f"--instances must be >= 1, got {args.instances}")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     if args.csv:
@@ -192,93 +151,117 @@ def _cmd_measure(args):
             rows.append({"instance": i, "k": k, "K": triple.k_sets,
                          "selected": len(sel), "indices": "",
                          "passed": brute_force_verify(triple, k, sel)})
-    report = exp.ScanReport("measure-lemma",
-                            ["instance", "k", "K", "selected", "indices", "passed"],
-                            rows, {}, exp._metadata())
-    return _emit(report, cfg)
+    return exp.ScanReport("measure-lemma",
+                          ["instance", "k", "K", "selected", "indices", "passed"],
+                          rows, {}, exp._metadata())
 
 
-def _cmd_gaussian(args):
-    cfg = _config(args, "gaussian-lemma")
-    dims = cfg.dims if args.dims is None else args.dims
-    half_side = cfg.box_half_side if args.L is None else args.L
-    report = exp.exp_gaussian_integral_lemma(dims, cfg.m_values, half_side,
-                                             cfg.grid_n)
-    return _emit(report, cfg)
+def _cmd_gaussian(cfg, args):
+    return exp.exp_gaussian_integral_lemma(cfg.dims, cfg.m_values, cfg.box_half_side,
+                                           cfg.grid_n)
 
 
-def _cmd_weyl(args):
-    cfg = _config(args, "weyl-fit")
-    report = exp.exp_weyl_fit(_domain(cfg), density_mod.from_config(cfg.density),
-                              cfg.alpha_values[0], max(cfg.k_max, 20), cfg.grid_n)
-    return _emit(report, cfg)
+def _cmd_weyl(cfg, args):
+    return exp.exp_weyl_fit(exp.domain_from_config(cfg.domain),
+                            density_mod.from_config(cfg.density),
+                            _one(cfg.alpha_values, "--alpha"), cfg.k_max, cfg.grid_n)
 
 
-def _cmd_scaling(args):
-    cfg = _config(args, "scaling-check")
-    c_values = cfg.c_values if args.c is None else args.c
-    report = exp.exp_scaling_identity(_domain(cfg),
-                                      density_mod.from_config(cfg.density),
-                                      cfg.alpha_values[0], c_values,
-                                      min(cfg.grid_n, 1024))
-    return _emit(report, cfg)
+def _cmd_scaling(cfg, args):
+    return exp.exp_scaling_identity(exp.domain_from_config(cfg.domain),
+                                    density_mod.from_config(cfg.density),
+                                    _one(cfg.alpha_values, "--alpha"), cfg.c_values,
+                                    cfg.grid_n)
 
 
-def _cmd_converge(args):
-    cfg = _config(args, "converge")
+def _cmd_converge(cfg, args):
     n_values = (cfg.grid_n // 4, cfg.grid_n // 2, cfg.grid_n) if args.grids is None else args.grids
-    report = exp.exp_convergence(_domain(cfg), density_mod.from_config(cfg.density),
-                                 cfg.alpha_values[0], n_values)
-    return _emit(report, cfg)
+    return exp.exp_convergence(exp.domain_from_config(cfg.domain),
+                               density_mod.from_config(cfg.density),
+                               _one(cfg.alpha_values, "--alpha"), n_values)
+
+
+# Each flag and the ExperimentConfig field it sets.  A flag with no field is
+# read from the parsed arguments by the one subcommand that declares it.
+FLAGS = {
+    "--config": (None, {"help": "JSON file with ExperimentConfig values"}),
+    "--out": ("out_dir", {"metavar": "OUT", "help": "output directory"}),
+    "--format": ("fmt", {"choices": ("csv", "json"), "help": "report format"}),
+    "--n": ("domain", {"type": _dimension,
+                       "help": "dimension (2 -> flat disk, 3 -> flat ball)"}),
+    "--alpha": ("alpha_values", {"type": _floats, "help": "comma-separated exponents"}),
+    "--m": ("m_values", {"type": _floats, "help": "comma-separated density parameters"}),
+    "--grid": ("grid_n", {"type": int, "help": "element count N (power of two)"}),
+    "--kmax": ("k_max", {"type": int,
+                         "help": "number of eigenvalues above the zero mode"}),
+    "--density": ("density", {"type": _density_arg, "help": "density spec, e.g. "
+                              "constant:1, gaussian:100, cauchy:100,0.5"}),
+    "--seed": ("seed", {"type": int, "help": "seed for randomized instances"}),
+    "--exploratory": ("exploratory", {"action": "store_true", "help":
+                                      "allow alpha outside [0, 1]; assertions are skipped"}),
+    "--dims": ("dims", {"type": _ints, "help": "dimensions, e.g. 1,2,3"}),
+    "--L": ("box_half_side", {"type": float, "help": "box half-side"}),
+    "--c": ("c_values", {"type": _floats, "help": "scale factors"}),
+    "--companion-alpha": (None, {"type": float, "default": 0.5}),
+    "--k": (None, {"type": int, "help": "fixed k (random in 1..10 otherwise)"}),
+    "--instances": (None, {"type": int, "default": 1000}),
+    "--csv": (None, {"help": "load one instance from a CSV file"}),
+    "--grids": (None, {"type": _ints, "help": "nested grid sizes"}),
+}
+FIELDS = {field for field, _ in FLAGS.values() if field}
+
+# Each subcommand: its function, help, the flags it reads besides --config,
+# --out and --format, and its defaults where they differ from ExperimentConfig's.
+COMMANDS = {
+    "solve": (_cmd_solve, "solve one weighted eigenproblem",
+              "--n --alpha --grid --kmax --density --exploratory", {}),
+    "scan-blowup": (_cmd_scan_blowup, "supercritical m-scan of the normalized lambda_1",
+                    "--n --alpha --m --grid --exploratory", {}),
+    "scan-bounded": (_cmd_scan_bounded,
+                     "subcritical plateau scan with a supercritical companion",
+                     "--n --alpha --m --grid --companion-alpha", {}),
+    "verify-1d": (_cmd_verify_1d, "interval lower-bound construction lambda_1 >= m",
+                  "--alpha --m --grid", {}),
+    "conformal-check": (_cmd_conformal, "conformal metric vs weighted problem",
+                        "--n --m --kmax --grid", {"m_values": (10.0,)}),
+    "measure-lemma": (_cmd_measure, "three-measure pigeonhole selection",
+                      "--seed --k --instances --csv", {}),
+    "gaussian-lemma": (_cmd_gaussian, "gaussian integral lower bound",
+                       "--m --grid --dims --L", {}),
+    "weyl-fit": (_cmd_weyl, "growth-law fit lambda_k ~ k^(2/n)",
+                 "--n --density --alpha --kmax --grid --exploratory", {"k_max": 20}),
+    "scaling-check": (_cmd_scaling, "exact scaling identity in the density amplitude",
+                      "--n --density --alpha --grid --c --exploratory", {"grid_n": 1024}),
+    "converge": (_cmd_converge, "Richardson convergence study",
+                 "--n --density --alpha --grid --grids --exploratory", {}),
+}
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="densilab",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-
-    specs = {
-        "solve": ("solve one weighted eigenproblem", _cmd_solve),
-        "scan-blowup": ("supercritical m-scan of the normalized lambda_1",
-                        _cmd_scan_blowup),
-        "scan-bounded": ("subcritical plateau scan with a supercritical companion",
-                         _cmd_scan_bounded),
-        "verify-1d": ("interval lower-bound construction lambda_1 >= m",
-                      _cmd_verify_1d),
-        "conformal-check": ("conformal metric vs weighted problem", _cmd_conformal),
-        "measure-lemma": ("three-measure pigeonhole selection", _cmd_measure),
-        "gaussian-lemma": ("gaussian integral lower bound", _cmd_gaussian),
-        "weyl-fit": ("growth-law fit lambda_k ~ k^(2/n)", _cmd_weyl),
-        "scaling-check": ("exact scaling identity in the density amplitude",
-                          _cmd_scaling),
-        "converge": ("Richardson convergence study", _cmd_converge),
-    }
-    for name, (help_text, fn) in specs.items():
+    for name, (fn, help_text, flags, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
         p.set_defaults(fn=fn, parser=p)
-        if name == "scan-bounded":
-            p.add_argument("--companion-alpha", type=float, default=0.5)
-        if name == "measure-lemma":
-            p.add_argument("--k", type=int, help="fixed k (random in 1..10 otherwise)")
-            p.add_argument("--instances", type=int, default=1000)
-            p.add_argument("--csv", help="load one instance from a CSV file")
-        if name == "gaussian-lemma":
-            p.add_argument("--dims", type=_ints, help="dimensions, e.g. 1,2,3")
-            p.add_argument("--L", type=float, help="box half-side, default box_half_side")
-        if name == "scaling-check":
-            p.add_argument("--c", type=_floats, help="scale factors")
-        if name == "converge":
-            p.add_argument("--grids", type=_ints, help="nested grid sizes")
+        for flag in ("--config", "--out", "--format", *flags.split()):
+            field, kwargs = FLAGS[flag]
+            if field:  # absent unless given, so it cannot mask the JSON or a default
+                kwargs = {**kwargs, "dest": field, "default": argparse.SUPPRESS}
+                if "type" in kwargs:
+                    kwargs["metavar"] = flag[2:].upper()
+            p.add_argument(flag, **kwargs)
     return ap
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    cfg = _config(args)
     try:
-        return args.fn(args)
+        report = args.fn(cfg, args)
     except exp.UsageError as exc:  # raised by an experiment's checks, before any solve
         args.parser.error(str(exc))
+    return 0 if report is None else _emit(report, cfg)
 
 
 if __name__ == "__main__":

@@ -39,8 +39,6 @@ def domain_from_config(cfg):
         return RevolutionManifold.ball(cfg.get("n", 2), cfg.get("R", 1.0))
     if kind == "cap":
         return RevolutionManifold.spherical_cap(cfg.get("n", 2), cfg.get("R", math.pi / 2))
-    if kind == "box":
-        return EuclideanBox(cfg.get("n", 2), cfg.get("L", 1.0))
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
@@ -65,8 +63,11 @@ class ExperimentConfig:
     exploratory: bool = False
 
     def __post_init__(self):
-        if len(self.alpha_values) == 0 or len(self.m_values) == 0:
+        ranges = (self.alpha_values, self.m_values, self.c_values, self.dims)
+        if any(len(r) == 0 for r in ranges):
             raise ValueError("parameter ranges must be nonempty")
+        if min(self.m_values) <= 0:
+            raise ValueError(f"m must be positive, got {min(self.m_values)}")
         n = self.grid_n
         if n < 64 or n > 65536 or (n & (n - 1)):
             raise ValueError("grid_n must be a power of two in [64, 65536]")
@@ -78,6 +79,8 @@ class ExperimentConfig:
                     raise ValueError(
                         f"alpha={a} outside [0, 1]; pass exploratory=True to scan it "
                         "(no assertions are made there)")
+        domain_from_config(self.domain)  # raise here, not in the first solve
+        density_mod.from_config(self.density)
 
     @classmethod
     def from_json(cls, path):
@@ -219,6 +222,9 @@ def exp_one_d_construction(m_values=(1.0, 10.0, 100.0, 1e3, 1e4),
     against m per alpha.
     """
     t0 = time.perf_counter()
+    for a in alpha_values:
+        if not 0.0 < a < 1.0:
+            raise UsageError(f"the rational-bump family needs alpha inside (0, 1), got {a}")
     interval = interval or Interval(-1.0, 1.0)
     rows = []
     for a in sorted(alpha_values):
@@ -424,7 +430,7 @@ def exp_weyl_fit(domain, rho, alpha, k_max=30, grid_n=2048):
     """
     t0 = time.perf_counter()
     if k_max < 20:
-        raise ValueError("the fit needs k_max >= 20")
+        raise UsageError("the fit needs k_max >= 20")
     n = domain.dim
     grid = RadialGrid.for_density(domain, grid_n, m=getattr(rho, "m", None))
     lams = full_spectrum(domain, rho, alpha, k_max, grid=grid).lambdas

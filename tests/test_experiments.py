@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import densilab as dl
+from densilab import cli
 from densilab import experiments as exp
 from densilab.cli import main as cli_main
 
@@ -37,12 +38,31 @@ def test_config_validation():
     ("scan-bounded", [], None), ("scan-blowup", ["--n", "3", "--alpha", "0.3"], None),
     ("converge", ["--grids", "64,100,200"], None), ("converge", ["--grids", ""], None),
     ("gaussian-lemma", ["--m", "0.5"], None), ("conformal-check", [], None),
-    ("measure-lemma", ["--k", "0"], None)],
+    ("measure-lemma", ["--k", "0"], None), ("scan-blowup", ["--m", ""], None),
+    ("verify-1d", ["--alpha", "0", "--m", "1,10", "--grid", "256"], None),
+    ("conformal-check", ["--n", "2", "--m", "0", "--grid", "256"], None),
+    ("solve", ["--density", "gaussian:0"], None),
+    ("solve", ["--density", "tabulated:missing.csv"], None),
+    ("solve", ["--config", "cfg.json"], '{"domain": {"kind": "torus"}}'),
+    ("solve", ["--config", "cfg.json"], '{"domain": {"kind": "box"}}'),
+    ("scaling-check", ["--c", ""], None), ("gaussian-lemma", ["--dims", ""], None),
+    ("solve", ["--m", "100"], None), ("verify-1d", ["--n", "3"], None),
+    ("conformal-check", ["--n", "2", "--alpha", "0.9", "--grid", "256"], None),
+    ("solve", ["--alpha", "0.3,0.9"], None),
+    ("solve", ["--config", "cfg.json"], '{"alpha_values": [0.3, 0.9]}'),
+    ("conformal-check", ["--n", "2", "--m", "1,10"], None),
+    ("weyl-fit", ["--kmax", "5"], None), ("measure-lemma", ["--instances", "0"], None)],
     ids=["kmax-negative", "grid-not-power-of-two", "grid-zero", "alpha-empty", "m-empty",
          "config-grid-not-power-of-two", "config-truncated", "config-unknown-key",
          "config-missing", "scan-bounded-on-interval", "scan-blowup-subcritical",
          "converge-not-nested", "converge-grids-empty", "gaussian-lemma-m-too-small",
-         "conformal-check-on-interval", "measure-lemma-k-zero"])
+         "conformal-check-on-interval", "measure-lemma-k-zero", "scan-blowup-m-empty",
+         "verify-1d-alpha-zero", "conformal-check-m-zero", "density-gaussian-zero",
+         "density-tabulated-missing", "config-domain-torus", "config-domain-box",
+         "scaling-check-c-empty", "gaussian-lemma-dims-empty", "solve-m-undeclared",
+         "verify-1d-n-undeclared", "conformal-check-alpha-undeclared", "solve-two-alphas",
+         "config-solve-two-alphas", "conformal-check-two-ms", "weyl-fit-kmax-below-20",
+         "measure-lemma-no-instances"])
 def test_cli_config_errors_are_usage_errors(command, flags, config, tmp_path, monkeypatch,
                                             capsys):
     monkeypatch.chdir(tmp_path)
@@ -52,6 +72,53 @@ def test_cli_config_errors_are_usage_errors(command, flags, config, tmp_path, mo
         cli_main([command, "--out", str(tmp_path), *flags])
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+def test_cli_runs_the_config_it_records(tmp_path, monkeypatch):
+    """Each declared flag reaches the experiment unchanged, and so does each
+    subcommand default; the report metadata records what ran."""
+    calls = {}
+
+    def spy(name):
+        def record(*args, **kwargs):
+            calls[name] = (args, kwargs)
+            if name == "full_spectrum":
+                return SimpleNamespace(lambdas=[0.0], to_json=lambda path: None)
+            return exp.ScanReport(name, [], [])
+        return record
+
+    for name in ("exp_weyl_fit", "exp_scaling_identity", "exp_conformal_identity",
+                 "exp_convergence", "exp_blowup_scan"):
+        monkeypatch.setattr(exp, name, spy(name))
+    monkeypatch.setattr(cli, "full_spectrum", spy("full_spectrum"))
+
+    def run(*argv):
+        assert cli_main([*argv, "--out", str(tmp_path), "--format", "json"]) == 0
+
+    run("scaling-check", "--grid", "2048", "--c", "2,3", "--alpha", "0.25")
+    args, _ = calls["exp_scaling_identity"]
+    assert args[2:] == (0.25, (2.0, 3.0), 2048)
+    with open(tmp_path / "exp_scaling_identity.json") as fh:
+        assert json.load(fh)["metadata"]["config"]["grid_n"] == 2048
+    run("scaling-check")
+    assert calls["exp_scaling_identity"][0][4] == 1024
+    run("weyl-fit", "--n", "3")
+    args, _ = calls["exp_weyl_fit"]
+    assert args[0].n == 3 and args[3:] == (20, 2048)
+    run("weyl-fit", "--kmax", "25", "--grid", "256")
+    assert calls["exp_weyl_fit"][0][3:] == (25, 256)
+    run("conformal-check", "--n", "2")
+    args, _ = calls["exp_conformal_identity"]
+    assert args[1].m == 10.0 and args[2:] == (5, 2048)
+    run("converge", "--grid", "512", "--alpha", "1.5", "--exploratory")
+    assert calls["exp_convergence"][0][2:] == (1.5, (128, 256, 512))
+    run("scan-blowup", "--n", "2", "--alpha", "0.6", "--m", "10,100", "--grid", "128")
+    args, kwargs = calls["exp_blowup_scan"]
+    assert args[1:] == ((0.6,), (10.0, 100.0), 128) and kwargs == {"assert_slopes": True}
+    run("solve", "--n", "2", "--density", "gaussian:100", "--alpha", "0.5",
+        "--kmax", "3", "--grid", "256")
+    args, kwargs = calls["full_spectrum"]
+    assert args[1].m == 100.0 and args[2:] == (0.5, 3) and kwargs["grid"].n_elements == 256
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -70,8 +137,8 @@ def test_domain_from_config():
     assert ball.n == 3 and ball.R == 2.0
     cap = exp.domain_from_config({"kind": "cap", "n": 2, "R": 1.0})
     assert cap.kind == "cap"
-    box = exp.domain_from_config({"kind": "box", "n": 2, "L": 1.0})
-    assert isinstance(box, dl.EuclideanBox)
+    with pytest.raises(ValueError, match="unknown domain kind 'box'"):
+        exp.domain_from_config({"kind": "box", "n": 2, "L": 1.0})
     with pytest.raises(ValueError):
         exp.domain_from_config({"kind": "torus"})
 

@@ -1,15 +1,18 @@
-"""The demos, the benchmark tracer and ``python -m densilab`` still work.
+"""The demos, the benchmark tracer, README's command lines and
+``python -m densilab`` still work.
 
 The demos and the tracer live outside ``tests/`` and use the package's
 public names; running them here makes a renamed or deleted name fail the
-suite instead of only the demo or the traced benchmark run.  The entry
-point runs as its own process, so its exit code and stderr are what a
-shell sees.
+suite instead of only the demo or the traced benchmark run.  The README
+command lines are parsed against the subcommands' declared flags.  The
+entry point runs as its own process, so its exit code and stderr are what
+a shell sees.
 """
 
 import importlib
 import os
 import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import densilab as dl
-from densilab import experiments, spectrum
+from densilab import cli, experiments, spectrum
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -53,6 +56,18 @@ def test_tracer_patches_and_restores(monkeypatch):
     # the mode family is assembled once: one assembly, rho and rho^alpha once each
     assert sum(s.layer == "assembly" for s in tracer.spans) == 1
     assert sum(s.layer == "density" for s in tracer.spans) == 2
+
+
+def test_readme_command_lines_parse():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line)[1:] for line in block.splitlines()
+             if line.startswith("densilab ")]
+    assert {argv[0] for argv in lines} == set(cli.COMMANDS)
+    parser = cli.build_parser()
+    for argv in lines:
+        args = parser.parse_args(argv)
+        assert cli._config(args).experiment == argv[0]
 
 
 def test_entry_point_reports_usage_errors():
