@@ -90,16 +90,46 @@ class TridiagonalPencil:
         problem = replace(self.problem, j=j)
         hw, k_diag, k_off, m_diag, m_off, wk, th = self.family
         if problem.pole_constrained:
-            n = problem.domain.n
-            wj = sphere_eigenvalue(j, n) * wk * th ** float(n - 3)
-            _check_finite("angular weight", wj)
             k_diag, k_off = k_diag.copy(), k_off.copy()
-            _accumulate(hw, wj, k_diag, k_off)
+            _accumulate(hw, self._angular_weight(j), k_diag, k_off)
             k_diag, k_off, m_diag, m_off = k_diag[1:], k_off[1:], m_diag[1:], m_off[1:]
         if np.any(m_diag <= 0):
             raise ValueError("mass matrix not positive definite: "
                              "non-positive density or degenerate grid")
         return TridiagonalPencil(k_diag, k_off, m_diag, m_off, problem, self.family)
+
+    def _angular_weight(self, j):
+        """Gauss-point weights mu_j sigma theta^{n-3} of mode j's angular form A."""
+        _, _, _, _, _, wk, th = self.family
+        n = self.problem.domain.n
+        wj = sphere_eigenvalue(j, n) * wk * th ** float(n - 3)
+        _check_finite("angular weight", wj)
+        return wj
+
+    def energy_split(self):
+        """``(g, a_diag, a_off)`` with v^T K v = sum_i g_i (v_{i+1} - v_i)^2 + v^T A v.
+
+        For a mode of a family, g is the gradient weight of each element
+        (G's rows sum to zero by construction) and A the angular form; for
+        j >= 1 the pole element's term g_0 v_1^2 moves to A's diagonal.  Both
+        parts are then sums of nonnegative element terms, so v^T K v is
+        evaluated without the cancellation between K's diagonal and
+        off-diagonal, and without the rounding of G + mu_j A into the bands.
+        Without a family, g = -k_off and A = diag(K 1).
+        """
+        if self.family is None:
+            rows = self.k_diag.astype(float)
+            rows[:-1] += self.k_off
+            rows[1:] += self.k_off
+            return -self.k_off, rows, np.zeros_like(self.k_off)
+        hw, _, g_off, _, _, _, _ = self.family
+        g = -g_off
+        a_diag, a_off = np.zeros(len(g) + 1), np.zeros(len(g))
+        if not self.problem.pole_constrained:
+            return g, a_diag, a_off
+        _accumulate(hw, self._angular_weight(self.problem.j), a_diag, a_off)
+        a_diag[1] += g[0]
+        return g[1:], a_diag[1:], a_off[1:]
 
     @property
     def size(self):

@@ -37,8 +37,9 @@ from dataclasses import dataclass
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-# relative half-width of the bracket a warm pair's count certificate checks
-_CERTIFICATE_DELTA = 1e-8
+# relative half-width of the bracket a count certificate checks: no
+# eigenvalue may lie within it of the counted value, rounding either way
+CERTIFICATE_DELTA = 1e-8
 _RQI_MAX_STEPS = 6
 # stop once the Rayleigh quotient moves by less than this: the convergence is
 # cubic, so the next quotient would differ only by rounding (about 1e-12)
@@ -59,8 +60,9 @@ class EigenPairs:
 
     ``residual_norms``: ||K v - lambda M v||_2 / (||K||_1 + |lambda| ||M||_1) per pair.
     ``path``: the solver that produced the pairs, ``"lanczos"``, ``"dense"``
-    (every pair of the pencil) or ``"rqi"`` (warm start); ``refused``: why a
-    given warm start was not used, else None.
+    (every pair of the pencil), ``"rqi"`` (warm start) or ``"zero"`` (the
+    deflated zero mode alone, nothing solved); ``refused``: why a given warm
+    start was not used, else None.
     """
 
     values: np.ndarray
@@ -138,9 +140,37 @@ def _count(kd_h, ke_h, me_h, sigma):
     return count + int(d[0] <= 0)
 
 
+def counter(pencil):
+    """``count_below`` of one pencil as a function of sigma, equilibrated once."""
+    bands = _equilibrate(*_arrays(pencil))[1:]
+    return lambda sigma: _count(*bands, sigma)
+
+
 def count_below(pencil, sigma):
     """Number of eigenvalues of K v = lambda M v below ``sigma`` (Sylvester inertia)."""
-    return _count(*_equilibrate(*_arrays(pencil))[1:], sigma)
+    return counter(pencil)(sigma)
+
+
+def ramp_quotient(pencil):
+    """Rayleigh quotient of a linear ramp: the scale of the low end of the spectrum."""
+    kd, ke, md, me = _arrays(pencil)
+    ramp = np.linspace(0.0, 1.0, len(kd))[:, None]
+    return (_quadratic(kd, ke, ramp) / _quadratic(md, me, ramp)).item()
+
+
+def _energy(pencil, s, w):
+    """v^T K v per column of ``w``, v = s w, from ``pencil.energy_split()``.
+
+    Each column is scaled by a power of two (exact) so that its squares
+    cannot overflow where ``s`` is huge.
+    """
+    g, a_diag, a_off = pencil.energy_split()
+    v = s[:, None] * w
+    top = np.max(np.abs(v), axis=0)
+    exp = np.frexp(np.where(top > 0, top, 1.0))[1]
+    v = np.ldexp(v, -exp)
+    num = g @ np.diff(v, axis=0) ** 2 + _quadratic(a_diag, a_off, v)
+    return np.ldexp(num, 2 * exp)
 
 
 def _has_constant_kernel(pencil):
@@ -158,13 +188,11 @@ def _rqi(kd_h, ke_h, me_h, w, zero):
     """Rayleigh quotient iteration from each column of ``w``, with its count certificate.
 
     With ``zero`` (the known kernel vector) column 0 is replaced by it and
-    the others are kept M-orthogonal to it.  Returns the eigenvalues and the
-    M-normalized equilibrated vectors; raises ``EigenSolveError`` when a
-    column fails.
+    the others are kept M-orthogonal to it.  Returns the M-normalized
+    equilibrated vectors; raises ``EigenSolveError`` when a column fails.
     """
     n, k = w.shape
     ones = np.ones(n)
-    values = np.zeros(k)
     w = w.copy()
 
     def normalized(x):  # M-orthogonal to zero, M-normalized; with M x and the quotient
@@ -199,25 +227,22 @@ def _rqi(kd_h, ke_h, me_h, w, zero):
             raise EigenSolveError(f"warm start refused: pair {i} did not settle "
                                   f"in {_RQI_MAX_STEPS} RQI steps")
         below = [_count(kd_h, ke_h, me_h, lam * f)
-                 for f in (1 - _CERTIFICATE_DELTA, 1 + _CERTIFICATE_DELTA)]
+                 for f in (1 - CERTIFICATE_DELTA, 1 + CERTIFICATE_DELTA)]
         if below != [i, i + 1]:
             raise EigenSolveError(f"warm start refused: pair {i} converged to "
                                   f"{lam:.12g}, which has {below[0]} eigenvalues "
                                   f"below it and {below[1]} up to it (expected {i}, {i + 1})")
-        w[:, i], values[i] = x, lam
-    return values, w
+        w[:, i] = x
+    return w
 
 
 def _lanczos(pencil, kd_h, ke_h, me_h, k_need, zero):
     """Shift-invert Lanczos (dense when all pairs are asked) on the complement of ``zero``.
 
-    Returns the Rayleigh quotients, the M-normalized equilibrated vectors and the path.
+    Returns the M-normalized equilibrated vectors and the path.
     """
-    kd, ke, md, me = _arrays(pencil)
-    n = len(kd)
-    # scale of the low end of the spectrum: Rayleigh quotient of a ramp
-    ramp = np.linspace(0.0, 1.0, n)[:, None]
-    tau = (_quadratic(kd, ke, ramp) / _quadratic(md, me, ramp)).item()
+    n = pencil.size
+    tau = ramp_quotient(pencil)
     if not (np.isfinite(tau) and tau > 0):
         raise EigenSolveError(f"could not establish a spectral scale (tau={tau})")
     m_diag, m_low, m_info = dpttrf(np.ones(n), me_h)  # M_h = L D L^T
@@ -248,9 +273,7 @@ def _lanczos(pencil, kd_h, ke_h, me_h, k_need, zero):
         return deflate(u(dpttrs(a_diag, a_low, u_t(y.reshape(n, -1)))[0]))
 
     k_solve = k_need - (zero is not None)
-    if k_solve == 0:
-        y, path = np.empty((n, 0)), "lanczos"
-    elif k_need < n:
+    if k_need < n:
         v0 = deflate(np.random.default_rng(0).uniform(0.5, 1.5, n)[:, None])[:, 0]
         try:
             _, y = eigsh(LinearOperator((n, n), matvec=op, dtype=float), k_solve,
@@ -262,17 +285,25 @@ def _lanczos(pencil, kd_h, ke_h, me_h, k_need, zero):
         y = sla.eigh(op(deflate(np.eye(n))), check_finite=False)[1][:, n - k_solve:]
         path = "dense"
     w = dpttrs(m_diag, m_low, u_t(y))[0]
-    w_mass = _quadratic(np.ones(n), me_h, w)
-    values, w = _quadratic(kd_h, ke_h, w) / w_mass, w / np.sqrt(w_mass)
+    w = w / np.sqrt(_quadratic(np.ones(n), me_h, w))
     if zero is not None:
-        values, w = np.concatenate([[0.0], values]), np.column_stack([zero, w])
-    return values, w, path
+        w = np.column_stack([zero, w])
+    return w, path
 
 
-def _checked_pairs(pencil, s, values, w, path):
-    """Sort and un-equilibrate M-normalized ``w``; gate residuals and M-orthonormality."""
+def _checked_pairs(pencil, s, me_h, w, zero, path):
+    """Eigenvalues of M-normalized ``w``; sorted, un-equilibrated and gated.
+
+    Each eigenvalue is the Rayleigh quotient with its numerator in element
+    form (``_energy``), except the deflated zero mode's, which is 0 exactly.
+    Gates: residuals and M-orthonormality.
+    """
     kd, ke, md, me = _arrays(pencil)
-    k = len(values)
+    k = w.shape[1]
+    first = int(zero is not None)
+    values = np.zeros(k)
+    values[first:] = (_energy(pencil, s, w[:, first:])
+                      / _quadratic(np.ones(len(s)), me_h, w[:, first:]))
     order = np.argsort(values, kind="stable")
     values = values[order]
     vectors = s[:, None] * w[:, order]
@@ -295,6 +326,8 @@ def solve_generalized(pencil, k_max, guess=None):
     ``guess`` (shape ``(size, k_max + 1)``, e.g. a coarser grid's vectors
     interpolated) starts count-certified Rayleigh quotient iteration; when a
     pair fails, Lanczos runs instead and ``EigenPairs.refused`` says why.
+    The zero mode alone (``k_max = 0`` on a pencil with K 1 = 0) needs no
+    factorization: it is returned as is, on the path ``"zero"``.
     Raises ``EigenSolveError`` when a pair's residual exceeds 1e-8 or the
     vectors are not M-orthonormal to 1e-8.
     """
@@ -305,16 +338,20 @@ def solve_generalized(pencil, k_max, guess=None):
         raise ValueError(f"requested {k_need} pairs from a pencil of size {n}")
     s, kd_h, ke_h, me_h = _equilibrate(kd, ke, md, me)
     zero = _zero_mode(md, me_h) if _has_constant_kernel(pencil) else None
-    refused = None
     if guess is not None:
         guess = np.asarray(guess, dtype=float)
         if guess.shape != (n, k_need):
             raise ValueError(f"guess has shape {guess.shape}, expected {(n, k_need)}")
+    if zero is not None and k_need == 1:
+        return _checked_pairs(pencil, s, me_h, zero[:, None], zero, "zero")
+    refused = None
+    if guess is not None:
         try:
-            values, w = _rqi(kd_h, ke_h, me_h, guess / s[:, None], zero)
-            return _checked_pairs(pencil, s, values, w, "rqi")
+            w = _rqi(kd_h, ke_h, me_h, guess / s[:, None], zero)
+            return _checked_pairs(pencil, s, me_h, w, zero, "rqi")
         except EigenSolveError as exc:
             refused = str(exc)
-    pairs = _checked_pairs(pencil, s, *_lanczos(pencil, kd_h, ke_h, me_h, k_need, zero))
+    w, path = _lanczos(pencil, kd_h, ke_h, me_h, k_need, zero)
+    pairs = _checked_pairs(pencil, s, me_h, w, zero, path)
     pairs.refused = refused
     return pairs

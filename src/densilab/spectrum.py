@@ -3,14 +3,19 @@
 ``full_spectrum`` merges the angular-mode Sturm-Liouville problems with
 their spherical-harmonic multiplicities into the ordered sequence
 lambda_0 <= lambda_1 <= ...  The modes are one family, assembled once:
-K_j = G + mu_j A (``TridiagonalPencil.mode``).  Once k_max + 1 slots are
-filled, the sweep stops at the first mode j with no eigenvalue below the
-cutoff, the running lambda_{k_max}: by Sylvester's law of inertia, when
-K_j - cutoff M_j has no negative pivot (``eigensolver.count_below``, O(N)).
-No later mode can reach the cutoff either: K_{j+1} - K_j =
-(mu_{j+1} - mu_j) A with A positive semidefinite, and a pole-constrained
-mode's pencil is a principal submatrix of the unconstrained one, so
-positive definiteness at mode j carries over to every mode after it.
+K_j = G + mu_j A (``TridiagonalPencil.mode``).  It counts first, then
+solves.  By Sylvester's law of inertia, count_j(sigma), the number of
+mode j's eigenvalues below sigma, is the number of negative pivots of
+K_j - sigma M_j (``eigensolver.count_below``, O(N), no solve).  A cutoff
+sigma is fixed from counts alone, with N(sigma) = sum_j mult_j count_j(sigma)
+>= k_max + 1, and mode j is then solved for exactly count_j(sigma) pairs.
+The sweep ends at the first mode with count_j(sigma) = 0, and no later mode
+can reach sigma either: K_{j+1} - K_j = (mu_{j+1} - mu_j) A with A positive
+semidefinite, and a pole-constrained mode's pencil is a principal submatrix
+of the unconstrained one, so positive definiteness of K_j - sigma M_j
+carries over to every mode after it.  The count is also each solve's
+certificate: count_j(sigma) pairs, all below sigma, are exactly the mode's
+eigenvalues below sigma, so no eigenvalue below sigma was missed.
 
 Radial plateau ("annulus") test functions give min-max upper bounds:
 any k+1 of them with pairwise disjoint supports span a (k+1)-dimensional
@@ -26,11 +31,16 @@ import numpy as np
 
 from . import density as density_mod
 from .assembly import ModeProblem, assemble, quadrature_weights
-from .eigensolver import count_below, solve_generalized
+from .eigensolver import (CERTIFICATE_DELTA, EigenSolveError, counter, ramp_quotient,
+                          solve_generalized)
 from .geometry import (Interval, RevolutionManifold, sphere_multiplicity,
                        unit_sphere_area, _default_grid)
 
 _HARD_MODE_CAP = 256
+# the cutoff search: bracket steps from a cold start, then log-scale
+# bisection down to this ratio (a start's cutoff is already that close)
+_BRACKET_STEP = 4.0
+_BRACKET_RATIO = 1.25
 
 
 @dataclass(frozen=True)
@@ -47,9 +57,11 @@ class SpectrumResult:
     ``modes`` maps each solved mode j to its ``EigenPairs`` (every pair
     solved, not only those placed in slots, vectors on all of ``nodes``, the
     grid's nodes), which a finer grid's ``full_spectrum(start=...)`` reuses.
+    ``cutoff`` is the sigma of the count plan and ``counts[j]`` the number of
+    mode j's eigenvalues below it, each certified by its solve.
     """
 
-    def __init__(self, entries, k_max, modes, nodes):
+    def __init__(self, entries, k_max, modes, nodes, cutoff, counts):
         self.entries = []
         self._rows = []  # (k, lambda, mode_j, multiplicity), one per slot
         for ent in sorted(entries, key=lambda t: t.value):
@@ -63,6 +75,8 @@ class SpectrumResult:
         self.k_max = k_max
         self.modes = modes
         self.nodes = nodes
+        self.cutoff = cutoff
+        self.counts = counts
         self._slots = np.array([row[1] for row in self._rows])
         if len(self._slots) < k_max + 1:
             raise ValueError("not enough eigenvalues computed to fill k_max + 1 slots")
@@ -93,6 +107,8 @@ class SpectrumResult:
     def to_json(self, path=None):
         payload = {
             "k_max": self.k_max,
+            "cutoff": self.cutoff,
+            "counts": list(self.counts),
             "entries": [
                 {"k": k, "lambda": lam, "mode_j": j, "multiplicity": mult}
                 for k, lam, j, mult in self.slot_entries()
@@ -105,37 +121,76 @@ class SpectrumResult:
 
 
 def _start_vectors(start, nodes, j, count, pole_constrained):
-    """Mode j's vectors from ``start`` interpolated onto ``nodes``, if it solved ``count`` pairs."""
+    """Mode j's first ``count`` vectors from ``start`` interpolated onto ``nodes``,
+    if it solved at least ``count`` pairs."""
     pairs = None if start is None else start.modes.get(j)
-    if pairs is None or pairs.vectors.shape[1] != count:
+    if pairs is None or pairs.vectors.shape[1] < count:
         return None
-    guess = np.column_stack([np.interp(nodes, start.nodes, v) for v in pairs.vectors.T])
+    guess = np.column_stack([np.interp(nodes, start.nodes, v)
+                             for v in pairs.vectors[:, :count].T])
     return guess[1:] if pole_constrained else guess
 
 
-def _solve_mode(pencil, count, start):
-    count = min(count, pencil.size)
+def _solve_mode(pencil, count, start, cutoff):
+    """Mode j's ``count`` lowest pairs; raises unless all lie below ``cutoff``."""
     problem = pencil.problem
     guess = _start_vectors(start, problem.grid.nodes, problem.j, count,
                            problem.pole_constrained)
     pairs = solve_generalized(pencil, count - 1, guess=guess)
+    below = int(np.sum(pairs.values < cutoff))
+    if not len(pairs.values) == below == count:
+        raise EigenSolveError(
+            f"mode {problem.j} has {count} eigenvalues below the cutoff {cutoff:.6g}, "
+            f"but its solve returned {len(pairs.values)} pairs, {below} of them below it")
     if problem.pole_constrained:
         pairs = replace(pairs, vectors=np.vstack([np.zeros(count), pairs.vectors]))
     return pairs
 
 
+def _cutoff(slots, x, k_need, step):
+    """A cutoff sigma with ``slots(sigma) >= k_need``, searched from ``x > 0``.
+
+    ``slots(sigma)``, the number of eigenvalues below sigma, counted with
+    multiplicity, is nondecreasing.  The bracket [lo, hi] grows from x by
+    factors of ``step``, then is bisected in log scale until
+    hi / lo <= _BRACKET_RATIO; a hi with slots(hi) == k_need already gives
+    the smallest plan, so the search stops there.
+    """
+    lo, hi = 0.0, np.inf
+    while lo == 0.0 or hi > _BRACKET_RATIO * lo:
+        if not (np.isfinite(x) and x > 0):
+            raise EigenSolveError(f"the cutoff search for k_max + 1 = {k_need} eigenvalues "
+                                  f"left the floating range at {x:.3g}: the counts or "
+                                  "the spectral scale are out of double precision")
+        count = slots(x)
+        if count == k_need:
+            return x
+        if count > k_need:
+            hi = x
+        else:
+            lo = x
+        if lo == 0.0:
+            x = hi / step
+        elif hi == np.inf:
+            x = lo * step
+        else:
+            x = np.sqrt(lo) * np.sqrt(hi)  # lo * hi overflows past 1.3e154
+    return hi
+
+
 def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None, start=None):
     """First k_max + 1 eigenvalues of the full problem, multiplicity-correct.
 
-    Mode j is asked for ceil((k_max + 1) / multiplicity) pairs: its next
-    pair would lie above that many of its own filled slots, so it could
-    never reach slot k_max.  The sweep stops at the first mode j whose
-    K_j - lambda_{k_max} M_j is positive definite (see the module
-    docstring); that mode is derived from the family and factored, never solved.
+    Counts first, then solves (see the module docstring): the cutoff sigma
+    is searched on counts alone, starting from ``start.cutoff`` or else from
+    the ramp quotient of mode 0, until N(sigma) >= k_max + 1 within a factor
+    1.25; mode j is then solved for exactly count_j(sigma) pairs and must
+    return them all below sigma, or ``EigenSolveError`` is raised.  The
+    first mode with count_j(sigma) = 0 ends the sweep, counted, never solved.
 
     ``start``, a ``SpectrumResult`` of the same problem on another (coarser)
-    grid, warm-starts each mode it solved for the same number of pairs:
-    its vectors, interpolated onto ``grid``, seed count-certified Rayleigh
+    grid, warm-starts each mode it solved for at least as many pairs: its
+    first vectors, interpolated onto ``grid``, seed count-certified Rayleigh
     quotient iteration (``solve_generalized(guess=...)``).
     """
     grid = _default_grid(domain, grid)
@@ -144,31 +199,59 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None, start=None):
     j_last = 0 if isinstance(domain, Interval) else (
         _HARD_MODE_CAP if j_max is None else j_max)
     k_need = k_max + 1
+    if isinstance(domain, Interval) and k_need > family.size:
+        raise ValueError(f"not enough eigenvalues to fill k_max + 1 = {k_need} slots: "
+                         f"the pencil has {family.size}")
+    pencils = {}  # j -> (mode j's pencil, its count_below as a function of sigma)
+
+    def mode(j):
+        if j not in pencils:
+            pencil = family.mode(j)
+            pencils[j] = pencil, counter(pencil)
+        return pencils[j]
+
+    def mult(j):
+        return sphere_multiplicity(j, domain.n) if j else 1
+
+    def counts_at(sigma, enough=np.inf):
+        """count_j(sigma) for j = 0, 1, ... up to the first zero (the stop
+        mode), or until their slots, sum_j mult_j count_j, exceed ``enough``;
+        and that sum."""
+        counts, slots = [], 0
+        for j in range(j_last + 1):
+            if slots > enough:
+                break
+            count = mode(j)[1](sigma)
+            if count == 0:
+                break
+            counts.append(count)
+            slots += mult(j) * count
+        return counts, slots
+
+    x, step = ((ramp_quotient(family), _BRACKET_STEP) if start is None
+               else (start.cutoff, _BRACKET_RATIO))
+    cutoff = _cutoff(lambda sigma: counts_at(sigma, k_need)[1], x, k_need, step)
+    # keep every eigenvalue a relative CERTIFICATE_DELTA away from the cutoff,
+    # so that rounding in a count or a solve cannot flip its side
+    while True:
+        counts = counts_at(cutoff * (1 + CERTIFICATE_DELTA))[0]
+        if counts == counts_at(cutoff * (1 - CERTIFICATE_DELTA))[0]:
+            break
+        cutoff *= 1 + 3 * CERTIFICATE_DELTA
+    if len(counts) > j_last and isinstance(domain, RevolutionManifold):
+        if j_max is not None:
+            raise ValueError(
+                f"j_max={j_max} insufficient: mode {j_max} still has {counts[-1]} "
+                f"eigenvalue(s) below the cutoff {cutoff:.6g} >= lambda_k_max; "
+                f"raise j_max until a whole mode clears that value")
+        raise RuntimeError(f"mode sweep did not terminate below j={j_last}")
     modes = {}
     entries = []
-    slots = np.empty(0)  # the lowest k_need slot values so far, sorted
-    cutoff = np.inf
-    for j in range(j_last + 1):
-        pencil = family.mode(j)
-        if cutoff < np.inf and count_below(pencil, cutoff) == 0:
-            break
-        mult = sphere_multiplicity(j, domain.n) if j else 1
-        pairs = modes[j] = _solve_mode(pencil, -(-k_need // mult), start)
-        values = pairs.values
-        entries.extend(SpectrumEntry(v, j, mult, pairs.vectors[:, i])
-                       for i, v in enumerate(values))
-        slots = np.sort(np.concatenate([slots, np.repeat(values, mult)]))[:k_need]
-        if len(slots) == k_need:
-            cutoff = slots[-1]
-    else:
-        if isinstance(domain, RevolutionManifold):
-            if j_max is not None:
-                raise ValueError(
-                    f"j_max={j_max} insufficient: mode {j} still reaches "
-                    f"{values[0]:.6g} <= lambda_k_max={cutoff:.6g}; raise j_max "
-                    f"until a whole mode clears that value")
-            raise RuntimeError(f"mode sweep did not terminate below j={j}")
-    return SpectrumResult(entries, k_max, modes, grid.nodes)
+    for j, count in enumerate(counts):
+        pairs = modes[j] = _solve_mode(mode(j)[0], count, start, cutoff)
+        entries.extend(SpectrumEntry(v, j, mult(j), pairs.vectors[:, i])
+                       for i, v in enumerate(pairs.values))
+    return SpectrumResult(entries, k_max, modes, grid.nodes, cutoff, tuple(counts))
 
 
 @dataclass(frozen=True)

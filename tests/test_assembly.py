@@ -177,7 +177,7 @@ def test_full_spectrum_solves_the_per_mode_pencils(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(spectrum, "solve_generalized", spy(spectrum.solve_generalized))
-    monkeypatch.setattr(spectrum, "count_below", spy(spectrum.count_below))
+    monkeypatch.setattr(spectrum, "counter", spy(spectrum.counter))
     domain, rho, alpha, grid = _FAMILIES["conformal-weighted"]
     dl.full_spectrum(domain, rho, alpha, 40, grid=grid)
     assert {p.problem.j for p in seen} == set(range(1 + max(p.problem.j for p in seen)))

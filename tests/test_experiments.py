@@ -414,6 +414,16 @@ def test_richardson_grids_warm_start_from_the_coarser_grid(monkeypatch):
 
     monkeypatch.setattr(exp, "full_spectrum", spy)
     exp.lambda1_richardson(disk, dl.GaussianRadial(1e4), 0.75, 2048)
-    assert [r.paths for r in results] == [{0: "lanczos", 1: "lanczos"},
-                                          {0: "rqi", 1: "rqi"}, {0: "rqi", 1: "rqi"}]
+    # j = 0 holds the zero mode alone on every grid: nothing to solve or warm-start
+    assert [r.paths for r in results] == [{0: "zero", 1: "lanczos"},
+                                          {0: "zero", 1: "rqi"}, {0: "zero", 1: "rqi"}]
     assert all(p.refused is None for r in results for p in r.modes.values())
+
+
+def test_cli_scaling_check_passes_with_its_defaults(tmp_path):
+    # interval, Gaussian m = 1, alpha 0.5, N = 1024, c in {1e-3, 1, 1e3}
+    assert cli_main(["scaling-check", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "scaling-check.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    assert all(float(r["rel_err"]) <= 1e-12 for r in rows)

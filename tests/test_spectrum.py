@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import densilab as dl
 from densilab import spectrum
 from densilab.assembly import ModeProblem, assemble
+from densilab.eigensolver import count_below
 from densilab.spectrum import TestFunction
 
 import oracles
@@ -80,18 +82,19 @@ def test_each_mode_asks_only_for_pairs_it_can_place(monkeypatch):
         return dl.solve_generalized(pencil, k_max, guess=guess)
 
     monkeypatch.setattr(spectrum, "solve_generalized", spy)
-    res = dl.full_spectrum(ball, dl.Constant(1.0), 0.0, 12,
-                           grid=dl.RadialGrid.uniform(ball, 128))
-    assert len(asked) > 3
-    assert asked == [math.ceil(13 / dl.sphere_multiplicity(j, 3))
-                     for j in range(len(asked))]
-    # the stop mode is tested for definiteness, never solved
+    grid = dl.RadialGrid.uniform(ball, 128)
+    res = dl.full_spectrum(ball, dl.Constant(1.0), 0.0, 12, grid=grid)
+    # each mode is asked for its count below the cutoff: 5 pairs for 13 slots
+    assert asked == list(res.counts) == [2, 1, 1, 1]
+    family = assemble(ModeProblem(domain=ball, rho=dl.Constant(1.0), alpha=0.0, grid=grid))
+    assert [count_below(family.mode(j), res.cutoff) for j in range(5)] == [2, 1, 1, 1, 0]
+    # the stop mode is counted, never solved
     assert len(asked) == 1 + max(e.mode_j for e in res.entries)
     disk = dl.RevolutionManifold.ball(2, 1.0)
     asked.clear()
     res = dl.full_spectrum(disk, dl.GaussianRadial(100.0), 0.75, 1,
                            grid=dl.RadialGrid.uniform(disk, 256))
-    assert asked == [2, 1]
+    assert asked == list(res.counts) == [1, 1]
     assert max(e.mode_j for e in res.entries) == 1
 
 
@@ -100,21 +103,82 @@ def test_each_mode_asks_only_for_pairs_it_can_place(monkeypatch):
        st.integers(min_value=0, max_value=30))
 def test_mode_sweep_misses_no_eigenvalue(n, m, k_max):
     # every pair of every mode, solved densely, then merged: the sweep's
-    # pair rule and stopping rule must not change the lowest k_max + 1
+    # count plan and stopping rule must not change the lowest k_max + 1
     dom = dl.RevolutionManifold.ball(n, 1.0)
     grid = dl.RadialGrid.uniform(dom, 64)
     rho = dl.GaussianRadial(m)
-    union, mode_minima = [], []
+    union, mode_minima, pencils, dense = [], [], [], []
     for j in range(32):
         pencil = assemble(ModeProblem(domain=dom, rho=rho, alpha=0.5, grid=grid, j=j))
         values = oracles.dense_pencil_eigenvalues(pencil, pencil.size)
         union.extend(np.repeat(values, dl.sphere_multiplicity(j, n)))
         mode_minima.append(values[0])
+        pencils.append(pencil)
+        dense.append(values)
     expected = np.sort(union)[:k_max + 1]
     assert mode_minima[-1] > expected[-1]  # the oracle swept far enough
-    got = dl.full_spectrum(dom, rho, 0.5, k_max, grid=grid).lambdas
+    res = dl.full_spectrum(dom, rho, 0.5, k_max, grid=grid)
     lam1 = expected[1] if k_max >= 1 else 1.0
-    assert np.allclose(got, expected, rtol=1e-9, atol=1e-9 * lam1)
+    assert np.allclose(res.lambdas, expected, rtol=1e-9, atol=1e-9 * lam1)
+    # every mode's count at the cutoff is the number of its returned values
+    # below it (none for the modes past the sweep), and the oracle's
+    for j, pencil in enumerate(pencils):
+        below = count_below(pencil, res.cutoff)
+        solved = res.modes[j].values if j in res.modes else np.empty(0)
+        assert below == np.sum(solved < res.cutoff) == np.sum(dense[j] < res.cutoff)
+    assert list(res.counts) == [len(res.modes[j].values) for j in range(len(res.counts))]
+
+
+@pytest.mark.parametrize("miss", ["drop-last", "skip-one"])
+def test_a_solve_that_misses_an_eigenvalue_raises(monkeypatch, miss):
+    # the count below the cutoff certifies each mode's solve: returning a
+    # pair too few, or skipping one, breaks it
+    def missing(pencil, k_max, guess=None):
+        extra = int(miss == "skip-one")  # then the next pair takes the place of pair k_max
+        pairs = dl.solve_generalized(pencil, k_max + extra)
+        keep = np.arange(k_max + 1 + extra) != k_max
+        return replace(pairs, values=pairs.values[keep], vectors=pairs.vectors[:, keep],
+                       residual_norms=pairs.residual_norms[keep])
+
+    monkeypatch.setattr(spectrum, "solve_generalized", missing)
+    ball = dl.RevolutionManifold.ball(3, 1.0)
+    with pytest.raises(dl.EigenSolveError, match="mode 0 has 2 eigenvalues below the cutoff"):
+        dl.full_spectrum(ball, dl.Constant(1.0), 0.0, 12, grid=dl.RadialGrid.uniform(ball, 128))
+
+
+def test_k_max_zero_is_the_zero_mode_alone():
+    for dom in (dl.Interval(-1.0, 1.0), dl.RevolutionManifold.ball(2, 1.0)):
+        grid = dl.RadialGrid.uniform(dom, 256)
+        res = dl.full_spectrum(dom, dl.GaussianRadial(10.0), 0.5, 0, grid=grid)
+        assert res.lambdas.tolist() == [0.0]
+        assert res.counts == (1,) and res.paths == {0: "zero"}
+        pencil = assemble(ModeProblem(domain=dom, rho=dl.GaussianRadial(10.0), alpha=0.5,
+                                      grid=grid))
+        assert count_below(pencil, res.cutoff) == 1
+
+
+def test_cutoff_keeps_clear_of_eigenvalues():
+    # all 65 pairs of a flat uniform interval: the search from the ramp
+    # quotient 3/4 meets 3/4 * 4^7 = 12/h^2, the top eigenvalue, exactly
+    iv = dl.Interval(-1.0, 1.0)
+    res = dl.full_spectrum(iv, dl.Constant(1.0), 0.0, 64, grid=dl.RadialGrid.uniform(iv, 64))
+    assert res.counts == (65,) and res.paths == {0: "dense"}
+    top = res.modes[0].values[-1]
+    assert top == pytest.approx(12.0 * 32 ** 2, rel=1e-12)
+    assert top * (1 + 1e-8) < res.cutoff
+    with pytest.raises(ValueError, match="not enough eigenvalues"):
+        dl.full_spectrum(iv, dl.Constant(1.0), 0.0, 65, grid=dl.RadialGrid.uniform(iv, 64))
+
+
+def test_cutoff_search_spans_the_floating_range():
+    # floored densities put eigenvalues near 1e233 (interval, m = 6908,
+    # alpha 0.225); the log-scale bisection must not overflow on the way
+    def slots(sigma):
+        return 1 + 2 * (sigma > 3e300)
+
+    sigma = spectrum._cutoff(slots, 1.0, 2, 4.0)
+    assert 3e300 < sigma <= 3e300 * 1.25
+    assert 3e300 < spectrum._cutoff(slots, 1e308, 2, 4.0) <= 3e300 * 1.25
 
 
 def test_mode_minima_increase_with_j():
@@ -276,6 +340,20 @@ def test_scaling_identity_exact(c, alpha):
     assert lam_scaled == pytest.approx(c ** (alpha - 1.0) * lam, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_scaling_identity_holds_on_every_mode(n):
+    # the element-form numerator keeps the identity to rounding on the
+    # angular modes too
+    dom = dl.RevolutionManifold.ball(n, 1.0)
+    grid = dl.RadialGrid.uniform(dom, 1024)
+    rho = dl.GaussianRadial(5.0)
+    res = dl.full_spectrum(dom, rho, 0.5, 8, grid=grid)
+    assert len(res.modes) >= 3
+    for c in (1e-3, 1e3):
+        scaled = dl.full_spectrum(dom, dl.scale(rho, c), 0.5, 8, grid=grid).lambdas
+        assert np.allclose(scaled[1:], c ** -0.5 * res.lambdas[1:], rtol=1e-13, atol=0.0)
+
+
 def test_homothety_transports_spectrum():
     disk = dl.RevolutionManifold.ball(2, 1.0)
     rho = dl.GaussianRadial(4.0)
@@ -339,11 +417,13 @@ def test_warm_start_matches_cold_and_refinement_is_monotone(name, log_m, alpha, 
     assert warm.lambdas[0] == cold.lambdas[0] == 0.0
     assert np.allclose(warm.lambdas[1:], cold.lambdas[1:], rtol=1e-10, atol=0.0)
     for j, pairs in warm.modes.items():
+        if pairs.path == "zero":  # the zero mode alone: lambda_0 == 0 exactly, above
+            continue
         count = len(pairs.values)
         pencil = assemble(ModeProblem(domain=dom, rho=rho, alpha=alpha, grid=fine_grid, j=j))
         prolonged = spectrum._start_vectors(coarse, fine_grid.nodes, j, count,
                                             pencil.problem.pole_constrained)
-        if prolonged is None:  # the start did not solve this mode for as many pairs
+        if prolonged is None:  # the start solved this mode for fewer pairs, or not at all
             assert pairs.path == "lanczos" and pairs.refused is None
             continue
         # a warm start either ran or says why not
@@ -357,17 +437,17 @@ def test_warm_start_matches_cold_and_refinement_is_monotone(name, log_m, alpha, 
 
 def test_wrong_start_is_refused_and_solved_cold():
     # the start's vectors are localized at the pole (m = 1e4): RQI from them
-    # lands on eigenvalues with 143 (j = 0, pair 1) and 83 (j = 1, pair 0)
-    # others below, so the count refuses both modes
+    # lands on an eigenvalue with 83 (j = 1, pair 0) others below, so the
+    # count refuses the mode; j = 0 holds the zero mode alone, solved by neither
     disk = dl.RevolutionManifold.ball(2, 1.0)
     start = dl.full_spectrum(disk, dl.GaussianRadial(1e4), 0.75, 1,
                              grid=dl.RadialGrid.uniform(disk, 256))
     grid = dl.RadialGrid.uniform(disk, 512)
     warm = dl.full_spectrum(disk, dl.GaussianRadial(1.0), 0.75, 1, grid=grid, start=start)
     cold = dl.full_spectrum(disk, dl.GaussianRadial(1.0), 0.75, 1, grid=grid)
-    assert warm.paths == cold.paths == {0: "lanczos", 1: "lanczos"}
+    assert warm.paths == cold.paths == {0: "zero", 1: "lanczos"}
+    assert warm.modes[1].refused.startswith("warm start refused: pair 0")
     for j, pairs in warm.modes.items():
-        assert pairs.refused.startswith("warm start refused: pair")
         assert cold.modes[j].refused is None
         assert np.array_equal(pairs.values, cold.modes[j].values)
         assert np.array_equal(pairs.vectors, cold.modes[j].vectors)

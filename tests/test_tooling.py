@@ -79,3 +79,25 @@ def test_entry_point_reports_usage_errors():
     assert proc.returncode == 2
     assert "usage:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    # a failing @given test imports hypothesis's patch writer, which warns;
+    # under the suite's filterwarnings = ["error"] the conftest must keep
+    # that from ending the session before the example is printed
+    (tmp_path / "conftest.py").write_text((ROOT / "tests" / "conftest.py").read_text())
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_small(x):\n"
+        "    assert x < 5\n\n\n"
+        "def test_after():\n"
+        "    pass\n")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+                           "test_fails.py"],
+                          capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "Falsifying example" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
