@@ -199,9 +199,6 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None, start=None):
     j_last = 0 if isinstance(domain, Interval) else (
         _HARD_MODE_CAP if j_max is None else j_max)
     k_need = k_max + 1
-    if isinstance(domain, Interval) and k_need > family.size:
-        raise ValueError(f"not enough eigenvalues to fill k_max + 1 = {k_need} slots: "
-                         f"the pencil has {family.size}")
     pencils = {}  # j -> (mode j's pencil, its count_below as a function of sigma)
 
     def mode(j):
@@ -228,6 +225,18 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None, start=None):
             slots += mult(j) * count
         return counts, slots
 
+    # modes 0..j_last must hold k_max + 1 eigenvalues, or no cutoff gathers them
+    capacity = 0
+    for j in range(j_last + 1):
+        capacity += mult(j) * mode(j)[0].size
+        if capacity >= k_need:
+            break
+    else:
+        if j_max is not None and isinstance(domain, RevolutionManifold):
+            raise ValueError(f"j_max={j_max} insufficient: modes 0 to {j_max} hold "
+                             f"{capacity} eigenvalues, fewer than k_max + 1 = {k_need}")
+        raise ValueError(f"not enough eigenvalues to fill k_max + 1 = {k_need} slots: "
+                         f"modes 0 to {j_last} hold {capacity}")
     x, step = ((ramp_quotient(family), _BRACKET_STEP) if start is None
                else (start.cutoff, _BRACKET_RATIO))
     cutoff = _cutoff(lambda sigma: counts_at(sigma, k_need)[1], x, k_need, step)

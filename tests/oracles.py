@@ -177,13 +177,12 @@ def dense_pencil_eigenvalues(pencil, count):
     return np.sort(1.0 / nu - tau)
 
 
-def assemble_per_mode(problem):
-    """Assemble the tridiagonal pencil of a ModeProblem, densities evaluated for its mode.
+def _element_forms(problem):
+    """Gauss-point weights of a ModeProblem, densities evaluated for its mode.
 
-    Only the diagonal and one off-diagonal band are built, so K and M are
-    exactly symmetric.  For j = 0 the element stiffness has exact zero
-    row sums (constants are in the kernel); for j >= 1 the pole node is
-    removed.
+    Returns ``(hw, g, wm, wj)``: the half element lengths, the gradient
+    weight of each element, and the mass and angular weights at the two
+    Gauss points of each element (``wj`` is None without an angular term).
     """
     nodes = problem.grid.nodes
     pts, hw = gauss_points(nodes)
@@ -208,36 +207,95 @@ def assemble_per_mode(problem):
     _check_finite("mass weight", wm)
     if wj is not None:
         _check_finite("angular weight", wj)
-
-    npts = len(nodes)
-    k_diag = np.zeros(npts)
-    k_off = np.zeros(npts - 1)
-    m_diag = np.zeros(npts)
-    m_off = np.zeros(npts - 1)
-
     # gradient part: (int_e wk) / h^2 * [[1, -1], [-1, 1]]
-    g = hw * (wk[:, 0] + wk[:, 1]) / h ** 2
+    return hw, hw * (wk[:, 0] + wk[:, 1]) / h ** 2, wm, wj
+
+
+def _accumulate(hw, w, diag, off):
+    """Add the Gauss-point form of weights ``w`` into the bands ``diag``, ``off``."""
+    b11 = hw * (w[:, 0] * _P ** 2 + w[:, 1] * _Q ** 2)
+    b22 = hw * (w[:, 0] * _Q ** 2 + w[:, 1] * _P ** 2)
+    b12 = hw * (w[:, 0] + w[:, 1]) * (_P * _Q)
+    diag[:-1] += b11
+    diag[1:] += b22
+    off += b12
+
+
+def _bands(problem, dtype):
+    """K's and M's bands of a ModeProblem, the element terms summed in ``dtype``."""
+    hw, g, wm, wj = _element_forms(problem)
+    npts = len(problem.grid.nodes)
+    k_diag, m_diag = np.zeros(npts, dtype), np.zeros(npts, dtype)
+    k_off, m_off = np.zeros(npts - 1, dtype), np.zeros(npts - 1, dtype)
     k_diag[:-1] += g
     k_diag[1:] += g
     k_off -= g
-
-    def accumulate(w, diag, off):
-        b11 = hw * (w[:, 0] * _P ** 2 + w[:, 1] * _Q ** 2)
-        b22 = hw * (w[:, 0] * _Q ** 2 + w[:, 1] * _P ** 2)
-        b12 = hw * (w[:, 0] + w[:, 1]) * (_P * _Q)
-        diag[:-1] += b11
-        diag[1:] += b22
-        off += b12
-
-    accumulate(wm, m_diag, m_off)
+    _accumulate(hw, wm, m_diag, m_off)
     if wj is not None:
-        accumulate(wj, k_diag, k_off)
-
+        _accumulate(hw, wj, k_diag, k_off)
     if problem.pole_constrained:
         k_diag, k_off = k_diag[1:], k_off[1:]
         m_diag, m_off = m_diag[1:], m_off[1:]
+    return k_diag, k_off, m_diag, m_off
 
+
+def assemble_per_mode(problem):
+    """Assemble the tridiagonal pencil of a ModeProblem, densities evaluated for its mode.
+
+    Only the diagonal and one off-diagonal band are built, so K and M are
+    exactly symmetric.  For j = 0 the element stiffness has exact zero
+    row sums (constants are in the kernel); for j >= 1 the pole node is
+    removed.
+    """
+    k_diag, k_off, m_diag, m_off = _bands(problem, float)
     if np.any(m_diag <= 0):
         raise ValueError("mass matrix not positive definite: "
                          "non-positive density or degenerate grid")
     return TridiagonalPencil(k_diag, k_off, m_diag, m_off, problem=problem)
+
+
+def _tridiagonal_times(d, e, v):
+    y = d * v
+    y[:-1] += e * v[1:]
+    y[1:] += e * v[:-1]
+    return y
+
+
+def _tridiagonal_solve(d, e, b):
+    """x with T x = b, T symmetric tridiagonal (diagonal d, off-diagonal e), no pivoting."""
+    d, b = d.copy(), b.copy()
+    for i in range(1, len(d)):
+        f = e[i - 1] / d[i - 1]
+        d[i] -= f * e[i - 1]
+        b[i] -= f * b[i - 1]
+    x = np.empty_like(b)
+    x[-1] = b[-1] / d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        x[i] = (b[i] - e[i] * x[i + 1]) / d[i]
+    return x
+
+
+def element_form_eigenvalue(problem, shift, steps=3):
+    """The eigenvalue of a ModeProblem's pencil nearest ``shift``, in extended precision.
+
+    K and M are summed from their element terms in ``np.longdouble``, and
+    the eigenvector is found by inverse iteration with the fixed ``shift``
+    (a Thomas solve in ``np.longdouble``); with a shift within 1e-8 relative
+    of an isolated eigenvalue, three steps leave it exact to extended
+    precision.  The eigenvalue is its Rayleigh quotient, the numerator
+    summed over elements: sum_e g_e (v_{i+1} - v_i)^2 + v^T A v.
+    """
+    hw, g, _, wj = _element_forms(problem)
+    kd, ke, md, me = _bands(problem, np.longdouble)
+    sigma = np.longdouble(shift)
+    v = np.linspace(1.0, 2.0, len(kd)).astype(np.longdouble)
+    for _ in range(steps):
+        v = _tridiagonal_solve(kd - sigma * md, ke - sigma * me, _tridiagonal_times(md, me, v))
+        v /= np.max(np.abs(v))
+    u = np.concatenate([[np.longdouble(0)], v]) if problem.pole_constrained else v
+    energy = g.astype(np.longdouble) @ np.diff(u) ** 2
+    if wj is not None:
+        a_diag, a_off = np.zeros(len(u), np.longdouble), np.zeros(len(g), np.longdouble)
+        _accumulate(hw, wj, a_diag, a_off)
+        energy += u @ _tridiagonal_times(a_diag, a_off, u)
+    return float(energy / (v @ _tridiagonal_times(md, me, v)))

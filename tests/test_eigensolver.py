@@ -254,13 +254,18 @@ def test_zero_mode_is_deflated():
     # alpha = 1, m = 1e4: Lanczos left lambda_0 = 1.67e-8 against lambda_1 = 2.614,
     # above the 1e-9 lambda_1 zero-mode gate of full_spectrum
     disk = dl.RevolutionManifold.ball(2, 1.0)
-    res = full_spectrum(disk, dl.GaussianRadial(1e4), 1.0, 1,
-                        grid=dl.RadialGrid.for_density(disk, 4096, m=1e4))
+    grid = dl.RadialGrid.for_density(disk, 4096, m=1e4)
+    res = full_spectrum(disk, dl.GaussianRadial(1e4), 1.0, 1, grid=grid)
     assert res.lambdas[0] == 0.0
-    pairs = res.modes[0]
-    assert np.all(pairs.residual_norms <= 1e-12)
-    v = pairs.vectors[:, 0]
-    assert np.max(np.abs(v - v[0])) <= 1e-14 * abs(v[0])
+    # the same pencil solved directly: Lanczos on the zero column's complement
+    p = assemble(ModeProblem(domain=disk, rho=dl.GaussianRadial(1e4), alpha=1.0,
+                             grid=grid, j=0))
+    for pairs in (res.modes[0], solve_generalized(p, 1)):
+        assert pairs.path == "lanczos" and len(pairs.values) == 2
+        assert pairs.values[0] == 0.0
+        assert np.all(pairs.residual_norms <= 1e-12)
+        v = pairs.vectors[:, 0]
+        assert np.max(np.abs(v - v[0])) <= 1e-14 * abs(v[0])
 
 
 def test_residuals_do_not_overflow():

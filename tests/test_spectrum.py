@@ -71,6 +71,11 @@ def test_j_max_insufficient_reports_bound():
     with pytest.raises(ValueError, match="insufficient"):
         dl.full_spectrum(disk, dl.Constant(1.0), 0.0, 8,
                          grid=dl.RadialGrid.uniform(disk, 256), j_max=1)
+    # modes 0 and 1 hold 257 + 2 * 256 = 769 eigenvalues in all: refused
+    # before the cutoff search, which no cutoff could satisfy
+    with pytest.raises(ValueError, match="insufficient: modes 0 to 1 hold 769"):
+        dl.full_spectrum(disk, dl.Constant(1.0), 0.0, 769,
+                         grid=dl.RadialGrid.uniform(disk, 256), j_max=1)
 
 
 def test_each_mode_asks_only_for_pairs_it_can_place(monkeypatch):
@@ -354,6 +359,35 @@ def test_scaling_identity_holds_on_every_mode(n):
         assert np.allclose(scaled[1:], c ** -0.5 * res.lambdas[1:], rtol=1e-13, atol=0.0)
 
 
+def _flat_ball_1024():
+    ball = dl.RevolutionManifold.ball(3, 1.0)
+    return ball, dl.RadialGrid.uniform(ball, 1024)
+
+
+def _conformal_ball_1024():
+    ball = dl.RevolutionManifold.ball(3, 1.0)
+    rho = dl.normalize(dl.GaussianRadial(1.0), ball)
+    tilde = dl.conformal_reparametrize(ball, rho, dl.RadialGrid.uniform(ball, 1024))
+    return tilde, dl.RadialGrid.uniform(tilde, 1024)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="needs an extended-precision np.longdouble")
+@pytest.mark.parametrize("case", [_flat_ball_1024, _conformal_ball_1024])
+def test_lambda_1_matches_an_extended_precision_oracle(case):
+    # lambda_1 (mode 1) of the flat Weyl fit's 3-ball and of the conformal
+    # check's reparametrized one: rounding K_1 = G + mu_1 A into its bands
+    # moves this eigenvalue by about 5e-11; the element-form numerator
+    # keeps the solve on the element forms' eigenvalue
+    dom, grid = case()
+    res = dl.full_spectrum(dom, dl.Constant(1.0), 0.0, 3, grid=grid)
+    assert [row[2] for row in res.slot_entries()] == [0, 1, 1, 1]
+    problem = ModeProblem(domain=dom, rho=dl.Constant(1.0), alpha=0.0, grid=grid, j=1)
+    shift = oracles.dense_pencil_eigenvalues(assemble(problem), 1)[0]
+    exact = oracles.element_form_eigenvalue(problem, shift)
+    assert abs(res.lambdas[1] - exact) <= 1e-14 * exact
+
+
 def test_homothety_transports_spectrum():
     disk = dl.RevolutionManifold.ball(2, 1.0)
     rho = dl.GaussianRadial(4.0)
@@ -437,16 +471,20 @@ def test_warm_start_matches_cold_and_refinement_is_monotone(name, log_m, alpha, 
 
 def test_wrong_start_is_refused_and_solved_cold():
     # the start's vectors are localized at the pole (m = 1e4): RQI from them
-    # lands on an eigenvalue with 83 (j = 1, pair 0) others below, so the
-    # count refuses the mode; j = 0 holds the zero mode alone, solved by neither
+    # lands on eigenvalues with 112 (j = 0, pair 1, the zero column
+    # deflated), 83 (j = 1, pair 0) and 80 (j = 2, pair 0) others below, so
+    # the count refuses every mode (k_max 5 plans 2, 1, 1 pairs on both grids)
     disk = dl.RevolutionManifold.ball(2, 1.0)
-    start = dl.full_spectrum(disk, dl.GaussianRadial(1e4), 0.75, 1,
+    start = dl.full_spectrum(disk, dl.GaussianRadial(1e4), 0.75, 5,
                              grid=dl.RadialGrid.uniform(disk, 256))
     grid = dl.RadialGrid.uniform(disk, 512)
-    warm = dl.full_spectrum(disk, dl.GaussianRadial(1.0), 0.75, 1, grid=grid, start=start)
-    cold = dl.full_spectrum(disk, dl.GaussianRadial(1.0), 0.75, 1, grid=grid)
-    assert warm.paths == cold.paths == {0: "zero", 1: "lanczos"}
+    warm = dl.full_spectrum(disk, dl.GaussianRadial(1.0), 0.75, 5, grid=grid, start=start)
+    cold = dl.full_spectrum(disk, dl.GaussianRadial(1.0), 0.75, 5, grid=grid)
+    assert start.counts == warm.counts == (2, 1, 1)
+    assert warm.paths == cold.paths == {0: "lanczos", 1: "lanczos", 2: "lanczos"}
+    assert warm.modes[0].refused.startswith("warm start refused: pair 1")
     assert warm.modes[1].refused.startswith("warm start refused: pair 0")
+    assert warm.modes[2].refused.startswith("warm start refused: pair 0")
     for j, pairs in warm.modes.items():
         assert cold.modes[j].refused is None
         assert np.array_equal(pairs.values, cold.modes[j].values)
