@@ -31,15 +31,14 @@ import numpy as np
 
 from . import density as density_mod
 from .assembly import ModeProblem, assemble, quadrature_weights
-from .eigensolver import (CERTIFICATE_DELTA, EigenSolveError, counter, ramp_quotient,
-                          solve_generalized)
+from .eigensolver import (BRACKET_STEP, CERTIFICATE_DELTA, EigenSolveError, counter,
+                          ramp_quotient, solve_generalized)
 from .geometry import (Interval, RevolutionManifold, sphere_multiplicity,
                        unit_sphere_area, _default_grid)
 
 _HARD_MODE_CAP = 256
-# the cutoff search: bracket steps from a cold start, then log-scale
-# bisection down to this ratio (a start's cutoff is already that close)
-_BRACKET_STEP = 4.0
+# the cutoff search: bracket steps of BRACKET_STEP from a cold start, then
+# log-scale bisection down to this ratio (a start's cutoff is already that close)
 _BRACKET_RATIO = 1.25
 
 
@@ -86,7 +85,7 @@ class SpectrumResult:
 
     @property
     def paths(self):
-        """The solver path of each solved mode: ``{j: "lanczos" | "dense" | "rqi"}``."""
+        """The solver path of each solved mode: ``{j: "sturm" | "rqi" | "zero"}``."""
         return {j: pairs.path for j, pairs in self.modes.items()}
 
     @property
@@ -237,7 +236,7 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None, start=None):
                              f"{capacity} eigenvalues, fewer than k_max + 1 = {k_need}")
         raise ValueError(f"not enough eigenvalues to fill k_max + 1 = {k_need} slots: "
                          f"modes 0 to {j_last} hold {capacity}")
-    x, step = ((ramp_quotient(family), _BRACKET_STEP) if start is None
+    x, step = ((ramp_quotient(family), BRACKET_STEP) if start is None
                else (start.cutoff, _BRACKET_RATIO))
     cutoff = _cutoff(lambda sigma: counts_at(sigma, k_need)[1], x, k_need, step)
     # keep every eigenvalue a relative CERTIFICATE_DELTA away from the cutoff,

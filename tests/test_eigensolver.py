@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 import densilab as dl
+from densilab import eigensolver
 from densilab.assembly import ModeProblem, TridiagonalPencil, assemble
 from densilab.eigensolver import (EigenSolveError, IndefiniteMassError, count_below,
                                   solve_generalized)
@@ -55,7 +56,7 @@ def test_cholesky_rejects_indefinite():
 
 @pytest.mark.parametrize("n", [2, 5, 9])
 def test_all_pairs_of_a_pencil(n):
-    # k_max + 1 == size is out of the Lanczos solver's reach
+    # k_max + 1 == size: every pair of the pencil
     p = _random_spd_pencil(np.random.default_rng(n), n)
     pairs = solve_generalized(p, n - 1)
     ref = sla.eigh(p.dense_k(), p.dense_m(), eigvals_only=True)
@@ -143,6 +144,40 @@ def test_solver_hygiene_invariants(n, seed):
         assert quot == pytest.approx(lam, rel=1e-10, abs=1e-12 * max(1.0, abs(lam)))
 
 
+def _block_pencil(parts):
+    """The pencils ``parts`` side by side, uncoupled: zero off-diagonals between them."""
+    def bands(diag, off):
+        return (np.concatenate([getattr(q, diag) for q in parts]),
+                np.concatenate([np.append(getattr(q, off), 0.0) for q in parts])[:-1])
+    return _pencil(*bands("k_diag", "k_off"), *bands("m_diag", "m_off"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=2, max_value=8),
+                          st.integers(min_value=1, max_value=3)), min_size=1, max_size=3),
+       st.sampled_from([0.0, 1e-13, 1e-10, 1e-8, 1e-7]),
+       st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=2 ** 31))
+def test_clustered_pencils_match_dense_reference(blocks, split, k_max, seed):
+    # random blocks, the first one at least twice: every eigenvalue of a
+    # repeated block is repeated in the pencil, exactly (split 0, which no
+    # count can split) or to a relative ``split`` between the copies
+    rng = np.random.default_rng(seed)
+    blocks[0] = (blocks[0][0], max(blocks[0][1], 2))
+    parts = []
+    for size, copies in blocks:
+        q = _random_spd_pencil(rng, size)
+        parts += [_pencil(q.k_diag * (1 + c * split), q.k_off * (1 + c * split),
+                          q.m_diag, q.m_off) for c in range(copies)]
+    p = _block_pencil(parts)
+    k_max = min(k_max, p.size - 1)
+    pairs = solve_generalized(p, k_max)
+    ref = sla.eigh(p.dense_k(), p.dense_m(), eigvals_only=True)
+    assert np.allclose(pairs.values, ref[:k_max + 1], rtol=1e-9, atol=0.0)
+    gram = pairs.vectors.T @ p.dense_m() @ pairs.vectors
+    assert np.max(np.abs(gram - np.eye(k_max + 1))) <= 1e-8
+    assert np.all(pairs.residual_norms <= 1e-8)
+
+
 def test_monotone_under_nested_refinement():
     # conforming elements: eigenvalues do not increase under refinement
     iv = dl.Interval(-1.0, 1.0)
@@ -194,15 +229,64 @@ def test_extreme_pencils_match_dense_oracle(name):
     assert np.allclose(pairs.values, ref, rtol=1e-9, atol=1e-9 * ref[1])
 
 
-@pytest.mark.parametrize("j", [0, 1])
-def test_inaccurate_pairs_raise(j):
-    # alpha = 0.1 on a 256-element grid: Lanczos returns 54502.8 for the
-    # j = 1 minimum (dense: 52234.2, residual 0.07) and 1358 for the j = 0
-    # zero mode; neither may come back as an answer
-    disk = dl.RevolutionManifold.ball(2, 1.0)
-    grid = dl.RadialGrid.for_density(disk, 256, m=1e4)
-    p = assemble(ModeProblem(domain=disk, rho=dl.GaussianRadial(1e4), alpha=0.1,
+_FLOORED = {
+    f"{name}-m{m:.0e}-N{n_el}-j{j}": (dom, m, n_el, j)
+    for name, dom in (("disk", dl.RevolutionManifold.ball(2, 1.0)), ("ball", _BALL))
+    for m, n_el in ((1e4, 256), (1e4, 1024), (1e5, 256), (1e6, 256), (1e6, 1024))
+    for j in (0, 1)}
+
+
+@pytest.mark.parametrize("name", list(_FLOORED))
+def test_floored_pencils_match_dense_oracle(name):
+    # alpha = 0.1 with the density floored over most of the grid: a Lanczos
+    # solve returned 54502.8 for the disk's j = 1 minimum at m = 1e4, N = 256
+    # (dense: 52234.2) and 1358 for its j = 0 zero mode
+    domain, m, n_el, j = _FLOORED[name]
+    grid = dl.RadialGrid.for_density(domain, n_el, m=m)
+    p = assemble(ModeProblem(domain=domain, rho=dl.GaussianRadial(m), alpha=0.1,
                              grid=grid, j=j))
+    pairs = solve_generalized(p, 2)
+    ref = dense_pencil_eigenvalues(p, 3)
+    nonzero = slice(1 - j, None)  # j = 0: lambda_0 = 0 exactly, the oracle's is rounding
+    assert np.allclose(pairs.values[nonzero], ref[nonzero], rtol=1e-9, atol=0.0)
+    assert np.all(pairs.residual_norms <= 1e-8)
+
+
+def test_exactly_singular_shift_is_perturbed(monkeypatch):
+    # pair 0's fifth shift is its own quotient and dgtsv meets an exactly zero
+    # pivot; the vector of the step before had residual 3.4e-8, so the
+    # iteration perturbs the shift and solves once more instead of stopping
+    ball = dl.RevolutionManifold.ball(3, 1.0)
+    m = 10 ** 2.9074515820207893
+    p = assemble(ModeProblem(domain=ball, rho=dl.GaussianRadial(m), alpha=1.0,
+                             grid=dl.RadialGrid.for_density(ball, 512, m=m), j=1))
+    dgtsv, singular = eigensolver.dgtsv, []
+
+    def spy(*args):
+        out = dgtsv(*args)
+        singular.append(out[-1] != 0)
+        return out
+
+    monkeypatch.setattr(eigensolver, "dgtsv", spy)
+    pairs = solve_generalized(p, 0)
+    assert any(singular)
+    assert pairs.residual_norms[0] <= 1e-12
+    assert pairs.values[0] == pytest.approx(dense_pencil_eigenvalues(p, 1)[0], rel=1e-9)
+
+
+def test_a_corrupted_vector_fails_the_residual_gate(monkeypatch):
+    # the gate, not the iteration, decides: spoil the last pair after it converged
+    rqi = eigensolver._rqi
+
+    def spoiled(*args):
+        x, mx = rqi(*args)
+        w = args[2]
+        if len(w) == 1:
+            x = x * (1.0 + 1e-3 * np.linspace(0.0, 1.0, len(x)))
+        return x, mx
+
+    monkeypatch.setattr(eigensolver, "_rqi", spoiled)
+    p = _random_spd_pencil(np.random.default_rng(1), 40)
     with pytest.raises(EigenSolveError, match="residual"):
         solve_generalized(p, 1)
 
@@ -251,17 +335,17 @@ def test_count_below_restarts_past_negative_pivots():
 
 
 def test_zero_mode_is_deflated():
-    # alpha = 1, m = 1e4: Lanczos left lambda_0 = 1.67e-8 against lambda_1 = 2.614,
-    # above the 1e-9 lambda_1 zero-mode gate of full_spectrum
+    # alpha = 1, m = 1e4: a solve of the whole pencil left lambda_0 = 1.67e-8
+    # against lambda_1 = 2.614, above the 1e-9 lambda_1 zero-mode gate of full_spectrum
     disk = dl.RevolutionManifold.ball(2, 1.0)
     grid = dl.RadialGrid.for_density(disk, 4096, m=1e4)
     res = full_spectrum(disk, dl.GaussianRadial(1e4), 1.0, 1, grid=grid)
     assert res.lambdas[0] == 0.0
-    # the same pencil solved directly: Lanczos on the zero column's complement
+    # the same pencil solved directly: the other pairs kept M-orthogonal to the zero column
     p = assemble(ModeProblem(domain=disk, rho=dl.GaussianRadial(1e4), alpha=1.0,
                              grid=grid, j=0))
     for pairs in (res.modes[0], solve_generalized(p, 1)):
-        assert pairs.path == "lanczos" and len(pairs.values) == 2
+        assert pairs.path == "sturm" and len(pairs.values) == 2
         assert pairs.values[0] == 0.0
         assert np.all(pairs.residual_norms <= 1e-12)
         v = pairs.vectors[:, 0]
@@ -290,7 +374,7 @@ def test_paths_name_the_solver():
     coarse = full_spectrum(iv, rho, 0.5, 2, grid=dl.RadialGrid.uniform(iv, 64))
     fine = full_spectrum(iv, rho, 0.5, 2, grid=dl.RadialGrid.uniform(iv, 128), start=coarse)
     every = full_spectrum(iv, rho, 0.5, 8, grid=dl.RadialGrid.uniform(iv, 8))
-    assert (coarse.paths, fine.paths, every.paths) == ({0: "lanczos"}, {0: "rqi"}, {0: "dense"})
+    assert (coarse.paths, fine.paths, every.paths) == ({0: "sturm"}, {0: "rqi"}, {0: "sturm"})
     assert fine.modes[0].refused is None
     assert np.allclose(fine.lambdas, dense_pencil_eigenvalues(
         assemble(ModeProblem(domain=iv, rho=rho, alpha=0.5,

@@ -415,7 +415,7 @@ def test_richardson_grids_warm_start_from_the_coarser_grid(monkeypatch):
     monkeypatch.setattr(exp, "full_spectrum", spy)
     exp.lambda1_richardson(disk, dl.GaussianRadial(1e4), 0.75, 2048)
     # j = 0 holds the zero mode alone on every grid: nothing to solve or warm-start
-    assert [r.paths for r in results] == [{0: "zero", 1: "lanczos"},
+    assert [r.paths for r in results] == [{0: "zero", 1: "sturm"},
                                           {0: "zero", 1: "rqi"}, {0: "zero", 1: "rqi"}]
     assert all(p.refused is None for r in results for p in r.modes.values())
 

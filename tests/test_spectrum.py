@@ -167,7 +167,7 @@ def test_cutoff_keeps_clear_of_eigenvalues():
     # quotient 3/4 meets 3/4 * 4^7 = 12/h^2, the top eigenvalue, exactly
     iv = dl.Interval(-1.0, 1.0)
     res = dl.full_spectrum(iv, dl.Constant(1.0), 0.0, 64, grid=dl.RadialGrid.uniform(iv, 64))
-    assert res.counts == (65,) and res.paths == {0: "dense"}
+    assert res.counts == (65,) and res.paths == {0: "sturm"}
     top = res.modes[0].values[-1]
     assert top == pytest.approx(12.0 * 32 ** 2, rel=1e-12)
     assert top * (1 + 1e-8) < res.cutoff
@@ -458,7 +458,7 @@ def test_warm_start_matches_cold_and_refinement_is_monotone(name, log_m, alpha, 
         prolonged = spectrum._start_vectors(coarse, fine_grid.nodes, j, count,
                                             pencil.problem.pole_constrained)
         if prolonged is None:  # the start solved this mode for fewer pairs, or not at all
-            assert pairs.path == "lanczos" and pairs.refused is None
+            assert pairs.path == "sturm" and pairs.refused is None
             continue
         # a warm start either ran or says why not
         assert (pairs.path == "rqi") != (pairs.refused is not None)
@@ -481,7 +481,7 @@ def test_wrong_start_is_refused_and_solved_cold():
     warm = dl.full_spectrum(disk, dl.GaussianRadial(1.0), 0.75, 5, grid=grid, start=start)
     cold = dl.full_spectrum(disk, dl.GaussianRadial(1.0), 0.75, 5, grid=grid)
     assert start.counts == warm.counts == (2, 1, 1)
-    assert warm.paths == cold.paths == {0: "lanczos", 1: "lanczos", 2: "lanczos"}
+    assert warm.paths == cold.paths == {0: "sturm", 1: "sturm", 2: "sturm"}
     assert warm.modes[0].refused.startswith("warm start refused: pair 1")
     assert warm.modes[1].refused.startswith("warm start refused: pair 0")
     assert warm.modes[2].refused.startswith("warm start refused: pair 0")
@@ -504,4 +504,27 @@ def test_exactly_singular_shifted_solve_keeps_the_warm_start():
     assert warm.modes[2].path == "rqi" and warm.modes[2].refused is None
     for j, pairs in warm.modes.items():
         assert np.allclose(pairs.values, cold.modes[j].values, rtol=1e-10, atol=0.0)
+    assert np.allclose(warm.lambdas, cold.lambdas, rtol=1e-10, atol=0.0)
+
+
+_SINGULAR_STARTS = {
+    "disk-m10^0.5-a0.625-j0": ("disk", 10 ** 0.5, 0.625, 128, 0),
+    "disk-m1e3-a1-j1": ("disk", 1e3, 1.0, 64, 1),
+    "ball-m1e3-a1-j1": ("ball", 1e3, 1.0, 64, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_SINGULAR_STARTS))
+def test_warm_starts_once_refused_by_orthonormality_are_kept(name):
+    # in a sweep of warm starts at k_max 4 these modes met an exactly singular
+    # shifted solve, then failed the M-orthonormality gate and were solved
+    # cold; they must stay warm and agree with the cold solve
+    dom_name, m, alpha, n_el, j = _SINGULAR_STARTS[name]
+    dom, rho = _WARM_DOMAINS[dom_name], dl.GaussianRadial(m)
+    coarse_grid, fine_grid = (dl.RadialGrid.for_density(dom, n, m=m) for n in (n_el, 2 * n_el))
+    coarse = dl.full_spectrum(dom, rho, alpha, 4, grid=coarse_grid)
+    warm = dl.full_spectrum(dom, rho, alpha, 4, grid=fine_grid, start=coarse)
+    cold = dl.full_spectrum(dom, rho, alpha, 4, grid=fine_grid)
+    assert warm.modes[j].path == "rqi" and warm.modes[j].refused is None
+    assert np.allclose(warm.modes[j].values, cold.modes[j].values, rtol=1e-10, atol=0.0)
     assert np.allclose(warm.lambdas, cold.lambdas, rtol=1e-10, atol=0.0)
