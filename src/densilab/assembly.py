@@ -80,6 +80,9 @@ class TridiagonalPencil:
     problem: ModeProblem = field(default=None, repr=False)
     # set by ``assemble``: what every mode shares, (hw, G bands, M bands, wk, theta)
     family: tuple = field(default=None, repr=False)
+    # set by ``mode``: ``energy_split()``; and the record of ``eigensolver.counter``
+    _split: tuple = field(default=None, repr=False, compare=False)
+    _solver: object = field(default=None, init=False, repr=False, compare=False)
 
     def mode(self, j):
         """Mode j's pencil K_j = G + mu_j A of the family, with no density evaluation.
@@ -88,15 +91,19 @@ class TridiagonalPencil:
         (mu_{j+1} - mu_j) A is too; for j >= 1 the pole node is removed.
         """
         problem = replace(self.problem, j=j)
-        hw, k_diag, k_off, m_diag, m_off, wk, th = self.family
+        hw, k_diag, g_off, m_diag, m_off, wk, th = self.family
+        k_off, a_diag, a_off = g_off, np.zeros(len(k_diag)), np.zeros(len(g_off))
         if problem.pole_constrained:
             k_diag, k_off = k_diag.copy(), k_off.copy()
-            _accumulate(hw, self._angular_weight(j), k_diag, k_off)
+            _accumulate(hw, self._angular_weight(j), (k_diag, k_off), (a_diag, a_off))
+            a_diag[1] -= g_off[0]  # the pole element's g_0 v_1^2, v_0 = 0
             k_diag, k_off, m_diag, m_off = k_diag[1:], k_off[1:], m_diag[1:], m_off[1:]
+            g_off, a_diag, a_off = g_off[1:], a_diag[1:], a_off[1:]
         if np.any(m_diag <= 0):
             raise ValueError("mass matrix not positive definite: "
                              "non-positive density or degenerate grid")
-        return TridiagonalPencil(k_diag, k_off, m_diag, m_off, problem, self.family)
+        return TridiagonalPencil(k_diag, k_off, m_diag, m_off, problem, self.family,
+                                 (-g_off, a_diag, a_off))
 
     def _angular_weight(self, j):
         """Gauss-point weights mu_j sigma theta^{n-3} of mode j's angular form A."""
@@ -117,29 +124,16 @@ class TridiagonalPencil:
         off-diagonal, and without the rounding of G + mu_j A into the bands.
         Without a family, g = -k_off and A = diag(K 1).
         """
-        if self.family is None:
-            rows = self.k_diag.astype(float)
-            rows[:-1] += self.k_off
-            rows[1:] += self.k_off
-            return -self.k_off, rows, np.zeros_like(self.k_off)
-        hw, _, g_off, _, _, _, _ = self.family
-        g = -g_off
-        a_diag, a_off = np.zeros(len(g) + 1), np.zeros(len(g))
-        if not self.problem.pole_constrained:
-            return g, a_diag, a_off
-        _accumulate(hw, self._angular_weight(self.problem.j), a_diag, a_off)
-        a_diag[1] += g[0]
-        return g[1:], a_diag[1:], a_off[1:]
+        if self._split is not None:
+            return self._split
+        rows = self.k_diag.astype(float)
+        rows[:-1] += self.k_off
+        rows[1:] += self.k_off
+        return -self.k_off, rows, np.zeros_like(self.k_off)
 
     @property
     def size(self):
         return len(self.k_diag)
-
-    def dense_k(self):
-        return np.diag(self.k_diag) + np.diag(self.k_off, 1) + np.diag(self.k_off, -1)
-
-    def dense_m(self):
-        return np.diag(self.m_diag) + np.diag(self.m_off, 1) + np.diag(self.m_off, -1)
 
     def k_norm1(self):
         return _tri_norm1(self.k_diag, self.k_off)
@@ -174,14 +168,15 @@ def _check_finite(name, vals):
         raise ValueError(f"non-finite {name} value at a quadrature node")
 
 
-def _accumulate(hw, w, diag, off):
-    """Add the P1 element mass form of the Gauss-point weights ``w`` to the bands."""
+def _accumulate(hw, w, *bands):
+    """Add the P1 element mass form of the Gauss-point weights ``w`` to each (diag, off)."""
     b11 = hw * (w[:, 0] * _P ** 2 + w[:, 1] * _Q ** 2)
     b22 = hw * (w[:, 0] * _Q ** 2 + w[:, 1] * _P ** 2)
     b12 = hw * (w[:, 0] + w[:, 1]) * (_P * _Q)
-    diag[:-1] += b11
-    diag[1:] += b22
-    off += b12
+    for diag, off in bands:
+        diag[:-1] += b11
+        diag[1:] += b22
+        off += b12
 
 
 def assemble(problem):
@@ -219,7 +214,7 @@ def assemble(problem):
     k_diag[:-1] += g
     k_diag[1:] += g
     k_off -= g
-    _accumulate(hw, wm, m_diag, m_off)
+    _accumulate(hw, wm, (m_diag, m_off))
     # mode j's angular weight is mu_j wk theta^{n-3}, from wk before its theta^{n-1}
     family = (hw, k_diag, k_off, m_diag, m_off, wk, th)
     return TridiagonalPencil(k_diag, k_off, m_diag, m_off, replace(problem, j=0),

@@ -16,7 +16,6 @@ eigenvalues that the continuum problem does not have.
 """
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import geometry
 from .quadrature import integrate
@@ -141,6 +140,7 @@ class Tabulated(DensityField):
         values = np.asarray(values, dtype=float)
         if np.any(values <= 0):
             raise ValueError("tabulated density values must be positive")
+        from scipy.interpolate import PchipInterpolator  # loaded only where PCHIP runs
         self._spline = PchipInterpolator(r_nodes, values)
         self.r_nodes = r_nodes
         self.values = values

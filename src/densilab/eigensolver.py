@@ -13,8 +13,13 @@ accepted.  Each pair i is certified: exactly i eigenvalues lie below
 lambda_i (1 - 1e-8), i + 1 below lambda_i (1 + 1e-8).  Start vectors (a
 coarser grid's) run the same iteration (path ``"rqi"``).  The constants,
 the kernel of a j = 0 pencil, are returned exactly as lambda_0 = 0.
+
+One record per pencil (``counter``) keeps its checks, equilibration and a
+memo of counts, monotone in sigma: a shift between two of equal count, or
+below one of 0, costs no ``dpttrf``.  No bracket or shift depends on it.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -80,21 +85,6 @@ def _row_norms(x):
     return top * np.linalg.norm(x / top[:, None], axis=1)
 
 
-def _equilibrate(kd, ke, md, me):
-    """``s`` = 1/sqrt(m_diag) and the bands ``(k_diag, k_off, m_off)`` of s (K, M) s."""
-    if np.any(md <= 0):
-        raise IndefiniteMassError("mass diagonal has non-positive entries")
-    s = 1.0 / np.sqrt(md)
-    with np.errstate(over="ignore", invalid="ignore"):
-        kd_h = kd * s ** 2
-        ke_h = ke * s[:-1] * s[1:]
-        me_h = me * s[:-1] * s[1:]
-    if not all(np.all(np.isfinite(x)) for x in (kd_h, ke_h, me_h)):
-        raise EigenSolveError("pencil dynamic range exceeds double precision after "
-                              "equilibration; reduce the density contrast or the grid grading")
-    return s, kd_h, ke_h, me_h
-
-
 def _arrays(pencil):
     return tuple(np.asarray(a, dtype=float) for a in
                  (pencil.k_diag, pencil.k_off, pencil.m_diag, pencil.m_off))
@@ -125,10 +115,45 @@ def _count(kd_h, ke_h, me_h, sigma):
     return count + int(d[0] <= 0)
 
 
+class _Record:
+    """One pencil's bands, 1-norms and ``energy_split()``; ``s`` = 1/sqrt(m_diag) and
+    the ``bands`` (k_diag, k_off, m_off) of s (K, M) s; the mass check; the count
+    memo.  Calling it counts below sigma; ``spent`` is the number of ``_count`` calls."""
+
+    def __init__(self, pencil):
+        self.arrays = kd, ke, md, me = _arrays(pencil)
+        if np.any(md <= 0):
+            raise IndefiniteMassError("mass diagonal has non-positive entries")
+        self.s = s = 1.0 / np.sqrt(md)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.bands = kd * s ** 2, ke * s[:-1] * s[1:], me * s[:-1] * s[1:]
+        if not all(np.all(np.isfinite(x)) for x in self.bands):
+            raise EigenSolveError("pencil dynamic range exceeds double precision after "
+                                  "equilibration; reduce the density contrast or the grid grading")
+        if dpttrf(np.ones(len(kd)), self.bands[2])[2]:
+            raise IndefiniteMassError("mass matrix is not positive definite")
+        self.norms = pencil.k_norm1(), pencil.m_norm1()
+        self.split = pencil.energy_split()
+        self.sigmas, self.counts, self.spent = [], [], 0  # the memo, by increasing sigma
+
+    def __call__(self, sigma):
+        i = bisect.bisect_left(self.sigmas, sigma)
+        below = self.counts[i - 1] if i else 0  # no count is negative
+        if i < len(self.sigmas) and (self.sigmas[i] == sigma or self.counts[i] == below):
+            return self.counts[i]
+        count = _count(*self.bands, sigma)
+        self.spent += 1
+        if not math.isnan(sigma):  # a NaN would break the memo's order
+            self.sigmas.insert(i, sigma)
+            self.counts.insert(i, count)
+        return count
+
+
 def counter(pencil):
-    """``count_below`` of one pencil as a function of sigma, equilibrated once."""
-    bands = _equilibrate(*_arrays(pencil))[1:]
-    return lambda sigma: _count(*bands, sigma)
+    """``count_below`` of one pencil as a function of sigma: its ``_Record``, built once."""
+    if pencil._solver is None:
+        pencil._solver = _Record(pencil)
+    return pencil._solver
 
 
 def count_below(pencil, sigma):
@@ -143,12 +168,12 @@ def ramp_quotient(pencil):
     return float(_quadratic(kd, ke, ramp) / _quadratic(md, me, ramp))
 
 
-def _energy(pencil, s, w):
-    """v^T K v per row of ``w``, v = s w, from ``pencil.energy_split()``.
+def _energy(split, s, w):
+    """v^T K v per row of ``w``, v = s w, from the pencil's ``energy_split()``.
 
     Each row is scaled by a power of two (exact): its squares cannot overflow.
     """
-    g, a_diag, a_off = pencil.energy_split()
+    g, a_diag, a_off = split
     v = s * w
     top = np.max(np.abs(v), axis=1)
     exp = np.frexp(np.where(top > 0, top, 1.0))[1]
@@ -163,8 +188,8 @@ def _zero_mode(md, me_h):
     return w / np.sqrt(_quadratic(1.0, me_h, w))
 
 
-def _rqi(bands, x, w, mw, bracket=None, cluster=False):
-    """Rayleigh quotient iteration from ``x`` for pair i = len(w), with its count certificate.
+def _rqi(rec, x, w, mw, bracket=None, cluster=False):
+    """Rayleigh quotient iteration on ``rec``'s pencil from ``x`` for pair i = len(w), certified.
 
     Iterates are M-orthogonalized (twice) against the accepted pairs, the
     rows of ``w`` (``mw`` = M_h w), and scaled by a power of two so that
@@ -176,7 +201,7 @@ def _rqi(bands, x, w, mw, bracket=None, cluster=False):
     only asks that eigenvalue i lie within delta of lambda.  Returns the
     M-normalized vector and M_h times it; raises ``EigenSolveError``.
     """
-    kd_h, ke_h, me_h = bands
+    kd_h, ke_h, me_h = rec.bands
     i = len(w)
     kd_abs = np.abs(kd_h)
 
@@ -219,7 +244,7 @@ def _rqi(bands, x, w, mw, bracket=None, cluster=False):
             break
     else:
         raise EigenSolveError(f"pair {i} did not settle in {_RQI_MAX_STEPS} RQI steps")
-    below = [_count(*bands, lam * f) for f in (1 - CERTIFICATE_DELTA, 1 + CERTIFICATE_DELTA)]
+    below = [rec(lam * f) for f in (1 - CERTIFICATE_DELTA, 1 + CERTIFICATE_DELTA)]
     if not (below[0] <= i < below[1] if cluster else below == [i, i + 1]):
         raise EigenSolveError(f"pair {i} converged to {lam:.12g}, which has {below[0]} "
                               f"eigenvalues below it and {below[1]} up to it "
@@ -235,21 +260,22 @@ def _noise(n):
     return noise
 
 
-def _cold(pencil, bands, w, mw, first):
+def _cold(pencil, w, mw, first):
     """Rows ``first`` .. of ``w`` (``mw`` = M_h w): each pair isolated by counts, then ``_rqi``.
 
     The bracket grows from the ramp quotient by factors of 4 until it holds
     every pair; pair i's is bisected until count(lo) = i, count(hi) = i + 1
     (or a cluster is _CLUSTER_WIDTH wide).  A failed pair is bisected to
-    _CLUSTER_WIDTH and solved once more, with ``cluster``.
+    _CLUSTER_WIDTH and solved once more, with ``cluster``.  Each count asks the memo.
     """
-    counts = {}  # sigma -> count, memoised over the solve
+    rec = counter(pencil)
+    counts = {}  # sigma -> count, the shifts of this solve
 
     def count(sigma):
         if not (math.isfinite(sigma) and sigma > 0):
             raise EigenSolveError(f"the eigenvalue search left the floating range: {sigma}")
         if sigma not in counts:
-            counts[sigma] = _count(*bands, sigma)
+            counts[sigma] = rec(sigma)
         return counts[sigma]
 
     def isolated(i, cluster=False):  # a bracket of eigenvalue i
@@ -273,24 +299,25 @@ def _cold(pencil, bands, w, mw, first):
     noise = _noise(n)
     for i in range(first, k_need):
         try:
-            w[i], mw[i] = _rqi(bands, noise[i:i + n], w[:i], mw[:i], isolated(i))
+            w[i], mw[i] = _rqi(rec, noise[i:i + n], w[:i], mw[:i], isolated(i))
         except EigenSolveError:
-            w[i], mw[i] = _rqi(bands, noise[i:i + n], w[:i], mw[:i], isolated(i, True), True)
+            w[i], mw[i] = _rqi(rec, noise[i:i + n], w[:i], mw[:i], isolated(i, True), True)
     return w
 
 
-def _checked_pairs(pencil, s, me_h, w, zero, path):
+def _checked_pairs(rec, w, zero, path):
     """Eigenvalues of the M-normalized rows of ``w``; sorted, un-equilibrated and gated.
 
     Each eigenvalue is the Rayleigh quotient with its numerator in element
     form (``_energy``), except the deflated zero mode's, which is 0 exactly.
     Gates: residuals and M-orthonormality.
     """
-    kd, ke, md, me = _arrays(pencil)
+    kd, ke, md, me = rec.arrays
+    s, me_h = rec.s, rec.bands[2]
     k = len(w)
     first = int(zero is not None)
     values = np.zeros(k)
-    values[first:] = (_energy(pencil, s, w[first:])
+    values[first:] = (_energy(rec.split, s, w[first:])
                       / _quadratic(1.0, me_h, w[first:]))
     order = np.argsort(values, kind="stable")
     values = values[order]
@@ -299,7 +326,7 @@ def _checked_pairs(pencil, s, me_h, w, zero, path):
     vectors *= np.sign(vectors[np.arange(k), np.argmax(np.abs(vectors), axis=1)])[:, None]
     mv = _tri_mul(md, me, vectors)
     residuals = (_row_norms(_tri_mul(kd, ke, vectors) - values[:, None] * mv)
-                 / (pencil.k_norm1() + np.abs(values) * pencil.m_norm1()))
+                 / (rec.norms[0] + np.abs(values) * rec.norms[1]))
     if not np.max(residuals) <= 1e-8:
         raise EigenSolveError(f"eigenpair residual {np.max(residuals):.3g} exceeds 1e-8")
     gram = vectors @ mv.T
@@ -322,14 +349,12 @@ def solve_generalized(pencil, k_max, guess=None):
     Raises ``EigenSolveError`` when a pair's residual exceeds 1e-8 or the
     vectors are not M-orthonormal to 1e-8.
     """
-    kd, ke, md, me = _arrays(pencil)
-    n = len(kd)
+    n = pencil.size
     k_need = k_max + 1
     if not 0 < k_need <= n:
         raise ValueError(f"requested {k_need} pairs from a pencil of size {n}")
-    s, kd_h, ke_h, me_h = _equilibrate(kd, ke, md, me)
-    if dpttrf(np.ones(n), me_h)[2]:
-        raise IndefiniteMassError("mass matrix is not positive definite")
+    rec = counter(pencil)
+    s, md, me_h = rec.s, rec.arrays[2], rec.bands[2]
     # K 1 = 0 by construction on an unconstrained mode (Neumann, j = 0)
     zero = _zero_mode(md, me_h) if pencil.problem and not pencil.problem.pole_constrained else None
     if guess is not None:
@@ -337,8 +362,7 @@ def solve_generalized(pencil, k_max, guess=None):
         if guess.shape != (n, k_need):
             raise ValueError(f"guess has shape {guess.shape}, expected {(n, k_need)}")
     if zero is not None and k_need == 1:
-        return _checked_pairs(pencil, s, me_h, zero[None], zero, "zero")
-    bands = (kd_h, ke_h, me_h)
+        return _checked_pairs(rec, zero[None], zero, "zero")
     w, mw = np.empty((k_need, n)), np.empty((k_need, n))  # pair i in row i
     first = int(zero is not None)
     if zero is not None:
@@ -347,10 +371,10 @@ def solve_generalized(pencil, k_max, guess=None):
     if guess is not None:
         try:
             for i in range(first, k_need):
-                w[i], mw[i] = _rqi(bands, guess[:, i] / s, w[:i], mw[:i])
-            return _checked_pairs(pencil, s, me_h, w, zero, "rqi")
+                w[i], mw[i] = _rqi(rec, guess[:, i] / s, w[:i], mw[:i])
+            return _checked_pairs(rec, w, zero, "rqi")
         except EigenSolveError as exc:
             refused = f"warm start refused: {exc}"
-    pairs = _checked_pairs(pencil, s, me_h, _cold(pencil, bands, w, mw, first), zero, "sturm")
+    pairs = _checked_pairs(rec, _cold(pencil, w, mw, first), zero, "sturm")
     pairs.refused = refused
     return pairs

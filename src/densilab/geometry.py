@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .quadrature import element_integrals, integrate
 
@@ -105,6 +104,7 @@ class RevolutionManifold:
     @classmethod
     def tabulated(cls, n, r_nodes, theta_values, pole_slope_tol=1e-5):
         """Profile given by samples, interpolated monotone-cubically."""
+        from scipy.interpolate import PchipInterpolator  # loaded only where PCHIP runs
         r_nodes = np.asarray(r_nodes, dtype=float)
         theta_values = np.asarray(theta_values, dtype=float)
         spline = PchipInterpolator(r_nodes, theta_values)
@@ -147,9 +147,6 @@ class RadialGrid:
         self.nodes = nodes
         self.nodes.flags.writeable = False
 
-    def __len__(self):
-        return len(self.nodes)
-
     @property
     def n_elements(self):
         return len(self.nodes) - 1
@@ -187,18 +184,6 @@ class RadialGrid:
         if m is not None and m >= 1e3:
             return cls.graded(domain, n_elements)
         return cls.uniform(domain, n_elements)
-
-    def refined(self, factor=2):
-        """Nested refinement: keeps every node, splits every element."""
-        nodes = self.nodes
-        out = [nodes]
-        for _ in range(int(np.log2(factor))):
-            mids = 0.5 * (out[-1][:-1] + out[-1][1:])
-            merged = np.empty(2 * len(out[-1]) - 1)
-            merged[0::2] = out[-1]
-            merged[1::2] = mids
-            out.append(merged)
-        return RadialGrid(out[-1])
 
 
 def unit_sphere_area(n):
@@ -276,6 +261,7 @@ def conformal_reparametrize(manifold, rho, grid=None):
     interpolated monotone-cubically.  The volume of the result equals
     int_M rho dV to quadrature accuracy.
     """
+    from scipy.interpolate import PchipInterpolator
     if not getattr(rho, "is_radial", False):
         raise ValueError("conformal reparametrization needs a radial density")
     grid = _default_grid(manifold, grid)

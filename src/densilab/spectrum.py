@@ -15,7 +15,8 @@ semidefinite, and a pole-constrained mode's pencil is a principal submatrix
 of the unconstrained one, so positive definiteness of K_j - sigma M_j
 carries over to every mode after it.  The count is also each solve's
 certificate: count_j(sigma) pairs, all below sigma, are exactly the mode's
-eigenvalues below sigma, so no eigenvalue below sigma was missed.
+eigenvalues below sigma, so no eigenvalue below sigma was missed.  Search,
+clearance and solve share each mode's memo of counts (``eigensolver.counter``).
 
 Radial plateau ("annulus") test functions give min-max upper bounds:
 any k+1 of them with pairwise disjoint supports span a (k+1)-dimensional
@@ -58,9 +59,10 @@ class SpectrumResult:
     grid's nodes), which a finer grid's ``full_spectrum(start=...)`` reuses.
     ``cutoff`` is the sigma of the count plan and ``counts[j]`` the number of
     mode j's eigenvalues below it, each certified by its solve.
+    ``counts_spent``: counts made in the plan (search, clearance) and in the solves.
     """
 
-    def __init__(self, entries, k_max, modes, nodes, cutoff, counts):
+    def __init__(self, entries, k_max, modes, nodes, cutoff, counts, counts_spent):
         self.entries = []
         self._rows = []  # (k, lambda, mode_j, multiplicity), one per slot
         for ent in sorted(entries, key=lambda t: t.value):
@@ -76,6 +78,7 @@ class SpectrumResult:
         self.nodes = nodes
         self.cutoff = cutoff
         self.counts = counts
+        self.counts_spent = counts_spent
         self._slots = np.array([row[1] for row in self._rows])
         if len(self._slots) < k_max + 1:
             raise ValueError("not enough eigenvalues computed to fill k_max + 1 slots")
@@ -108,6 +111,7 @@ class SpectrumResult:
             "k_max": self.k_max,
             "cutoff": self.cutoff,
             "counts": list(self.counts),
+            "counts_spent": dict(self.counts_spent),
             "entries": [
                 {"k": k, "lambda": lam, "mode_j": j, "multiplicity": mult}
                 for k, lam, j, mult in self.slot_entries()
@@ -198,12 +202,11 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None, start=None):
     j_last = 0 if isinstance(domain, Interval) else (
         _HARD_MODE_CAP if j_max is None else j_max)
     k_need = k_max + 1
-    pencils = {}  # j -> (mode j's pencil, its count_below as a function of sigma)
+    pencils = {0: family}  # j -> mode j's pencil
 
     def mode(j):
         if j not in pencils:
-            pencil = family.mode(j)
-            pencils[j] = pencil, counter(pencil)
+            pencils[j] = family.mode(j)
         return pencils[j]
 
     def mult(j):
@@ -217,7 +220,7 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None, start=None):
         for j in range(j_last + 1):
             if slots > enough:
                 break
-            count = mode(j)[1](sigma)
+            count = counter(mode(j))(sigma)
             if count == 0:
                 break
             counts.append(count)
@@ -227,7 +230,7 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None, start=None):
     # modes 0..j_last must hold k_max + 1 eigenvalues, or no cutoff gathers them
     capacity = 0
     for j in range(j_last + 1):
-        capacity += mult(j) * mode(j)[0].size
+        capacity += mult(j) * mode(j).size
         if capacity >= k_need:
             break
     else:
@@ -253,13 +256,15 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, j_max=None, start=None):
                 f"eigenvalue(s) below the cutoff {cutoff:.6g} >= lambda_k_max; "
                 f"raise j_max until a whole mode clears that value")
         raise RuntimeError(f"mode sweep did not terminate below j={j_last}")
+    plan = sum(counter(p).spent for p in pencils.values())
     modes = {}
     entries = []
     for j, count in enumerate(counts):
-        pairs = modes[j] = _solve_mode(mode(j)[0], count, start, cutoff)
+        pairs = modes[j] = _solve_mode(mode(j), count, start, cutoff)
         entries.extend(SpectrumEntry(v, j, mult(j), pairs.vectors[:, i])
                        for i, v in enumerate(pairs.values))
-    return SpectrumResult(entries, k_max, modes, grid.nodes, cutoff, tuple(counts))
+    return SpectrumResult(entries, k_max, modes, grid.nodes, cutoff, tuple(counts), {
+        "plan": plan, "solve": sum(counter(p).spent for p in pencils.values()) - plan})
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,16 @@ def ball_neumann_spectrum(count, x_max=25.0):
     return np.sort(np.array(lams))[:count]
 
 
+def dense_k(pencil):
+    """The stiffness matrix K of a tridiagonal pencil, dense."""
+    return np.diag(pencil.k_diag) + np.diag(pencil.k_off, 1) + np.diag(pencil.k_off, -1)
+
+
+def dense_m(pencil):
+    """The mass matrix M of a tridiagonal pencil, dense."""
+    return np.diag(pencil.m_diag) + np.diag(pencil.m_off, 1) + np.diag(pencil.m_off, -1)
+
+
 def dense_pencil_eigenvalues(pencil, count):
     """Lowest ``count`` eigenvalues of K v = lambda M v, densely.
 
@@ -169,8 +179,8 @@ def dense_pencil_eigenvalues(pencil, count):
     """
     n = pencil.size
     s = 1.0 / np.sqrt(pencil.m_diag)
-    k = s[:, None] * pencil.dense_k() * s
-    m = s[:, None] * pencil.dense_m() * s
+    k = s[:, None] * dense_k(pencil) * s
+    m = s[:, None] * dense_m(pencil) * s
     ramp = np.linspace(0.0, 1.0, n) / s
     tau = (ramp @ k @ ramp) / (ramp @ m @ ramp)
     nu = sla.eigh(m, k + tau * m, eigvals_only=True, subset_by_index=[n - count, n - 1])

@@ -13,7 +13,7 @@ from densilab.eigensolver import (EigenSolveError, IndefiniteMassError, count_be
                                   solve_generalized)
 from densilab.spectrum import full_spectrum
 
-from oracles import dense_pencil_eigenvalues
+from oracles import dense_k, dense_m, dense_pencil_eigenvalues
 
 
 def _pencil(kd, ke, md, me):
@@ -59,9 +59,9 @@ def test_all_pairs_of_a_pencil(n):
     # k_max + 1 == size: every pair of the pencil
     p = _random_spd_pencil(np.random.default_rng(n), n)
     pairs = solve_generalized(p, n - 1)
-    ref = sla.eigh(p.dense_k(), p.dense_m(), eigvals_only=True)
+    ref = sla.eigh(dense_k(p), dense_m(p), eigvals_only=True)
     assert np.allclose(pairs.values, ref, rtol=1e-9, atol=1e-12 * ref[-1])
-    gram = pairs.vectors.T @ p.dense_m() @ pairs.vectors
+    gram = pairs.vectors.T @ dense_m(p) @ pairs.vectors
     assert np.max(np.abs(gram - np.eye(n))) <= 1e-8
     assert np.all(pairs.residual_norms <= 1e-8)
 
@@ -71,7 +71,7 @@ def test_full_spectrum_asks_for_every_pair():
     grid = dl.RadialGrid.uniform(iv, 8)
     lams = full_spectrum(iv, dl.Constant(1.0), 0.5, 8, grid=grid).lambdas
     p = assemble(ModeProblem(domain=iv, rho=dl.Constant(1.0), alpha=0.5, grid=grid, j=0))
-    ref = sla.eigh(p.dense_k(), p.dense_m(), eigvals_only=True)
+    ref = sla.eigh(dense_k(p), dense_m(p), eigvals_only=True)
     assert np.allclose(lams, ref, rtol=1e-9, atol=1e-12 * ref[-1])
 
 
@@ -119,7 +119,7 @@ def test_matches_dense_reference(n, seed):
     p = _random_spd_pencil(rng, n)
     k_max = min(5, n - 1)
     pairs = solve_generalized(p, k_max)
-    ref = sla.eigh(p.dense_k(), p.dense_m(), eigvals_only=True)
+    ref = sla.eigh(dense_k(p), dense_m(p), eigvals_only=True)
     scale = max(abs(ref[k_max]), 1e-12)
     assert np.all(np.diff(pairs.values) >= -1e-12 * scale)
     assert np.allclose(pairs.values, ref[:k_max + 1], rtol=1e-9, atol=1e-11 * scale)
@@ -132,8 +132,8 @@ def test_solver_hygiene_invariants(n, seed):
     p = _random_spd_pencil(rng, n)
     pairs = solve_generalized(p, 4)
     v = pairs.vectors
-    m = p.dense_m()
-    k = p.dense_k()
+    m = dense_m(p)
+    k = dense_k(p)
     gram = v.T @ m @ v
     assert np.max(np.abs(gram - np.eye(5))) <= 1e-8
     assert np.all(pairs.residual_norms <= 1e-8)
@@ -171,9 +171,9 @@ def test_clustered_pencils_match_dense_reference(blocks, split, k_max, seed):
     p = _block_pencil(parts)
     k_max = min(k_max, p.size - 1)
     pairs = solve_generalized(p, k_max)
-    ref = sla.eigh(p.dense_k(), p.dense_m(), eigvals_only=True)
+    ref = sla.eigh(dense_k(p), dense_m(p), eigvals_only=True)
     assert np.allclose(pairs.values, ref[:k_max + 1], rtol=1e-9, atol=0.0)
-    gram = pairs.vectors.T @ p.dense_m() @ pairs.vectors
+    gram = pairs.vectors.T @ dense_m(p) @ pairs.vectors
     assert np.max(np.abs(gram - np.eye(k_max + 1))) <= 1e-8
     assert np.all(pairs.residual_norms <= 1e-8)
 
@@ -380,3 +380,36 @@ def test_paths_name_the_solver():
         assemble(ModeProblem(domain=iv, rho=rho, alpha=0.5,
                              grid=dl.RadialGrid.uniform(iv, 128))), 3),
         rtol=1e-10, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(min_value=10, max_value=60), st.sampled_from(list(_FLOORED))),
+       st.integers(min_value=0, max_value=2 ** 31),
+       st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(min_value=-3.0, max_value=8.0)),
+                min_size=1, max_size=40))
+def test_memoised_counts_match_direct_counts(pencil, seed, shifts):
+    # a random SPD pencil of that size or a floored pencil; shifts +-tau 10^e
+    # around its ramp quotient tau, negative ones too, as count_below takes them
+    if isinstance(pencil, str):
+        domain, m, n_el, j = _FLOORED[pencil]
+        pencil = assemble(ModeProblem(domain=domain, rho=dl.GaussianRadial(m), alpha=0.1,
+                                      grid=dl.RadialGrid.for_density(domain, n_el, m=m), j=j))
+    else:
+        pencil = _random_spd_pencil(np.random.default_rng(seed), pencil)
+    count = eigensolver.counter(pencil)
+    tau = eigensolver.ramp_quotient(pencil)
+    for sign, e in shifts:
+        sigma = sign * tau * 10.0 ** e
+        direct = eigensolver._count(*count.bands, sigma)
+        assert count(sigma) == count_below(pencil, sigma) == direct
+    assert count.spent <= len(shifts)
+    # between two memo points of equal count, or below one of count 0: decided
+    # by the memo, with no new count
+    decided = [lo + (hi - lo) / 2 for lo, hi, c_lo, c_hi in zip(
+        count.sigmas, count.sigmas[1:], count.counts, count.counts[1:]) if c_lo == c_hi]
+    if count.counts[0] == 0:
+        decided.append(count.sigmas[0] - abs(count.sigmas[0]) - 1.0)
+    spent = count.spent
+    for sigma in decided:
+        assert count(sigma) == eigensolver._count(*count.bands, sigma)
+    assert count.spent == spent

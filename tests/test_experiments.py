@@ -427,3 +427,50 @@ def test_cli_scaling_check_passes_with_its_defaults(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3
     assert all(float(r["rel_err"]) <= 1e-12 for r in rows)
+
+
+def _spectra_of(monkeypatch, run):
+    """Every ``SpectrumResult`` that ``run()`` gets from ``full_spectrum``, with its call."""
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append((dl.full_spectrum(*args, **kwargs), kwargs))
+        return results[-1][0]
+
+    monkeypatch.setattr(exp, "full_spectrum", spy)
+    return run(), results
+
+
+def test_conformal_fine_grid_warm_starts_from_the_coarse_grid(monkeypatch):
+    # the benchmark's conformal input: each side's N = 1024 spectrum from its N = 512 one
+    ball = dl.RevolutionManifold.ball(3, 1.0)
+    rho = dl.normalize(dl.GaussianRadial(1.0), ball)
+    report, results = _spectra_of(
+        monkeypatch, lambda: exp.exp_conformal_identity(ball, rho, k_max=40, grid_n=1024))
+    (left_coarse, _), (right_coarse, _), (left, _), (right, _) = results
+    assert [kw["start"] for _, kw in results] == [None, None, left_coarse, right_coarse]
+    for res in (left, right):
+        assert set(res.paths.values()) == {"rqi"}
+        assert all(p.refused is None for p in res.modes.values())
+    assert f"{report.fits['summary']['max_rel_diff']:.7e}" == "1.5662290e-07"
+    assert report.passed
+
+
+def test_count_tally_of_the_benchmark_inputs(monkeypatch):
+    # counts per spectrum, plan (search and clearance) and solve; the totals
+    # were 330 (one conformal item) and 322 (one blow-up pass) before the
+    # per-pencil memo and the conformal warm start
+    ball = dl.RevolutionManifold.ball(3, 1.0)
+    rho = dl.normalize(dl.GaussianRadial(1.0), ball)
+    _, conformal = _spectra_of(
+        monkeypatch, lambda: exp.exp_conformal_identity(ball, rho, k_max=40, grid_n=1024))
+    disk = dl.RevolutionManifold.ball(2, 1.0)
+    _, blowup = _spectra_of(monkeypatch, lambda: [
+        exp.exp_blowup_scan(disk, (0.75,), m_values=(m,), grid_n=2048)
+        for m in exp.DEFAULT_M_GRID])
+    assert len(conformal) == 4 and len(blowup) == 21
+    for spectra, bound in ((conformal, 220), (blowup, 260)):
+        tallies = [res.counts_spent for res, _ in spectra]
+        assert all(set(t) == {"plan", "solve"} and t["plan"] > 0 for t in tallies)
+        assert all(res.to_json()["counts_spent"] == res.counts_spent for res, _ in spectra)
+        assert sum(t["plan"] + t["solve"] for t in tallies) <= bound

@@ -99,12 +99,6 @@ def test_graded_grids_are_nested():
     assert np.sum(np.abs(coarse.nodes) < 0.1) > np.sum(np.abs(np.linspace(-1, 1, 65)) < 0.1)
 
 
-def test_refined_keeps_nodes():
-    g = RadialGrid.uniform(Interval(0.0, 1.0), 16)
-    g2 = g.refined()
-    assert np.allclose(g2.nodes[::2], g.nodes)
-
-
 def test_homothety_identity_and_scaling():
     disk = RevolutionManifold.ball(2, 1.0)
     same = homothety(disk, 1.0)

@@ -464,8 +464,8 @@ def test_warm_start_matches_cold_and_refinement_is_monotone(name, log_m, alpha, 
         assert (pairs.path == "rqi") != (pairs.refused is not None)
         # nested conforming spaces (Poincare separation): the fine pencil's
         # Ritz values on the prolonged coarse vectors bound its eigenvalues
-        ritz = sla.eigh(prolonged.T @ pencil.dense_k() @ prolonged,
-                        prolonged.T @ pencil.dense_m() @ prolonged, eigvals_only=True)
+        ritz = sla.eigh(prolonged.T @ oracles.dense_k(pencil) @ prolonged,
+                        prolonged.T @ oracles.dense_m(pencil) @ prolonged, eigvals_only=True)
         assert np.all(pairs.values <= ritz + 1e-10 * ritz[-1])
 
 

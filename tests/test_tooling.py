@@ -10,6 +10,7 @@ a shell sees.
 """
 
 import importlib
+import json
 import os
 import runpy
 import shlex
@@ -17,7 +18,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 import densilab as dl
 from densilab import cli, experiments, spectrum
@@ -101,3 +104,47 @@ def test_failing_property_reports_its_example(tmp_path):
     assert "Falsifying example" in proc.stdout
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
+
+
+# Each snippet runs in a fresh process after ``import densilab``, leaving its
+# result in ``out``; the process prints whether scipy.interpolate got loaded.
+_PCHIP_SNIPPETS = {
+    "import": "out = None",
+    "help": ("import runpy\nsys.argv = ['densilab', '--help']\n"
+             "try:\n    runpy.run_module('densilab', run_name='__main__')\n"
+             "except SystemExit:\n    pass\nout = None"),
+    "Tabulated": "out = dl.Tabulated([0.0, 0.4, 1.0], [3.0, 2.0, 0.5])(X).tolist()",
+    "tabulated": ("r = [i / 256 for i in range(257)]\n"
+                  "out = dl.RevolutionManifold.tabulated(2, r, np.sin(r)).profile(X).tolist()"),
+    "conformal": ("ball = dl.RevolutionManifold.ball(3, 1.0)\n"
+                  "rho = dl.normalize(dl.GaussianRadial(1.0), ball)\n"
+                  "t = dl.conformal_reparametrize(ball, rho, dl.RadialGrid.uniform(ball, 64))\n"
+                  "out = [t.R] + t.profile([0.1 * t.R, 0.5 * t.R, t.R]).tolist()"),
+}
+
+
+def test_pchip_loads_only_where_it_runs():
+    # scipy.interpolate takes long to import and serves PCHIP alone
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    procs = {name: subprocess.Popen(
+        [sys.executable, "-c", "import json, sys\nimport numpy as np\nimport densilab as dl\n"
+         "X = [0.1, 0.3, 0.7]\n"
+         + code + "\nprint(json.dumps(['scipy.interpolate' in sys.modules, out]))"],
+        stdout=subprocess.PIPE, text=True, env=env) for name, code in _PCHIP_SNIPPETS.items()}
+    outputs = {name: (proc.communicate(timeout=120)[0], proc.returncode)
+               for name, proc in procs.items()}
+    assert {name: code for name, (_, code) in outputs.items()} == dict.fromkeys(procs, 0)
+    results = {name: json.loads(out.splitlines()[-1]) for name, (out, _) in outputs.items()}
+    assert {name: loaded for name, (loaded, _) in results.items()} == {
+        "import": False, "help": False, "Tabulated": True, "tabulated": True, "conformal": True}
+    x = [0.1, 0.3, 0.7]
+    tabulated = PchipInterpolator([0.0, 0.4, 1.0], [3.0, 2.0, 0.5])
+    assert results["Tabulated"][1] == tabulated(x).tolist()
+    r = np.linspace(0.0, 1.0, 257)
+    assert results["tabulated"][1] == PchipInterpolator(r, np.sin(r))(x).tolist()
+    # the values conformal_reparametrize gave with scipy.interpolate imported up front
+    assert np.allclose(results["conformal"][1], [1.0854768830350856, 0.10835254987188957,
+                                                 0.5176742022728285, 0.8649934332151431],
+                       rtol=1e-15, atol=0.0)
