@@ -19,8 +19,10 @@ the pole, modes j >= 1 get an essential condition f(0) = 0 (regularity
 of f Y_j), which also keeps the theta^{n-3} weight integrable.
 """
 
-import numpy as np
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
+
+import numpy as np
 
 from . import density as density_mod
 from .geometry import Interval, RadialGrid, RevolutionManifold, sphere_eigenvalue
@@ -78,7 +80,7 @@ class TridiagonalPencil:
     m_diag: np.ndarray
     m_off: np.ndarray
     problem: ModeProblem = field(default=None, repr=False)
-    # set by ``assemble``: what every mode shares, (hw, G bands, M bands, wk, theta)
+    # set by ``assemble``: what every mode shares, (hw, wk, theta, G bands, M bands)
     family: tuple = field(default=None, repr=False)
     # set by ``mode``: ``energy_split()``; and the record of ``eigensolver.counter``
     _split: tuple = field(default=None, repr=False, compare=False)
@@ -89,15 +91,18 @@ class TridiagonalPencil:
 
         The angular form A is positive semidefinite, so K_{j+1} - K_j =
         (mu_{j+1} - mu_j) A is too; for j >= 1 the pole node is removed.
+        The bands are read-only: the pencil's solver record
+        (``eigensolver.counter``) is built from them once.
         """
         problem = replace(self.problem, j=j)
-        hw, k_diag, g_off, m_diag, m_off, wk, th = self.family
+        hw, _, _, k_diag, g_off, m_diag, m_off = self.family
         k_off, a_diag, a_off = g_off, np.zeros(len(k_diag)), np.zeros(len(g_off))
         if problem.pole_constrained:
             k_diag, k_off = k_diag.copy(), k_off.copy()
             _accumulate(hw, self._angular_weight(j), (k_diag, k_off), (a_diag, a_off))
             a_diag[1] -= g_off[0]  # the pole element's g_0 v_1^2, v_0 = 0
-            k_diag, k_off, m_diag, m_off = k_diag[1:], k_off[1:], m_diag[1:], m_off[1:]
+            k_diag, k_off, m_diag, m_off = _read_only(k_diag[1:], k_off[1:],
+                                                      m_diag[1:], m_off[1:])
             g_off, a_diag, a_off = g_off[1:], a_diag[1:], a_off[1:]
         if np.any(m_diag <= 0):
             raise ValueError("mass matrix not positive definite: "
@@ -107,7 +112,7 @@ class TridiagonalPencil:
 
     def _angular_weight(self, j):
         """Gauss-point weights mu_j sigma theta^{n-3} of mode j's angular form A."""
-        _, _, _, _, _, wk, th = self.family
+        _, wk, th, *_ = self.family
         n = self.problem.domain.n
         wj = sphere_eigenvalue(j, n) * wk * th ** float(n - 3)
         _check_finite("angular weight", wj)
@@ -168,15 +173,67 @@ def _check_finite(name, vals):
         raise ValueError(f"non-finite {name} value at a quadrature node")
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _accumulate(hw, w, *bands):
     """Add the P1 element mass form of the Gauss-point weights ``w`` to each (diag, off)."""
-    b11 = hw * (w[:, 0] * _P ** 2 + w[:, 1] * _Q ** 2)
-    b22 = hw * (w[:, 0] * _Q ** 2 + w[:, 1] * _P ** 2)
-    b12 = hw * (w[:, 0] + w[:, 1]) * (_P * _Q)
-    for diag, off in bands:
-        diag[:-1] += b11
-        diag[1:] += b22
-        off += b12
+    w0, w1 = w[:, 0], w[:, 1]
+    b, t = np.multiply(w0, _P ** 2), np.multiply(w1, _Q ** 2)
+    b += t
+    b *= hw  # b11 = hw (w0 P^2 + w1 Q^2), left node
+    for diag, _ in bands:
+        diag[:-1] += b
+    np.multiply(w0, _Q ** 2, out=b)
+    np.multiply(w1, _P ** 2, out=t)
+    b += t
+    b *= hw  # b22, right node
+    for diag, _ in bands:
+        diag[1:] += b
+    np.add(w0, w1, out=b)
+    b *= hw
+    b *= _P * _Q  # b12
+    for _, off in bands:
+        off += b
+
+
+class ElementForms(NamedTuple):
+    """The j = 0 quadratic forms of a ModeProblem, per element and Gauss point.
+
+    v^T K_0 v = sum_e g[e] (v[e+1] - v[e])^2 and v^T M v = sum_e hw[e]
+    sum_q wm[e, q] u_q^2, with u_q the P1 interpolant of v at Gauss point q
+    of element e.  ``wk`` (sigma at the Gauss points) and ``theta`` (the
+    profile there, None on an interval) give every mode's angular form.
+    """
+
+    hw: np.ndarray     # half element widths: the weight of each Gauss point
+    g: np.ndarray      # gradient weight (int_e sigma theta^{n-1}) / h^2
+    wm: np.ndarray     # mass weight rho theta^{n-1}, shape (nelem, 2)
+    wk: np.ndarray     # sigma, shape (nelem, 2)
+    theta: np.ndarray  # shape (nelem, 2), or None
+
+
+def element_forms(problem):
+    """The ``ElementForms`` of a ModeProblem: the Gauss points, then rho, sigma and
+    theta^{n-1} at them, each evaluated once and checked finite."""
+    pts, hw = gauss_points(problem.grid.nodes)
+    wm = problem.rho(pts)
+    wk = wg = problem.stiffness_density(pts)
+    th = None
+    if isinstance(problem.domain, RevolutionManifold):
+        th = problem.domain.profile(pts)
+        vol = th ** (problem.domain.n - 1)
+        wg = wk * vol
+        wm = np.multiply(wm, vol, out=vol)
+    _check_finite("stiffness weight", wg)
+    _check_finite("mass weight", wm)
+    g = np.add(wg[:, 0], wg[:, 1])
+    g *= hw
+    g /= np.square(2.0 * hw)  # h^2
+    return ElementForms(hw, g, wm, wk, th)
 
 
 def assemble(problem):
@@ -186,36 +243,22 @@ def assemble(problem):
     exactly symmetric.  For j = 0 the element stiffness has exact zero
     row sums (constants are in the kernel); for j >= 1 the pole node is
     removed.  Densities, profile and Gauss points are evaluated once per
-    call; ``mode(j)`` of the result derives any other mode from them.
+    call (``element_forms``); ``mode(j)`` of the result derives any other
+    mode from them.
     """
-    nodes = problem.grid.nodes
-    pts, hw = gauss_points(nodes)
-    h = 2.0 * hw
-
-    wm = problem.rho(pts)
-    wk = wg = problem.stiffness_density(pts)
-    th = None
-    if isinstance(problem.domain, RevolutionManifold):
-        n = problem.domain.n
-        th = problem.domain.profile(pts)
-        wm = wm * th ** (n - 1)
-        wg = wk * th ** (n - 1)
-    _check_finite("stiffness weight", wg)
-    _check_finite("mass weight", wm)
-
-    npts = len(nodes)
+    forms = element_forms(problem)
+    npts = len(forms.g) + 1
     k_diag = np.zeros(npts)
     k_off = np.zeros(npts - 1)
     m_diag = np.zeros(npts)
     m_off = np.zeros(npts - 1)
 
-    # gradient part G: (int_e wg) / h^2 * [[1, -1], [-1, 1]]
-    g = hw * (wg[:, 0] + wg[:, 1]) / h ** 2
-    k_diag[:-1] += g
-    k_diag[1:] += g
-    k_off -= g
-    _accumulate(hw, wm, (m_diag, m_off))
-    # mode j's angular weight is mu_j wk theta^{n-3}, from wk before its theta^{n-1}
-    family = (hw, k_diag, k_off, m_diag, m_off, wk, th)
+    # gradient part G: g_e [[1, -1], [-1, 1]]
+    k_diag[:-1] += forms.g
+    k_diag[1:] += forms.g
+    k_off -= forms.g
+    _accumulate(forms.hw, forms.wm, (m_diag, m_off))
+    # the angular forms need hw, wk and theta; g and wm live on in the bands
+    family = (forms.hw, forms.wk, forms.theta, *_read_only(k_diag, k_off, m_diag, m_off))
     return TridiagonalPencil(k_diag, k_off, m_diag, m_off, replace(problem, j=0),
                              family).mode(problem.j)

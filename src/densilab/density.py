@@ -31,7 +31,11 @@ def _check_range(r, lo, hi, what):
 
 
 class DensityField:
-    """Base class; subclasses implement ``_raw`` (vectorized, unclamped)."""
+    """Base class; subclasses implement ``_raw`` (vectorized, unclamped).
+
+    ``evaluate`` floors a fresh array that ``_raw`` returns in place; any
+    other result (a view, a scalar, the input itself) is floored into a copy.
+    """
 
     is_radial = True
     domain = None
@@ -44,7 +48,10 @@ class DensityField:
         r = np.asarray(r, dtype=float)
         if self.domain is not None:
             _check_range(r, *self.domain.bounds, "the density's domain")
-        return np.maximum(self._raw(r), self.floor)
+        vals = self._raw(r)
+        fresh = (isinstance(vals, np.ndarray) and vals.ndim and vals.dtype == float
+                 and vals.base is None and vals is not r)
+        return np.maximum(vals, self.floor, out=vals if fresh else None)
 
     def __call__(self, r):
         return self.evaluate(r)
@@ -85,7 +92,9 @@ class GaussianRadial(DensityField):
         self.floor = floor
 
     def _raw(self, r):
-        return np.exp(-self.m * np.asarray(r, dtype=float) ** 2)
+        vals = np.square(np.asarray(r, dtype=float))
+        vals *= -self.m
+        return np.exp(vals, out=vals if vals.ndim else None)
 
     def __repr__(self):
         return f"GaussianRadial(m={self.m})"

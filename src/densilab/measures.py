@@ -27,7 +27,7 @@ class MeasureTriple:
         t = np.asarray(self.totals, dtype=float)
         if v.ndim != 2 or v.shape[1] != 3 or t.shape != (3,):
             raise ValueError("need a (K, 3) value array and 3 totals")
-        if np.any(v < 0) or np.any(t < 0):
+        if not (np.all(v >= 0) and np.all(t >= 0)):  # NaN is not a measure
             raise ValueError("measure values must be nonnegative")
         if np.any(v.sum(axis=0) > t * (1 + 1e-12) + 1e-300):
             raise ValueError("per-measure sums exceed the stated totals")
@@ -62,8 +62,10 @@ def select_small_sets(triple, k):
     Three passes, one per measure: drop the (at most k) sets exceeding
     the bound for measures 1 and 2, then keep the K - 3k smallest
     survivors for measure 3.  Ties at exactly the bound count as
-    satisfying it, and sorting breaks ties by index so the output is
-    deterministic.  Requires K >= 4k + 1.
+    satisfying it, and ties in measure 3 go to the lower index so the
+    output is deterministic.  The K - 3k smallest are found by a partition
+    about the (K - 3k)-th smallest value, in linear time.  Requires
+    K >= 4k + 1.  Returns ascending indices.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -71,14 +73,17 @@ def select_small_sets(triple, k):
     if kk < 4 * k + 1:
         raise ValueError(f"need K >= 4k + 1 = {4 * k + 1} sets, got {kk}")
     bounds = triple.totals / (k + 1)
-    survivors = np.arange(kk)
-    for j in (0, 1):
-        keep = triple.values[survivors, j] <= bounds[j]
-        survivors = survivors[keep]
-    third = triple.values[survivors, 2]
-    order = np.lexsort((survivors, third))
-    chosen = survivors[order][: kk - 3 * k]
-    return sorted(int(i) for i in chosen)
+    values = triple.values
+    survivors = np.flatnonzero((values[:, 0] <= bounds[0]) & (values[:, 1] <= bounds[1]))
+    want = kk - 3 * k
+    if len(survivors) <= want:
+        return survivors.tolist()
+    third = values[survivors, 2]
+    cut = np.partition(third, want - 1)[want - 1]
+    keep = third < cut
+    tied = np.flatnonzero(third == cut)
+    keep[tied[: want - np.count_nonzero(keep)]] = True
+    return survivors[keep].tolist()
 
 
 def brute_force_verify(triple, k, selection):

@@ -20,9 +20,14 @@ def gauss_points(nodes):
     """
     nodes = np.asarray(nodes, dtype=float)
     h = np.diff(nodes)
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    pts = np.stack([mid - _GAUSS_OFFSET * h, mid + _GAUSS_OFFSET * h], axis=1)
-    return pts, 0.5 * h
+    mid = nodes[:-1] + nodes[1:]
+    mid *= 0.5
+    step = _GAUSS_OFFSET * h
+    pts = np.empty((len(h), 2))
+    np.subtract(mid, step, out=pts[:, 0])
+    np.add(mid, step, out=pts[:, 1])
+    h *= 0.5
+    return pts, h
 
 
 def element_integrals(nodes, fn):

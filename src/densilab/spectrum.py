@@ -31,7 +31,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import density as density_mod
-from .assembly import ModeProblem, assemble, quadrature_weights
+from . import assembly
+from .assembly import _P, _Q, ModeProblem, assemble, element_forms
 from .eigensolver import (BRACKET_STEP, CERTIFICATE_DELTA, EigenSolveError, counter,
                           ramp_quotient, solve_generalized)
 from .geometry import (Interval, RevolutionManifold, sphere_multiplicity,
@@ -297,7 +298,8 @@ class TestFunction:
     def distances(self, domain, grid):
         if isinstance(domain, Interval):
             c = domain.center if self.center is None else self.center
-            return np.abs(grid.nodes - c)
+            d = grid.nodes - c
+            return np.abs(d, out=d)
         return grid.nodes.copy()
 
     def sample(self, domain, grid):
@@ -308,10 +310,10 @@ class TestFunction:
         return np.interp(d, self.knots, self.knot_values,
                          left=self.left_value, right=0.0)
 
-    def support_elements(self, domain, grid):
-        """Mask of grid elements where the sampled function is not zero."""
-        v = self.sample(domain, grid)
-        return (v[:-1] != 0.0) | (v[1:] != 0.0)
+
+def _support(v):
+    """Mask of grid elements where the nodal values ``v`` are not both zero."""
+    return (v[:-1] != 0.0) | (v[1:] != 0.0)
 
 
 def build_plateau_function(domain, r, R, center=None):
@@ -348,13 +350,12 @@ def rayleigh_quotient(domain, rho, alpha, u, grid=None):
     """Rayleigh quotient int sigma |grad u|^2 dV / int rho u^2 dV.
 
     ``u`` may be a TestFunction (sampled onto the grid) or an array of
-    nodal values; radial functions live in the j = 0 sector, whose pencil
-    supplies both quadratic forms.
+    nodal values; radial functions live in the j = 0 sector, whose element
+    forms supply both quadratic forms.
     """
     grid = _default_grid(domain, grid)
-    pencil = assemble(ModeProblem(domain=domain, rho=rho, alpha=float(alpha),
-                                  grid=grid, j=0))
-    return _pencil_quotient(pencil, _nodal(u, domain, grid))
+    v = _nodal(u, domain, grid)
+    return _form_quotient(_forms(domain, rho, alpha, grid), v, _support(v))
 
 
 def _nodal(u, domain, grid):
@@ -366,29 +367,57 @@ def _nodal(u, domain, grid):
     return v
 
 
-def _pencil_quotient(pencil, v):
-    kd, ke, md, me = pencil.k_diag, pencil.k_off, pencil.m_diag, pencil.m_off
-    num = float(v @ (kd * v) + 2.0 * v[:-1] @ (ke * v[1:]))
-    den = float(v @ (md * v) + 2.0 * v[:-1] @ (me * v[1:]))
+def _forms(domain, rho, alpha, grid):
+    return element_forms(ModeProblem(domain=domain, rho=rho, alpha=float(alpha),
+                                     grid=grid, j=0))
+
+
+def _form_quotient(forms, v, support):
+    """v^T K_0 v / v^T M v from the element forms, over the elements of ``support``.
+
+    Both sums have only nonnegative terms: sum_e g_e (v_{e+1} - v_e)^2 and
+    sum_e hw_e sum_q wm_{e,q} u_q^2 (u_q the P1 interpolant at the Gauss
+    points); outside the support every term is zero, so only the range from
+    the first to the last supported element is summed.
+    """
+    elements = np.flatnonzero(support)
+    if not len(elements):
+        raise ValueError("test function vanishes in the mass inner product")
+    lo, hi = elements[0], elements[-1] + 1
+    left, right = v[lo:hi], v[lo + 1:hi + 1]
+    d = right - left
+    d *= d
+    d *= forms.g[lo:hi]
+    num = float(d.sum())
+    wm = forms.wm[lo:hi]
+    u = left * _P  # at the left Gauss point
+    u += _Q * right
+    u *= u
+    u *= wm[:, 0]
+    w = np.multiply(left, _Q, out=d)  # at the right one
+    w += _P * right
+    w *= w
+    w *= wm[:, 1]
+    u += w
+    u *= forms.hw[lo:hi]
+    den = float(u.sum())
     if den <= 0:
         raise ValueError("test function vanishes in the mass inner product")
-    # K is PSD; a negative numerator is pure rounding in the row sums
-    return max(num, 0.0) / den
+    return num / den
 
 
 def minmax_bound(domain, rho, alpha, test_functions, grid=None):
     """max_j R(u_j) over disjointly supported functions: an upper bound
     for lambda_k of the full problem (k + 1 functions supplied)."""
     grid = _default_grid(domain, grid)
-    masks = [u.support_elements(domain, grid) for u in test_functions]
+    values = [_nodal(u, domain, grid) for u in test_functions]
+    masks = [_support(v) for v in values]
     for i in range(len(masks)):
         for k in range(i + 1, len(masks)):
             if np.any(masks[i] & masks[k]):
                 raise ValueError(f"supports of test functions {i} and {k} overlap")
-    pencil = assemble(ModeProblem(domain=domain, rho=rho, alpha=float(alpha),
-                                  grid=grid, j=0))
-    return max(_pencil_quotient(pencil, _nodal(u, domain, grid))
-               for u in test_functions)
+    forms = _forms(domain, rho, alpha, grid)
+    return max(_form_quotient(forms, v, mask) for v, mask in zip(values, masks))
 
 
 @dataclass(frozen=True)
@@ -429,21 +458,30 @@ def holder_chain_check(domain, rho, alpha, u, grid=None):
     if not np.any(mask):
         raise ValueError("test function has empty gradient support")
 
+    # every weight is elementwise, so it is evaluated on the elements of S alone;
+    # the Gauss points are looked up on ``assembly``, where layer tracing sees them
+    pts, hw = assembly.gauss_points(grid.nodes)
+    pts, hw = pts[mask], hw[mask]
     omega = unit_sphere_area(n)
-    theta = domain.profile
-    w_vol = omega * quadrature_weights(grid, lambda r: theta(r) ** (n - 1))
-    w_rho = omega * quadrature_weights(grid, lambda r: rho(r) * theta(r) ** (n - 1))
-    sig = density_mod.power(rho, alpha)
-    w_sig = omega * quadrature_weights(grid, lambda r: sig(r) * theta(r) ** (n - 1))
-    rex = density_mod.power(rho, n * alpha / (n - 2))
-    w_rex = omega * quadrature_weights(grid, lambda r: rex(r) * theta(r) ** (n - 1))
+    vol = domain.profile(pts) ** (n - 1)
+
+    def weights(vals):
+        """omega times each element's integral, as ``quadrature_weights`` gives it."""
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite weight value at a quadrature node")
+        return omega * (hw * vals.sum(axis=1))
+
+    w_vol = weights(vol)
+    w_rho = weights(rho(pts) * vol)
+    w_sig = weights(density_mod.power(rho, alpha)(pts) * vol)
+    w_rex = weights(density_mod.power(rho, n * alpha / (n - 2))(pts) * vol)
 
     g = np.abs(slopes[mask])
-    energy = float(np.sum(g ** 2 * w_sig[mask]))
-    grad_n = float(np.sum(g ** n * w_vol[mask]))
-    vol_s = float(np.sum(w_vol[mask]))
-    mass_s = float(np.sum(w_rho[mask]))
-    mass_ex = float(np.sum(w_rex[mask]))
+    energy = float(np.sum(g ** 2 * w_sig))
+    grad_n = float(np.sum(g ** n * w_vol))
+    vol_s = float(np.sum(w_vol))
+    mass_s = float(np.sum(w_rho))
+    mass_ex = float(np.sum(w_rex))
 
     after_first = grad_n ** (2.0 / n) * mass_ex ** ((n - 2.0) / n)
     after_second = (grad_n ** (2.0 / n) * mass_s ** alpha

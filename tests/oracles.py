@@ -7,7 +7,10 @@ closed-form spectra of the unweighted Neumann problem on disks and balls
 and reference values for Gaussian integrals.  A dense LAPACK solve of an
 assembled pencil gives reference eigenvalues for the iterative solver.
 ``assemble_per_mode`` is the assembly that evaluates the densities again
-for every mode, kept as the bit-for-bit reference of the mode family.
+for every mode, kept as the bit-for-bit reference of the mode family;
+``holder_chain_whole_grid`` and ``select_small_sets_lexsort`` are the
+whole-grid Hoelder weights and the sorting selection, kept as the
+bit-for-bit references of their package versions.
 """
 
 import math
@@ -15,9 +18,11 @@ import math
 import numpy as np
 import scipy.linalg as sla
 
-from densilab.assembly import _P, _Q, TridiagonalPencil, _check_finite
-from densilab.geometry import RevolutionManifold, sphere_eigenvalue
+from densilab import density as density_mod
+from densilab.assembly import _P, _Q, TridiagonalPencil, _check_finite, quadrature_weights
+from densilab.geometry import RevolutionManifold, sphere_eigenvalue, unit_sphere_area
 from densilab.quadrature import gauss_points
+from densilab.spectrum import HolderChainReport
 
 
 def erf_series(x):
@@ -309,3 +314,67 @@ def element_form_eigenvalue(problem, shift, steps=3):
         _accumulate(hw, wj, a_diag, a_off)
         energy += u @ _tridiagonal_times(a_diag, a_off, u)
     return float(energy / (v @ _tridiagonal_times(md, me, v)))
+
+
+def element_form_quotient(problem, v):
+    """v^T K_0 v / v^T M v of nodal values ``v``, summed from the element terms in
+    ``np.longdouble``: sum_e g_e (v_{e+1} - v_e)^2 over sum_e hw_e sum_q wm_{e,q} u_q^2,
+    u_q the P1 interpolant at Gauss point q."""
+    hw, g, wm, _ = _element_forms(problem)
+    v = np.asarray(v, dtype=np.longdouble)
+    p, q = np.longdouble(_P), np.longdouble(_Q)
+    u0 = p * v[:-1] + q * v[1:]
+    u1 = q * v[:-1] + p * v[1:]
+    num = g.astype(np.longdouble) @ np.diff(v) ** 2
+    den = hw.astype(np.longdouble) @ (wm[:, 0] * u0 ** 2 + wm[:, 1] * u1 ** 2)
+    return float(num / den)
+
+
+def holder_chain_whole_grid(domain, rho, alpha, u, grid):
+    """``holder_chain_check`` with each weight integrated over the whole grid
+    (``quadrature_weights``) and then restricted to S."""
+    n = domain.n
+    alpha = float(alpha)
+    v = u.sample(domain, grid)
+    h = np.diff(grid.nodes)
+    slopes = np.diff(v) / h
+    mask = slopes != 0.0
+
+    omega = unit_sphere_area(n)
+    theta = domain.profile
+    w_vol = omega * quadrature_weights(grid, lambda r: theta(r) ** (n - 1))
+    w_rho = omega * quadrature_weights(grid, lambda r: rho(r) * theta(r) ** (n - 1))
+    sig = density_mod.power(rho, alpha)
+    w_sig = omega * quadrature_weights(grid, lambda r: sig(r) * theta(r) ** (n - 1))
+    rex = density_mod.power(rho, n * alpha / (n - 2))
+    w_rex = omega * quadrature_weights(grid, lambda r: rex(r) * theta(r) ** (n - 1))
+
+    g = np.abs(slopes[mask])
+    energy = float(np.sum(g ** 2 * w_sig[mask]))
+    grad_n = float(np.sum(g ** n * w_vol[mask]))
+    vol_s = float(np.sum(w_vol[mask]))
+    mass_s = float(np.sum(w_rho[mask]))
+    mass_ex = float(np.sum(w_rex[mask]))
+
+    after_first = grad_n ** (2.0 / n) * mass_ex ** ((n - 2.0) / n)
+    after_second = (grad_n ** (2.0 / n) * mass_s ** alpha
+                    * vol_s ** ((n - 2.0) / n - alpha))
+    return HolderChainReport(energy=energy, after_first=after_first,
+                             after_second=after_second,
+                             first_slack=after_first - energy,
+                             second_slack=after_second - after_first)
+
+
+def select_small_sets_lexsort(triple, k):
+    """``select_small_sets`` by a full sort: survivors ordered by their third
+    measure, ties by index, the first K - 3k kept."""
+    kk = triple.k_sets
+    bounds = triple.totals / (k + 1)
+    survivors = np.arange(kk)
+    for j in (0, 1):
+        keep = triple.values[survivors, j] <= bounds[j]
+        survivors = survivors[keep]
+    third = triple.values[survivors, 2]
+    order = np.lexsort((survivors, third))
+    chosen = survivors[order][: kk - 3 * k]
+    return sorted(int(i) for i in chosen)

@@ -3,8 +3,8 @@ import pytest
 
 import densilab as dl
 from densilab import spectrum
-from densilab.assembly import ModeProblem, assemble, quadrature_weights
-from densilab.eigensolver import solve_generalized
+from densilab.assembly import ModeProblem, TridiagonalPencil, assemble, quadrature_weights
+from densilab.eigensolver import count_below, solve_generalized
 
 import oracles
 from test_eigensolver import _DEFINITENESS
@@ -184,3 +184,19 @@ def test_full_spectrum_solves_the_per_mode_pencils(monkeypatch):
     for pencil in seen:
         ref = oracles.assemble_per_mode(pencil.problem)
         assert all(np.array_equal(a, b) for a, b in zip(_bands(pencil), _bands(ref)))
+
+
+def test_assembled_bands_are_read_only():
+    # a pencil's solver record (equilibrated bands, norms, count memo) is built
+    # once, so an edit of its bands in place must fail instead of going stale
+    disk = dl.RevolutionManifold.ball(2, 1.0)
+    grid = dl.RadialGrid.uniform(disk, 64)
+    p = assemble(ModeProblem(domain=disk, rho=dl.Constant(1.0), alpha=0.5, grid=grid, j=1))
+    assert count_below(p, 50.0) == 2
+    with pytest.raises(ValueError, match="read-only"):
+        p.k_diag *= 4
+    for pencil in (p, p.mode(0), p.mode(3)):
+        assert not any(a.flags.writeable for a in _bands(pencil))
+    assert count_below(p, 50.0) == 2
+    scaled = TridiagonalPencil(4 * p.k_diag, 4 * p.k_off, p.m_diag, p.m_off)
+    assert count_below(scaled, 50.0) == 1

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from densilab import MeasureTriple, brute_force_verify, select_small_sets
 
+import oracles
+
 
 def _triple(values, totals=None):
     values = np.asarray(values, dtype=float)
@@ -97,11 +99,40 @@ def test_exhaustive_cross_check_small_instances(k, seed):
     assert exists
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.data())
+def test_selection_matches_the_sorting_reference(k, data):
+    # the partition must keep exactly the sets a full sort keeps; values rounded
+    # to one decimal put ties at the cut, in the bounds and in measure 3
+    kk = data.draw(st.integers(min_value=4 * k + 1, max_value=8 * k + 3), label="K")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    values = rng.uniform(size=(kk, 3))
+    if data.draw(st.booleans(), label="rounded"):
+        values = np.round(values, 1)
+    totals = values.sum(axis=0) / rng.uniform(0.2, 1.0, size=3)
+    t = MeasureTriple(values=values, totals=totals)
+    assert select_small_sets(t, k) == oracles.select_small_sets_lexsort(t, k)
+
+
+@pytest.mark.parametrize("rounded", [False, True])
+def test_selection_matches_the_sorting_reference_at_benchmark_size(rounded):
+    k = 2 ** 14
+    t = MeasureTriple.random(k, np.random.default_rng(7))
+    if rounded:
+        t = MeasureTriple(values=np.round(t.values, 1), totals=t.totals)
+    assert t.k_sets == 4 * k + 1
+    sel = select_small_sets(t, k)
+    assert sel == oracles.select_small_sets_lexsort(t, k)
+    assert all(type(i) is int for i in sel[:3])
+
+
 def test_totals_validation():
     with pytest.raises(ValueError, match="exceed"):
         _triple(np.ones((5, 3)), totals=[1.0, 5.0, 5.0])
     with pytest.raises(ValueError, match="nonnegative"):
         _triple(-np.ones((5, 3)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        _triple(np.where(np.eye(5, 3) == 1, np.nan, 0.1), totals=np.ones(3))
 
 
 def test_csv_loading(tmp_path):

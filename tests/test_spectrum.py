@@ -322,6 +322,70 @@ def test_holder_chain_gaussian_positive_slack():
     assert rep.first_slack > 0 and rep.second_slack > 0
 
 
+@pytest.mark.parametrize("domain", [dl.RevolutionManifold.ball(3, 1.0),
+                                    dl.RevolutionManifold.ball(4, 1.0),
+                                    dl.RevolutionManifold.spherical_cap(3, 2.0)],
+                         ids=["ball3", "ball4", "cap3"])
+def test_holder_chain_matches_whole_grid_weights_bit_for_bit(domain):
+    # every weight is elementwise, so evaluating it on S alone changes no bit
+    grids = (dl.RadialGrid.uniform(domain, 4096), dl.RadialGrid.for_density(domain, 2048, m=30.0))
+    rhos = (dl.Constant(1.0), dl.GaussianRadial(30.0), dl.normalize(dl.GaussianRadial(5.0), domain))
+    fns = (dl.build_collar_function(domain, 0.1, 0.3), dl.build_plateau_function(domain, 0.1, 0.4))
+    alpha_max = (domain.n - 2) / domain.n
+    for grid in grids:
+        for rho in rhos:
+            for u in fns:
+                for alpha in (0.05 * alpha_max, 0.9 * alpha_max):
+                    got = dl.holder_chain_check(domain, rho, alpha, u, grid)
+                    assert got == oracles.holder_chain_whole_grid(domain, rho, alpha, u, grid)
+
+
+def test_rayleigh_quotient_of_interval_eigenfunctions_within_p1_error():
+    # the P1 interpolant of cos(k pi (x + 1) / 2) has quotient
+    # (k pi / 2)^2 (1 + (k pi h)^2 / 48 + ...); rounding of the summed forms
+    # must stay far below that even for k = 1 at N = 2^16
+    iv = dl.Interval(-1.0, 1.0)
+    n_el = 2 ** 16
+    grid = dl.RadialGrid.uniform(iv, n_el)
+    h = 2.0 / n_el
+    for k in range(1, 21):
+        u = np.cos(k * math.pi * (grid.nodes + 1.0) / 2.0)
+        q = dl.rayleigh_quotient(iv, dl.Constant(1.0), 0.5, u, grid)
+        assert abs(q / (k * math.pi / 2) ** 2 - 1.0) <= (k * math.pi * h) ** 2 / 24, k
+
+
+_IV, _DISK = dl.Interval(-1.0, 1.0), dl.RevolutionManifold.ball(2, 1.0)
+# a domain, disjointly supported test functions (all but the fourth interval
+# one, which is for the quotient alone) and a smooth nodal function
+_QUOTIENT_CASES = {
+    "interval": (_IV,
+                 [dl.build_plateau_function(_IV, 0.0, 0.12, center=c) for c in (-0.6, 0.0, 0.6)]
+                 + [dl.build_plateau_function(_IV, 0.05, 0.08, center=-1.0)],
+                 lambda x: np.cos(math.pi * (x + 1.0) / 2.0)),
+    "disk": (_DISK,
+             [dl.build_plateau_function(_DISK, r, R)
+              for r, R in ((0.0, 1.0 / 32.0), (1.0 / 8.0, 1.0 / 8.0), (0.5, 0.5))],
+             lambda r: np.cos(math.pi * r)),
+}
+
+
+@pytest.mark.parametrize("name", list(_QUOTIENT_CASES))
+def test_quotients_match_extended_precision_element_sums(name):
+    domain, fns, smooth = _QUOTIENT_CASES[name]
+    grid = dl.RadialGrid.uniform(domain, 2 ** 16)
+    rho, alpha = dl.GaussianRadial(30.0), 0.7
+    problem = ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid)
+    refs = [oracles.element_form_quotient(problem, u.sample(domain, grid)) for u in fns]
+    got = dl.minmax_bound(domain, rho, alpha, fns[:3], grid)
+    assert got == pytest.approx(max(refs[:3]), rel=1e-13, abs=0.0)
+    for u, ref in zip(fns, refs):
+        assert dl.rayleigh_quotient(domain, rho, alpha, u, grid) == pytest.approx(
+            ref, rel=1e-13, abs=0.0)
+    v = smooth(grid.nodes)
+    assert dl.rayleigh_quotient(domain, rho, alpha, v, grid) == pytest.approx(
+        oracles.element_form_quotient(problem, v), rel=1e-13, abs=0.0)
+
+
 def test_holder_chain_validates_exponent_and_dimension():
     ball = dl.RevolutionManifold.ball(3, 1.0)
     u = dl.build_plateau_function(ball, 0.0, 0.25)

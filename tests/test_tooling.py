@@ -10,6 +10,7 @@ a shell sees.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import runpy
@@ -59,6 +60,31 @@ def test_tracer_patches_and_restores(monkeypatch):
     # the mode family is assembled once: one assembly, rho and rho^alpha once each
     assert sum(s.layer == "assembly" for s in tracer.spans) == 1
     assert sum(s.layer == "density" for s in tracer.spans) == 2
+
+
+def _perfbench_module(name):
+    """A module of ``perfbench/``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve_and_see_the_minmax_layers():
+    # ``run.py --trace 1`` looks up every target, so a moved helper breaks it
+    spans = _perfbench_module("spans")
+    workloads = _perfbench_module("workloads")
+    for layer, owner, attr, _ in spans.TARGETS:
+        assert callable(getattr(owner, attr, None)), (layer, owner.__name__, attr)
+    work = workloads.build("minmax_bounds", 3, tiny=True)
+    with spans.Tracer() as tracer:
+        problems = [item.check(item.call()) for item in work.items]
+    assert problems == [None] * len(work.items)
+    layers = {s.layer for s in tracer.spans}
+    assert {"density", "quadrature", "spectrum", "measures"} <= layers
+    # the quotients and the Hoelder chain read element forms: no bands assembled
+    assert "assembly" not in layers
 
 
 def test_readme_command_lines_parse():
