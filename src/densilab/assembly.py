@@ -42,7 +42,6 @@ class ModeProblem:
     alpha: float
     grid: RadialGrid
     j: int = 0
-    sigma: object = None  # defaults to rho**alpha
 
     def __post_init__(self):
         if isinstance(self.domain, Interval):
@@ -61,8 +60,6 @@ class ModeProblem:
 
     @property
     def stiffness_density(self):
-        if self.sigma is not None:
-            return self.sigma
         return density_mod.power(self.rho, float(self.alpha))
 
     @property
@@ -145,15 +142,6 @@ class TridiagonalPencil:
 
     def m_norm1(self):
         return _tri_norm1(self.m_diag, self.m_off)
-
-    def to_csv(self, path):
-        """Debug dump: one row per node with the four band entries."""
-        n = self.size
-        off_k = np.append(self.k_off, np.nan)
-        off_m = np.append(self.m_off, np.nan)
-        rows = np.column_stack([np.arange(n), self.k_diag, off_k, self.m_diag, off_m])
-        np.savetxt(path, rows, delimiter=",",
-                   header="i,k_diag,k_off_up,m_diag,m_off_up", comments="")
 
 
 def _tri_norm1(d, e):

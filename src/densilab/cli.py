@@ -91,8 +91,7 @@ def _cmd_solve(cfg, args):
     rho = density_mod.from_config(cfg.density)
     alpha = _one(cfg.alpha_values, "--alpha")
     grid = RadialGrid.for_density(domain, cfg.grid_n, m=getattr(rho, "m", None))
-    result = full_spectrum(domain, rho, alpha, cfg.k_max, grid=grid,
-                           j_max=cfg.j_max)
+    result = full_spectrum(domain, rho, alpha, cfg.k_max, grid=grid)
     os.makedirs(cfg.out_dir, exist_ok=True)
     stem = os.path.join(cfg.out_dir, "spectrum")
     if cfg.fmt == "json":
@@ -137,8 +136,14 @@ def _cmd_measure(cfg, args):
     rng = np.random.default_rng(cfg.seed)
     rows = []
     if args.csv:
-        triple = MeasureTriple.from_csv(args.csv)
-        k = (triple.k_sets - 1) // 4 if args.k is None else args.k
+        try:
+            triple = MeasureTriple.from_csv(args.csv)
+        except (OSError, ValueError) as exc:  # missing, not numeric, not a measure
+            raise exp.UsageError(f"--csv {args.csv}: {exc}") from exc
+        k = max((triple.k_sets - 1) // 4, 1) if args.k is None else args.k
+        if triple.k_sets < 4 * k + 1:
+            raise exp.UsageError(f"k = {k} needs at least 4k + 1 = {4 * k + 1} sets, "
+                                 f"--csv has {triple.k_sets}")
         sel = select_small_sets(triple, k)
         rows.append({"instance": 0, "k": k, "K": triple.k_sets,
                      "selected": len(sel), "indices": " ".join(map(str, sel)),

@@ -38,7 +38,6 @@ class DensityField:
     """
 
     is_radial = True
-    domain = None
     floor = DENSITY_FLOOR
 
     def _raw(self, r):
@@ -46,8 +45,6 @@ class DensityField:
 
     def evaluate(self, r):
         r = np.asarray(r, dtype=float)
-        if self.domain is not None:
-            _check_range(r, *self.domain.bounds, "the density's domain")
         vals = self._raw(r)
         fresh = (isinstance(vals, np.ndarray) and vals.ndim and vals.dtype == float
                  and vals.base is None and vals is not r)
@@ -61,11 +58,10 @@ class DensityField:
 
 
 class Constant(DensityField):
-    def __init__(self, c=1.0, domain=None):
+    def __init__(self, c=1.0):
         if not c > 0:
             raise ValueError("density must be positive")
         self.c = float(c)
-        self.domain = domain
 
     kind = "constant"
 
@@ -84,11 +80,10 @@ class GaussianRadial(DensityField):
 
     kind = "gaussian"
 
-    def __init__(self, m, domain=None, floor=DENSITY_FLOOR):
+    def __init__(self, m, floor=DENSITY_FLOOR):
         if not m > 0:
             raise ValueError("gaussian width parameter m must be positive")
         self.m = float(m)
-        self.domain = domain
         self.floor = floor
 
     def _raw(self, r):
@@ -113,7 +108,7 @@ class CauchyPower(DensityField):
 
     kind = "cauchy_power"
 
-    def __init__(self, m, alpha, domain=None):
+    def __init__(self, m, alpha):
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
             raise ValueError("CauchyPower needs alpha strictly inside (0, 1)")
@@ -122,7 +117,6 @@ class CauchyPower(DensityField):
         self.m = float(m)
         self.alpha = alpha
         self.amplitude = (2.0 * alpha / (1.0 - alpha)) ** (1.0 / (1.0 - alpha))
-        self.domain = domain
 
     def _raw(self, r):
         r = np.asarray(r, dtype=float)
@@ -144,7 +138,7 @@ class Tabulated(DensityField):
 
     kind = "tabulated"
 
-    def __init__(self, r_nodes, values, domain=None):
+    def __init__(self, r_nodes, values):
         r_nodes = np.asarray(r_nodes, dtype=float)
         values = np.asarray(values, dtype=float)
         if np.any(values <= 0):
@@ -153,12 +147,11 @@ class Tabulated(DensityField):
         self._spline = PchipInterpolator(r_nodes, values)
         self.r_nodes = r_nodes
         self.values = values
-        self.domain = domain
 
     @classmethod
-    def from_csv(cls, path, domain=None):
+    def from_csv(cls, path):
         data = np.loadtxt(path, delimiter=",", comments="#")
-        return cls(data[:, 0], data[:, 1], domain=domain)
+        return cls(data[:, 0], data[:, 1])
 
     def _raw(self, r):
         r = np.asarray(r, dtype=float)
@@ -187,7 +180,6 @@ class Scaled(DensityField):
         self.base = base
         self.c = float(c)
         self.m = getattr(base, "m", None)
-        self.domain = base.domain
         self.floor = c * base.floor
 
     def _raw(self, r):
@@ -213,7 +205,6 @@ class PowerDensity(DensityField):
     def __init__(self, base, alpha):
         self.base = base
         self.alpha = float(alpha)
-        self.domain = base.domain
         self.floor = base.floor ** self.alpha if self.alpha != 0 else 1.0
 
     def _raw(self, r):
@@ -230,14 +221,13 @@ def power(rho, alpha):
     """The density rho**alpha, using closed forms where they exist."""
     alpha = float(alpha)
     if alpha == 0.0:
-        return Constant(1.0, domain=rho.domain)
+        return Constant(1.0)
     if alpha == 1.0:
         return rho
     if isinstance(rho, Constant):
-        return Constant(rho.c ** alpha, domain=rho.domain)
+        return Constant(rho.c ** alpha)
     if isinstance(rho, GaussianRadial):
-        return GaussianRadial(alpha * rho.m, domain=rho.domain,
-                              floor=rho.floor ** alpha)
+        return GaussianRadial(alpha * rho.m, floor=rho.floor ** alpha)
     if isinstance(rho, Scaled):
         return Scaled(power(rho.base, alpha), rho.c ** alpha)
     if isinstance(rho, PowerDensity):
@@ -248,7 +238,7 @@ def power(rho, alpha):
 def scale(rho, c):
     """The density c * rho."""
     if isinstance(rho, Constant):
-        return Constant(c * rho.c, domain=rho.domain)
+        return Constant(c * rho.c)
     if isinstance(rho, Scaled):
         return Scaled(rho.base, c * rho.c)
     return Scaled(rho, c)

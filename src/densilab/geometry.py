@@ -157,8 +157,8 @@ class RadialGrid:
         return cls(np.linspace(lo, hi, n_elements + 1), domain)
 
     @classmethod
-    def graded(cls, domain, n_elements=DEFAULT_GRID_N, gamma=2.0):
-        """Grid concentrated where peaked densities live.
+    def graded(cls, domain, n_elements=DEFAULT_GRID_N):
+        """Grid concentrated where peaked densities live, quadratically graded.
 
         On a manifold of revolution the nodes accumulate at the pole; on
         an interval they accumulate symmetrically around the center
@@ -170,11 +170,11 @@ class RadialGrid:
             if n_elements % 2:
                 raise ValueError("graded interval grid needs an even element count")
             t = np.linspace(-1.0, 1.0, n_elements + 1)
-            x = domain.center + 0.5 * domain.extent * np.sign(t) * np.abs(t) ** gamma
+            x = domain.center + 0.5 * domain.extent * np.sign(t) * np.abs(t) ** 2.0
             x[0], x[-1] = lo, hi
             return cls(x, domain)
         t = np.linspace(0.0, 1.0, n_elements + 1)
-        r = lo + (hi - lo) * t ** gamma
+        r = lo + (hi - lo) * t ** 2.0
         r[-1] = hi
         return cls(r, domain)
 
@@ -261,7 +261,6 @@ def conformal_reparametrize(manifold, rho, grid=None):
     interpolated monotone-cubically.  The volume of the result equals
     int_M rho dV to quadrature accuracy.
     """
-    from scipy.interpolate import PchipInterpolator
     if not getattr(rho, "is_radial", False):
         raise ValueError("conformal reparametrization needs a radial density")
     grid = _default_grid(manifold, grid)
@@ -271,8 +270,6 @@ def conformal_reparametrize(manifold, rho, grid=None):
     s_nodes = np.concatenate([[0.0], np.cumsum(ds)])
     theta_new = rho(grid.nodes) ** (1.0 / n) * theta(grid.nodes)
     theta_new[0] = 0.0
-    spline = PchipInterpolator(s_nodes, theta_new)
     # the interpolant's endpoint slope carries an O(h^2) tabulation error
     slope_tol = max(1e-6, 10.0 / grid.n_elements ** 2)
-    return RevolutionManifold(n=n, R=float(s_nodes[-1]), profile=spline,
-                              kind="tabulated", pole_slope_tol=slope_tol)
+    return RevolutionManifold.tabulated(n, s_nodes, theta_new, pole_slope_tol=slope_tol)

@@ -125,15 +125,6 @@ def test_eigenvalue_refinement_is_second_order():
     assert 3.5 <= ratio <= 4.5
 
 
-def test_pencil_csv_dump(tmp_path):
-    p = assemble(_interval_problem(16))
-    path = tmp_path / "pencil.csv"
-    p.to_csv(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (17, 5)
-    assert np.allclose(data[:, 1], p.k_diag)
-
-
 _DISK = dl.RevolutionManifold.ball(2, 1.0)
 _BALL = dl.RevolutionManifold.ball(3, 1.0)
 _NORMALIZED = dl.normalize(dl.GaussianRadial(1.0), _BALL)

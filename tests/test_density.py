@@ -117,13 +117,6 @@ def test_stretched_families():
     assert dl.stretched(dl.Constant(3.0), 5.0)(0.1) == 3.0
 
 
-def test_domain_bound_check():
-    iv = dl.Interval(-1.0, 1.0)
-    rho = dl.GaussianRadial(1.0, domain=iv)
-    with pytest.raises(ValueError, match="outside"):
-        rho(1.5)
-
-
 def test_tabulated_csv_roundtrip(tmp_path):
     r = np.linspace(0.0, 1.0, 65)
     vals = 1.0 + np.cos(r)

@@ -51,7 +51,13 @@ def test_config_validation():
     ("solve", ["--alpha", "0.3,0.9"], None),
     ("solve", ["--config", "cfg.json"], '{"alpha_values": [0.3, 0.9]}'),
     ("conformal-check", ["--n", "2", "--m", "1,10"], None),
-    ("weyl-fit", ["--kmax", "5"], None), ("measure-lemma", ["--instances", "0"], None)],
+    ("weyl-fit", ["--kmax", "5"], None), ("measure-lemma", ["--instances", "0"], None),
+    ("scan-bounded", ["--n", "3", "--alpha", "0.2", "--m", "10,100"], None),
+    ("converge", ["--grids", "2,4,8"], None), ("converge", ["--grids", "0,0,0"], None),
+    ("measure-lemma", ["--csv", "missing.csv"], None),
+    ("measure-lemma", ["--csv", "cfg.json"], "a,b,c\n"),
+    ("measure-lemma", ["--csv", "cfg.json"], "1,1,1\n" * 4),
+    ("measure-lemma", ["--csv", "cfg.json", "--k", "2"], "1,1,1\n" * 5)],
     ids=["kmax-negative", "grid-not-power-of-two", "grid-zero", "alpha-empty", "m-empty",
          "config-grid-not-power-of-two", "config-truncated", "config-unknown-key",
          "config-missing", "scan-bounded-on-interval", "scan-blowup-subcritical",
@@ -62,11 +68,19 @@ def test_config_validation():
          "scaling-check-c-empty", "gaussian-lemma-dims-empty", "solve-m-undeclared",
          "verify-1d-n-undeclared", "conformal-check-alpha-undeclared", "solve-two-alphas",
          "config-solve-two-alphas", "conformal-check-two-ms", "weyl-fit-kmax-below-20",
-         "measure-lemma-no-instances"])
+         "measure-lemma-no-instances", "scan-bounded-companion-one-decade",
+         "converge-grids-too-small", "converge-grids-zero", "measure-lemma-csv-missing",
+         "measure-lemma-csv-not-numeric", "measure-lemma-csv-too-few-sets",
+         "measure-lemma-csv-k-too-large"])
 def test_cli_config_errors_are_usage_errors(command, flags, config, tmp_path, monkeypatch,
                                             capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a usage error ran a solve")
+
+    monkeypatch.setattr(exp, "full_spectrum", no_solve)
+    monkeypatch.setattr(cli, "full_spectrum", no_solve)
     monkeypatch.chdir(tmp_path)
-    if config is not None:
+    if config is not None:  # also the CSV of measure-lemma --csv cfg.json
         (tmp_path / "cfg.json").write_text(config)
     with pytest.raises(SystemExit) as exc:
         cli_main([command, "--out", str(tmp_path), *flags])
@@ -179,9 +193,10 @@ def test_convergence_study_flags():
     rep = exp.exp_convergence(iv, dl.Constant(1.0), 0.0, (128, 256, 512))
     assert rep.rows[0]["resolved"]
     assert rep.rows[0]["richardson_ratio"] == pytest.approx(4.0, abs=0.5)
-    # an m = 1e4 gaussian on a coarse uniform grid is under-resolved
-    rep2 = exp.exp_convergence(iv, dl.GaussianRadial(1e4), 0.5, (64, 128, 256),
-                               grading="uniform")
+    # an m = 900 gaussian is below the grading threshold of the grid policy,
+    # so its coarse uniform grids under-resolve it
+    rep2 = exp.exp_convergence(iv, dl.GaussianRadial(900.0), 0.5, (32, 64, 128))
+    assert rep2.rows[-1]["richardson_ratio"] == pytest.approx(12.8, abs=0.1)
     assert not rep2.rows[-1]["resolved"]
     with pytest.raises(ValueError, match="nested"):
         exp.exp_convergence(iv, dl.Constant(1.0), 0.0, (128, 256, 384))

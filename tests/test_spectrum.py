@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import densilab as dl
 from densilab import spectrum
-from densilab.assembly import ModeProblem, assemble
+from densilab.assembly import ModeProblem, assemble, element_forms
 from densilab.eigensolver import count_below
 from densilab.spectrum import TestFunction
 
@@ -61,21 +61,17 @@ def test_zero_mode_constant_eigenvector():
     res = dl.full_spectrum(disk, dl.GaussianRadial(3.0), 0.5, 2,
                            grid=dl.RadialGrid.uniform(disk, 256))
     ent = res.entries[0]
-    assert abs(ent.value) <= 1e-9 * res.lambdas[1]
+    assert ent.value == 0.0
     v = ent.vector
     assert np.max(np.abs(v - v.mean())) <= 1e-7 * abs(v.mean())
 
 
 def test_j_max_insufficient_reports_bound():
-    disk = dl.RevolutionManifold.ball(2, 1.0)
-    with pytest.raises(ValueError, match="insufficient"):
-        dl.full_spectrum(disk, dl.Constant(1.0), 0.0, 8,
-                         grid=dl.RadialGrid.uniform(disk, 256), j_max=1)
-    # modes 0 and 1 hold 257 + 2 * 256 = 769 eigenvalues in all: refused
-    # before the cutoff search, which no cutoff could satisfy
-    with pytest.raises(ValueError, match="insufficient: modes 0 to 1 hold 769"):
-        dl.full_spectrum(disk, dl.Constant(1.0), 0.0, 769,
-                         grid=dl.RadialGrid.uniform(disk, 256), j_max=1)
+    # an interval's one mode holds 9 eigenvalues on 8 elements: k_max = 9 is
+    # refused before the cutoff search, which no cutoff could satisfy
+    iv = dl.Interval(-1.0, 1.0)
+    with pytest.raises(ValueError, match="modes 0 to 0 hold 9"):
+        dl.full_spectrum(iv, dl.Constant(1.0), 0.0, 9, grid=dl.RadialGrid.uniform(iv, 8))
 
 
 def test_each_mode_asks_only_for_pairs_it_can_place(monkeypatch):
@@ -470,14 +466,13 @@ def test_alpha_endpoints_reproduce_direct_pencils():
     iv = dl.Interval(-1.0, 1.0)
     grid = dl.RadialGrid.uniform(iv, 128)
     rho = dl.GaussianRadial(3.0)
-    for alpha, sigma in ((0.0, dl.Constant(1.0)), (1.0, rho)):
-        p_alpha = assemble(ModeProblem(domain=iv, rho=rho, alpha=alpha,
-                                       grid=grid, j=0))
-        p_direct = assemble(ModeProblem(domain=iv, rho=rho, alpha=alpha,
-                                        grid=grid, j=0, sigma=sigma))
-        assert np.array_equal(p_alpha.k_diag, p_direct.k_diag)
-        assert np.array_equal(p_alpha.k_off, p_direct.k_off)
-        assert np.array_equal(p_alpha.m_diag, p_direct.m_diag)
+    p_rho = assemble(ModeProblem(domain=iv, rho=rho, alpha=0.0, grid=grid))
+    p_flat = assemble(ModeProblem(domain=iv, rho=dl.Constant(1.0), alpha=0.0, grid=grid))
+    assert np.array_equal(p_rho.k_diag, p_flat.k_diag)
+    assert np.array_equal(p_rho.k_off, p_flat.k_off)
+    assert dl.power(rho, 1.0) is rho
+    forms = element_forms(ModeProblem(domain=iv, rho=rho, alpha=1.0, grid=grid))
+    assert np.array_equal(forms.wk, forms.wm)  # sigma = rho at every Gauss point
 
 
 def test_spectrum_serialization(tmp_path):

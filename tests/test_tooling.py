@@ -9,6 +9,7 @@ entry point runs as its own process, so its exit code and stderr are what
 a shell sees.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -97,6 +98,12 @@ def test_readme_command_lines_parse():
     for argv in lines:
         args = parser.parse_args(argv)
         assert cli._config(args).experiment == argv[0]
+
+
+def test_every_config_field_has_a_flag():
+    # a field no flag sets can be changed only through a --config file
+    fields = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
+    assert fields == cli.FIELDS | {"experiment"}
 
 
 def test_entry_point_reports_usage_errors():
