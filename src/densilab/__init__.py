@@ -9,13 +9,13 @@ behavior of the normalized spectrum around alpha = (n-2)/n.
 
 __version__ = "0.1.0"
 
-from .geometry import (EuclideanBox, Interval, RadialGrid, RevolutionManifold,
-                       conformal_reparametrize, homothety, sphere_eigenvalue,
-                       sphere_multiplicity, unit_sphere_area, volume)
+from .geometry import (Interval, RadialGrid, RevolutionManifold, conformal_reparametrize,
+                       homothety, sphere_eigenvalue, sphere_multiplicity,
+                       unit_sphere_area, volume)
 from .density import (CauchyPower, Constant, DensityField, GaussianRadial,
                       PowerDensity, Scaled, Tabulated, normalize, power, scale,
                       stretched, total_mass)
-from .assembly import ModeProblem, TridiagonalPencil, assemble, quadrature_weights
+from .assembly import ModeProblem, TridiagonalPencil, assemble
 from .eigensolver import (EigenPairs, EigenSolveError, IndefiniteMassError,
                           solve_generalized)
 from .spectrum import (HolderChainReport, SpectrumResult, TestFunction,
@@ -26,13 +26,13 @@ from .measures import MeasureTriple, brute_force_verify, select_small_sets
 from . import experiments
 
 __all__ = [
-    "EuclideanBox", "Interval", "RadialGrid", "RevolutionManifold",
+    "Interval", "RadialGrid", "RevolutionManifold",
     "conformal_reparametrize", "homothety", "sphere_eigenvalue",
     "sphere_multiplicity", "unit_sphere_area", "volume",
     "CauchyPower", "Constant", "DensityField", "GaussianRadial",
     "PowerDensity", "Scaled", "Tabulated", "normalize", "power", "scale",
     "stretched", "total_mass",
-    "ModeProblem", "TridiagonalPencil", "assemble", "quadrature_weights",
+    "ModeProblem", "TridiagonalPencil", "assemble",
     "EigenPairs", "EigenSolveError", "IndefiniteMassError",
     "solve_generalized",
     "HolderChainReport", "SpectrumResult", "TestFunction",

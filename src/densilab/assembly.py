@@ -26,7 +26,8 @@ import numpy as np
 
 from . import density as density_mod
 from .geometry import Interval, RadialGrid, RevolutionManifold, sphere_eigenvalue
-from .quadrature import _GAUSS_OFFSET, element_integrals, gauss_points
+# element_integrals is unused here, but the benchmark tracer patches it on this module
+from .quadrature import _GAUSS_OFFSET, element_integrals, gauss_points  # noqa: F401
 
 # P1 basis values at the two Gauss points of the reference element
 _P = 0.5 + _GAUSS_OFFSET
@@ -149,11 +150,6 @@ def _tri_norm1(d, e):
     row[:-1] += np.abs(e)
     row[1:] += np.abs(e)
     return float(row.max(initial=0.0))
-
-
-def quadrature_weights(grid, weightfn):
-    """Per-element integrals of ``weightfn`` with the assembly rule."""
-    return element_integrals(grid.nodes, weightfn)
 
 
 def _check_finite(name, vals):

@@ -53,9 +53,6 @@ class DensityField:
     def __call__(self, r):
         return self.evaluate(r)
 
-    def to_config(self):
-        raise NotImplementedError
-
 
 class Constant(DensityField):
     def __init__(self, c=1.0):
@@ -63,22 +60,15 @@ class Constant(DensityField):
             raise ValueError("density must be positive")
         self.c = float(c)
 
-    kind = "constant"
-
     def _raw(self, r):
         return np.full_like(np.asarray(r, dtype=float), self.c)
 
     def __repr__(self):
         return f"Constant({self.c})"
 
-    def to_config(self):
-        return {"kind": "constant", "c": self.c}
-
 
 class GaussianRadial(DensityField):
     """exp(-m r^2) with r the radial coordinate (geodesic distance)."""
-
-    kind = "gaussian"
 
     def __init__(self, m, floor=DENSITY_FLOOR):
         if not m > 0:
@@ -94,9 +84,6 @@ class GaussianRadial(DensityField):
     def __repr__(self):
         return f"GaussianRadial(m={self.m})"
 
-    def to_config(self):
-        return {"kind": "gaussian", "m": self.m}
-
 
 class CauchyPower(DensityField):
     """The rational bump (2a/(1-a))^{1/(1-a)} * (1 + m x^2)^{-1/(1-a)}.
@@ -105,8 +92,6 @@ class CauchyPower(DensityField):
     forces the first nonzero eigenvalue of the (rho, rho^a) problem to be
     at least m, for every a in (0, 1).
     """
-
-    kind = "cauchy_power"
 
     def __init__(self, m, alpha):
         alpha = float(alpha)
@@ -125,9 +110,6 @@ class CauchyPower(DensityField):
     def __repr__(self):
         return f"CauchyPower(m={self.m}, alpha={self.alpha})"
 
-    def to_config(self):
-        return {"kind": "cauchy_power", "m": self.m, "alpha": self.alpha}
-
 
 class Tabulated(DensityField):
     """Samples (r_i, rho_i) interpolated monotone-cubically.
@@ -135,8 +117,6 @@ class Tabulated(DensityField):
     Evaluation outside [r_0, r_last] raises: the interpolant there is an
     extrapolation that can turn negative and be floored unseen.
     """
-
-    kind = "tabulated"
 
     def __init__(self, r_nodes, values):
         r_nodes = np.asarray(r_nodes, dtype=float)
@@ -161,9 +141,6 @@ class Tabulated(DensityField):
     def __repr__(self):
         return f"Tabulated({len(self.r_nodes)} nodes)"
 
-    def to_config(self):
-        return {"kind": "tabulated", "r": self.r_nodes.tolist(), "values": self.values.tolist()}
-
 
 class Scaled(DensityField):
     """c * base, kept as a wrapper so c^alpha factors out exactly.
@@ -171,8 +148,6 @@ class Scaled(DensityField):
     The floor scales along: max(c*raw, c*floor) = c*max(raw, floor).  The
     base's width parameter ``m``, if any, carries over: it sets the grid.
     """
-
-    kind = "scaled"
 
     def __init__(self, base, c):
         if not c > 0:
@@ -188,9 +163,6 @@ class Scaled(DensityField):
     def __repr__(self):
         return f"Scaled({self.base!r}, c={self.c})"
 
-    def to_config(self):
-        return {"kind": "scaled", "c": self.c, "base": self.base.to_config()}
-
 
 class PowerDensity(DensityField):
     """base**alpha for families without a closed-form power.
@@ -199,8 +171,6 @@ class PowerDensity(DensityField):
     base stays at floor(base)^(alpha-1) in the underflow region instead
     of collapsing to 1.
     """
-
-    kind = "power"
 
     def __init__(self, base, alpha):
         self.base = base
@@ -212,9 +182,6 @@ class PowerDensity(DensityField):
 
     def __repr__(self):
         return f"{self.base!r}**{self.alpha}"
-
-    def to_config(self):
-        return {"kind": "power", "alpha": self.alpha, "base": self.base.to_config()}
 
 
 def power(rho, alpha):
@@ -285,7 +252,7 @@ def normalize(rho, domain, grid=None):
 
 
 def from_config(cfg):
-    """Inverse of ``to_config`` for every density kind."""
+    """The density a ``--density`` spec names: constant, gaussian, cauchy_power, tabulated."""
     kind = cfg["kind"]
     if kind == "constant":
         return Constant(cfg.get("c", 1.0))
@@ -294,11 +261,5 @@ def from_config(cfg):
     if kind == "cauchy_power":
         return CauchyPower(cfg["m"], cfg["alpha"])
     if kind == "tabulated":
-        if "path" in cfg:
-            return Tabulated.from_csv(cfg["path"])
-        return Tabulated(cfg["r"], cfg["values"])
-    if kind == "scaled":
-        return Scaled(from_config(cfg["base"]), cfg["c"])
-    if kind == "power":
-        return PowerDensity(from_config(cfg["base"]), cfg["alpha"])
+        return Tabulated.from_csv(cfg["path"])
     raise ValueError(f"unknown density kind {kind!r}")

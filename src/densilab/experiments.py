@@ -18,8 +18,7 @@ import numpy as np
 from . import __version__
 from . import density as density_mod
 from .density import CauchyPower, Constant, GaussianRadial
-from .geometry import (EuclideanBox, Interval, RadialGrid, RevolutionManifold,
-                       conformal_reparametrize, volume)
+from .geometry import Interval, RadialGrid, RevolutionManifold, conformal_reparametrize, volume
 from .quadrature import integrate
 from .spectrum import full_spectrum
 
@@ -44,7 +43,7 @@ def domain_from_config(cfg):
 
 @dataclass
 class ExperimentConfig:
-    """Everything a scan needs, loadable from a JSON file."""
+    """Everything a scan needs; the CLI fills it from flags and a JSON file."""
 
     experiment: str = "solve"
     domain: dict = field(default_factory=lambda: {"kind": "interval"})
@@ -67,6 +66,8 @@ class ExperimentConfig:
             raise ValueError("parameter ranges must be nonempty")
         if min(self.m_values) <= 0:
             raise ValueError(f"m must be positive, got {min(self.m_values)}")
+        if min(self.c_values) <= 0:
+            raise ValueError(f"c must be positive, got {min(self.c_values)}")
         n = self.grid_n
         if n < 64 or n > 65536 or (n & (n - 1)):
             raise ValueError("grid_n must be a power of two in [64, 65536]")
@@ -78,14 +79,11 @@ class ExperimentConfig:
                     raise ValueError(
                         f"alpha={a} outside [0, 1]; pass exploratory=True to scan it "
                         "(no assertions are made there)")
-        domain_from_config(self.domain)  # raise here, not in the first solve
+        # raise here, not in the first solve
+        if isinstance(domain_from_config(self.domain), Interval) and self.k_max > n:
+            raise ValueError(f"an interval grid of {n} elements holds eigenvalues 0 to {n}, "
+                             f"got k_max={self.k_max}")
         density_mod.from_config(self.density)
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            raw = json.load(fh)
-        return cls(**raw)
 
     def to_dict(self):
         return {k: (list(v) if isinstance(v, tuple) else v)
@@ -367,6 +365,8 @@ def exp_conformal_identity(manifold, rho, k_max=5, grid_n=2048):
     at half resolution.
     """
     t0 = time.perf_counter()
+    if k_max < 1:
+        raise UsageError(f"k_max must be >= 1 (lambda_0 = 0 on both sides), got {k_max}")
     n = manifold.n
 
     def diffs(n_el, starts=(None, None)):
@@ -400,6 +400,9 @@ def exp_gaussian_integral_lemma(dims=(1, 2, 3), m_values=(10.0, 100.0, 1e3),
                                 half_side=1.0, grid_n=2048):
     """(int_{-L}^{L} e^{-m t^2} dt)^n is strictly above e^{-n} m^{-n/2}."""
     t0 = time.perf_counter()
+    for n in dims:
+        if int(n) != n or n < 1:
+            raise UsageError(f"dimension must be an integer >= 1, got {n}")
     rows = []
     for m in sorted(m_values):
         if not (m > 0 and m ** -0.5 <= half_side):
@@ -408,12 +411,11 @@ def exp_gaussian_integral_lemma(dims=(1, 2, 3), m_values=(10.0, 100.0, 1e3),
         grid = RadialGrid.for_density(seg, grid_n, m=m)
         line = integrate(grid.nodes, GaussianRadial(m))
         for n in dims:
-            box = EuclideanBox(n, half_side)
             value = line ** n
             bound = math.exp(-n) * m ** (-n / 2.0)
             rows.append({"n": n, "m": m, "L": half_side,
                          "integral": value, "lower_bound": bound,
-                         "volume_box": volume(box),
+                         "volume_box": (2.0 * half_side) ** n,
                          "passed": bool(value > bound)})
     return ScanReport("gaussian-lemma",
                       ["n", "m", "L", "integral", "lower_bound",
@@ -484,14 +486,15 @@ def exp_convergence(domain, rho, alpha, n_values=(512, 1024, 2048)):
     if len(n_values) < 3:
         raise UsageError("need at least 3 nested grids")
     n_values = sorted(n_values)
-    if n_values[0] < 8:
-        raise UsageError(f"a grid needs at least 8 elements, got {n_values[0]}")
     for a, b in zip(n_values, n_values[1:]):
         if b != 2 * a:
             raise UsageError("grids must be nested by doubling")
     m = getattr(rho, "m", None)
-    lams = _nested_lambda1(domain, rho, alpha,
-                           [RadialGrid.for_density(domain, n_el, m=m) for n_el in n_values])
+    try:  # too few elements, or an odd count graded on an interval
+        grids = [RadialGrid.for_density(domain, n_el, m=m) for n_el in n_values]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    lams = _nested_lambda1(domain, rho, alpha, grids)
     rows = [{"grid_n": n_values[i], "lambda1": lams[i], **_richardson(*lams[i - 2:i + 1])}
             for i in range(2, len(lams))]
     return ScanReport("converge",

@@ -1,9 +1,8 @@
 """Domains and purely metric computations.
 
-Three kinds of domain cover all experiments: a 1D interval, a manifold of
-revolution of dimension n >= 2 described by a radial profile, and a
-Euclidean box (used only for integral lower bounds).  On a manifold of
-revolution every radially symmetric PDE reduces to one-dimensional mode
+Two kinds of domain cover all experiments: a 1D interval and a manifold of
+revolution of dimension n >= 2 described by a radial profile.  On a manifold
+of revolution every radially symmetric PDE reduces to one-dimensional mode
 problems, which is what the rest of the package exploits.
 """
 
@@ -57,7 +56,6 @@ class RevolutionManifold:
     n: int
     R: float
     profile: object  # vectorized callable r -> theta(r)
-    kind: str = "custom"
     pole_slope_tol: float = field(default=1e-6, compare=False)
 
     def __post_init__(self):
@@ -92,14 +90,14 @@ class RevolutionManifold:
     @classmethod
     def ball(cls, n, R=1.0):
         """Flat disk (n=2) or flat ball: profile theta(r) = r."""
-        return cls(n=n, R=float(R), profile=lambda r: np.asarray(r, dtype=float), kind="ball")
+        return cls(n=n, R=float(R), profile=lambda r: np.asarray(r, dtype=float))
 
     @classmethod
     def spherical_cap(cls, n, R):
         """Cap of the round sphere: theta(r) = sin r, requires R < pi."""
         if not 0 < R < math.pi:
             raise ValueError("spherical cap needs 0 < R < pi")
-        return cls(n=n, R=float(R), profile=np.sin, kind="cap")
+        return cls(n=n, R=float(R), profile=np.sin)
 
     @classmethod
     def tabulated(cls, n, r_nodes, theta_values, pole_slope_tol=1e-5):
@@ -108,26 +106,7 @@ class RevolutionManifold:
         r_nodes = np.asarray(r_nodes, dtype=float)
         theta_values = np.asarray(theta_values, dtype=float)
         spline = PchipInterpolator(r_nodes, theta_values)
-        return cls(n=n, R=float(r_nodes[-1]), profile=spline, kind="tabulated",
-                   pole_slope_tol=pole_slope_tol)
-
-
-@dataclass(frozen=True)
-class EuclideanBox:
-    """The cube (-L, L)^n."""
-
-    n: int
-    L: float
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"dimension must be an integer >= 1, got {self.n}")
-        if not self.L > 0:
-            raise ValueError(f"half-side must be positive, got {self.L}")
-
-    @property
-    def dim(self):
-        return self.n
+        return cls(n=n, R=float(r_nodes[-1]), profile=spline, pole_slope_tol=pole_slope_tol)
 
 
 class RadialGrid:
@@ -205,8 +184,6 @@ def volume(domain, grid=None):
     """
     if isinstance(domain, Interval):
         return domain.extent
-    if isinstance(domain, EuclideanBox):
-        return (2.0 * domain.L) ** domain.n
     grid = _default_grid(domain, grid)
     theta = domain.profile
     w = integrate(grid.nodes, lambda r: theta(r) ** (domain.n - 1))
@@ -248,7 +225,6 @@ def homothety(manifold, c):
         n=manifold.n,
         R=s * manifold.R,
         profile=lambda r, _t=theta, _s=s: _s * _t(np.asarray(r) / _s),
-        kind=manifold.kind,
         pole_slope_tol=manifold.pole_slope_tol,
     )
 

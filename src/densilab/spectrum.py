@@ -454,7 +454,7 @@ def holder_chain_check(domain, rho, alpha, u, grid=None):
     vol = domain.profile(pts) ** (n - 1)
 
     def weights(vals):
-        """omega times each element's integral, as ``quadrature_weights`` gives it."""
+        """omega times each element's integral, as ``element_integrals`` gives it."""
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite weight value at a quadrature node")
         return omega * (hw * vals.sum(axis=1))

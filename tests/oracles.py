@@ -19,9 +19,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from densilab import density as density_mod
-from densilab.assembly import _P, _Q, TridiagonalPencil, _check_finite, quadrature_weights
+from densilab.assembly import _P, _Q, TridiagonalPencil, _check_finite
 from densilab.geometry import RevolutionManifold, sphere_eigenvalue, unit_sphere_area
-from densilab.quadrature import gauss_points
+from densilab.quadrature import element_integrals, gauss_points
 from densilab.spectrum import HolderChainReport
 
 
@@ -332,7 +332,7 @@ def element_form_quotient(problem, v):
 
 def holder_chain_whole_grid(domain, rho, alpha, u, grid):
     """``holder_chain_check`` with each weight integrated over the whole grid
-    (``quadrature_weights``) and then restricted to S."""
+    (``element_integrals``) and then restricted to S."""
     n = domain.n
     alpha = float(alpha)
     v = u.sample(domain, grid)
@@ -342,12 +342,12 @@ def holder_chain_whole_grid(domain, rho, alpha, u, grid):
 
     omega = unit_sphere_area(n)
     theta = domain.profile
-    w_vol = omega * quadrature_weights(grid, lambda r: theta(r) ** (n - 1))
-    w_rho = omega * quadrature_weights(grid, lambda r: rho(r) * theta(r) ** (n - 1))
+    w_vol = omega * element_integrals(grid.nodes, lambda r: theta(r) ** (n - 1))
+    w_rho = omega * element_integrals(grid.nodes, lambda r: rho(r) * theta(r) ** (n - 1))
     sig = density_mod.power(rho, alpha)
-    w_sig = omega * quadrature_weights(grid, lambda r: sig(r) * theta(r) ** (n - 1))
+    w_sig = omega * element_integrals(grid.nodes, lambda r: sig(r) * theta(r) ** (n - 1))
     rex = density_mod.power(rho, n * alpha / (n - 2))
-    w_rex = omega * quadrature_weights(grid, lambda r: rex(r) * theta(r) ** (n - 1))
+    w_rex = omega * element_integrals(grid.nodes, lambda r: rex(r) * theta(r) ** (n - 1))
 
     g = np.abs(slopes[mask])
     energy = float(np.sum(g ** 2 * w_sig[mask]))

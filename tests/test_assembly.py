@@ -3,8 +3,9 @@ import pytest
 
 import densilab as dl
 from densilab import spectrum
-from densilab.assembly import ModeProblem, TridiagonalPencil, assemble, quadrature_weights
+from densilab.assembly import ModeProblem, TridiagonalPencil, assemble
 from densilab.eigensolver import count_below, solve_generalized
+from densilab.quadrature import element_integrals
 
 import oracles
 from test_eigensolver import _DEFINITENESS
@@ -64,22 +65,22 @@ def test_mode_validation():
                     grid=dl.RadialGrid.uniform(dl.Interval(0.0, 2.0), 32), j=0)
 
 
-def test_quadrature_weights_exactness():
+def test_element_integrals_exactness():
     iv = dl.Interval(0.0, 1.0)
     grid = dl.RadialGrid.uniform(iv, 16)
-    ones = quadrature_weights(grid, lambda r: np.ones_like(r))
+    ones = element_integrals(grid.nodes, lambda r: np.ones_like(r))
     assert np.sum(ones) == pytest.approx(1.0, abs=1e-15)
-    lin = quadrature_weights(grid, lambda r: r)
+    lin = element_integrals(grid.nodes, lambda r: r)
     assert np.sum(lin) == pytest.approx(0.5, abs=1e-15)
     # degree-3 exactness per element
-    cub = quadrature_weights(grid, lambda r: r ** 3)
+    cub = element_integrals(grid.nodes, lambda r: r ** 3)
     assert np.sum(cub) == pytest.approx(0.25, rel=1e-14)
 
 
 def test_quadrature_gaussian_against_series_oracle():
     iv = dl.Interval(-1.0, 1.0)
     grid = dl.RadialGrid.uniform(iv, 1024)
-    val = np.sum(quadrature_weights(grid, dl.GaussianRadial(10.0)))
+    val = np.sum(element_integrals(grid.nodes, dl.GaussianRadial(10.0)))
     assert val == pytest.approx(oracles.gaussian_line_integral(10.0, 1.0), rel=1e-6)
 
 
@@ -87,7 +88,7 @@ def test_quadrature_rejects_nonfinite():
     iv = dl.Interval(0.0, 1.0)
     grid = dl.RadialGrid.uniform(iv, 16)
     with pytest.raises(ValueError, match="non-finite"):
-        quadrature_weights(grid, lambda r: np.where(r > 0.5, np.inf, 1.0))
+        element_integrals(grid.nodes, lambda r: np.where(r > 0.5, np.inf, 1.0))
 
 
 def test_disk_mode1_matches_bessel_zero():

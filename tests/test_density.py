@@ -139,11 +139,22 @@ def test_tabulated_rejects_points_outside_its_nodes():
         dl.full_spectrum(disk, rho, 0.5, 3, grid=dl.RadialGrid.uniform(disk, 64))
 
 
-def test_density_config_roundtrip():
+def test_density_config_roundtrip(tmp_path):
     from densilab import density as density_mod
-    for rho in (dl.Constant(2.0), dl.GaussianRadial(3.0), dl.CauchyPower(5.0, 0.4),
-                dl.scale(dl.GaussianRadial(2.0), 1.5),
-                dl.power(dl.CauchyPower(4.0, 0.6), 0.6)):
-        back = density_mod.from_config(rho.to_config())
-        x = np.linspace(0.0, 0.9, 17)
-        assert np.allclose(back(x), rho(x), rtol=1e-14)
+    path = tmp_path / "rho.csv"
+    path.write_text("0.0,3.0\n0.4,2.0\n1.0,0.5\n")
+    x = np.linspace(0.0, 0.9, 17)
+    for cfg, rho in (({"kind": "constant", "c": 2.0}, dl.Constant(2.0)),
+                     ({"kind": "constant"}, dl.Constant(1.0)),
+                     ({"kind": "gaussian", "m": 3.0}, dl.GaussianRadial(3.0)),
+                     ({"kind": "cauchy_power", "m": 5.0, "alpha": 0.4}, dl.CauchyPower(5.0, 0.4)),
+                     ({"kind": "tabulated", "path": str(path)},
+                      dl.Tabulated([0.0, 0.4, 1.0], [3.0, 2.0, 0.5]))):
+        back = density_mod.from_config(cfg)
+        assert type(back) is type(rho)
+        assert np.array_equal(back(x), rho(x))
+    # the wrappers are built by scale() and power(), never read from a spec
+    for kind in ("scaled", "power"):
+        with pytest.raises(ValueError, match="unknown density kind"):
+            density_mod.from_config({"kind": kind, "c": 2.0, "alpha": 0.5,
+                                     "base": {"kind": "gaussian", "m": 1.0}})

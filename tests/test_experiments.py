@@ -57,7 +57,14 @@ def test_config_validation():
     ("measure-lemma", ["--csv", "missing.csv"], None),
     ("measure-lemma", ["--csv", "cfg.json"], "a,b,c\n"),
     ("measure-lemma", ["--csv", "cfg.json"], "1,1,1\n" * 4),
-    ("measure-lemma", ["--csv", "cfg.json", "--k", "2"], "1,1,1\n" * 5)],
+    ("measure-lemma", ["--csv", "cfg.json", "--k", "2"], "1,1,1\n" * 5),
+    ("converge", ["--density", "gaussian:1000", "--grids", "9,18,36"], None),
+    ("solve", ["--kmax", "100", "--grid", "64"], None),
+    ("scaling-check", ["--density", "gaussian:10", "--alpha", "0.5", "--c", "0,1"], None),
+    ("gaussian-lemma", ["--dims", "0"], None),
+    ("conformal-check", ["--n", "2", "--kmax", "0", "--grid", "256"], None),
+    ("solve", ["--config", "cfg.json"],
+     '{"density": {"kind": "scaled", "c": 2.0, "base": {"kind": "gaussian", "m": 1.0}}}')],
     ids=["kmax-negative", "grid-not-power-of-two", "grid-zero", "alpha-empty", "m-empty",
          "config-grid-not-power-of-two", "config-truncated", "config-unknown-key",
          "config-missing", "scan-bounded-on-interval", "scan-blowup-subcritical",
@@ -71,7 +78,9 @@ def test_config_validation():
          "measure-lemma-no-instances", "scan-bounded-companion-one-decade",
          "converge-grids-too-small", "converge-grids-zero", "measure-lemma-csv-missing",
          "measure-lemma-csv-not-numeric", "measure-lemma-csv-too-few-sets",
-         "measure-lemma-csv-k-too-large"])
+         "measure-lemma-csv-k-too-large", "converge-graded-interval-odd",
+         "solve-kmax-above-interval-capacity", "scaling-check-c-zero",
+         "gaussian-lemma-dims-zero", "conformal-check-kmax-zero", "config-density-scaled"])
 def test_cli_config_errors_are_usage_errors(command, flags, config, tmp_path, monkeypatch,
                                             capsys):
     def no_solve(*args, **kwargs):
@@ -135,22 +144,12 @@ def test_cli_runs_the_config_it_records(tmp_path, monkeypatch):
     assert args[1].m == 100.0 and args[2:] == (0.5, 3) and kwargs["grid"].n_elements == 256
 
 
-def test_config_json_roundtrip(tmp_path):
-    cfg = exp.ExperimentConfig(experiment="scan-blowup", grid_n=256,
-                               alpha_values=(0.5,), m_values=(10.0, 100.0))
-    path = tmp_path / "cfg.json"
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh)
-    back = exp.ExperimentConfig.from_json(path)
-    assert back.grid_n == 256 and tuple(back.alpha_values) == (0.5,)
-
-
 def test_domain_from_config():
     assert isinstance(exp.domain_from_config({"kind": "interval"}), dl.Interval)
     ball = exp.domain_from_config({"kind": "ball", "n": 3, "R": 2.0})
     assert ball.n == 3 and ball.R == 2.0
     cap = exp.domain_from_config({"kind": "cap", "n": 2, "R": 1.0})
-    assert cap.kind == "cap"
+    assert cap.profile is np.sin
     with pytest.raises(ValueError, match="unknown domain kind 'box'"):
         exp.domain_from_config({"kind": "box", "n": 2, "L": 1.0})
     with pytest.raises(ValueError):
@@ -184,8 +183,14 @@ def test_gaussian_lemma_rows():
     # the 1D integral itself agrees with the series oracle
     line = rows[(1, 100.0)]["integral"]
     assert line == pytest.approx(oracles.gaussian_line_integral(100.0, 1.0), rel=1e-7)
+    assert all(r["volume_box"] == 2.0 ** r["n"] for r in rep.rows)
+    rep = exp.exp_gaussian_integral_lemma(dims=(1, 2, 3), m_values=(100.0,), half_side=0.3,
+                                          grid_n=512)
+    assert [r["volume_box"] for r in rep.rows] == [(2.0 * 0.3) ** n for n in (1, 2, 3)]
     with pytest.raises(ValueError, match="m"):
         exp.exp_gaussian_integral_lemma(dims=(1,), m_values=(0.5,), half_side=1.0)
+    with pytest.raises(exp.UsageError, match="dimension"):
+        exp.exp_gaussian_integral_lemma(dims=(2, 0), m_values=(100.0,))
 
 
 def test_convergence_study_flags():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from densilab import (EuclideanBox, Interval, RadialGrid, RevolutionManifold,
+from densilab import (Interval, RadialGrid, RevolutionManifold,
                       Constant, GaussianRadial, conformal_reparametrize,
                       homothety, sphere_eigenvalue, sphere_multiplicity,
                       total_mass, volume)
@@ -21,10 +21,6 @@ def test_flat_disk_and_ball_volumes():
     # the r and r^2 profiles are integrated exactly by the 2-point rule
     assert volume(disk) == pytest.approx(math.pi, rel=1e-14)
     assert volume(ball) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
-
-
-def test_box_volume():
-    assert volume(EuclideanBox(3, 0.5)) == pytest.approx(1.0)
 
 
 def test_sphere_eigenvalues():
@@ -161,5 +157,4 @@ def test_conformal_rejects_nonradial():
 def test_tabulated_profile_roundtrip():
     r = np.linspace(0.0, 1.0, 257)
     m = RevolutionManifold.tabulated(2, r, np.sin(r))
-    assert m.kind == "tabulated"
     assert abs(m.profile(np.array([0.37]))[0] - math.sin(0.37)) < 1e-8

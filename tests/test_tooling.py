@@ -88,6 +88,15 @@ def test_tracer_targets_resolve_and_see_the_minmax_layers():
     assert "assembly" not in layers
 
 
+@pytest.mark.parametrize("name", list(_perfbench_module("workloads").WORKLOADS))
+def test_benchmark_workloads_pass_at_tiny_size(name):
+    # every name a workload calls must exist and every gate of it must hold
+    work = _perfbench_module("workloads").build(name, 3, tiny=True)
+    results = [item.call() for item in work.items]
+    assert [item.check(r) for item, r in zip(work.items, results)] == [None] * len(results)
+    assert work.check_pass(results) is None
+
+
 def test_readme_command_lines_parse():
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
