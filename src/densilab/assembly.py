@@ -200,10 +200,12 @@ class ElementForms(NamedTuple):
     theta: np.ndarray  # shape (nelem, 2), or None
 
 
-def element_forms(problem):
-    """The ``ElementForms`` of a ModeProblem: the Gauss points, then rho, sigma and
+def element_forms(problem, start=0, stop=None):
+    """The ``ElementForms`` of a ModeProblem on elements ``start`` to ``stop`` - 1
+    (the whole grid by default): the Gauss points, then rho, sigma and
     theta^{n-1} at them, each evaluated once and checked finite."""
-    pts, hw = gauss_points(problem.grid.nodes)
+    stop = problem.grid.n_elements if stop is None else stop
+    pts, hw = gauss_points(problem.grid.nodes[start:stop + 1])
     wm = problem.rho(pts)
     wk = wg = problem.stiffness_density(pts)
     th = None

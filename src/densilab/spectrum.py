@@ -283,20 +283,31 @@ class TestFunction:
     def constant(cls):
         return cls(knots=(np.inf,), knot_values=(1.0,), left_value=1.0)
 
-    def distances(self, domain, grid):
-        if isinstance(domain, Interval):
-            c = domain.center if self.center is None else self.center
-            d = grid.nodes - c
-            return np.abs(d, out=d)
-        return grid.nodes.copy()
+    def _origin(self, domain):
+        """The point at d = 0: ``center`` or the interval's center, or a manifold's pole."""
+        if not isinstance(domain, Interval):
+            return 0.0
+        return domain.center if self.center is None else self.center
+
+    def _values(self, domain, nodes):
+        """The profile at ``nodes``, a run of a grid's nodes."""
+        if np.isinf(self.knots[0]):
+            return np.full_like(nodes, self.left_value)
+        d = np.subtract(nodes, self._origin(domain))
+        return np.interp(np.abs(d, out=d), self.knots, self.knot_values,
+                         left=self.left_value, right=0.0)
+
+    def _window(self, domain, nodes):
+        """Node range [lo, hi) of the sorted ``nodes`` outside which the function is 0:
+        there d > knots[-1], with a pad for the rounding of d."""
+        c, reach = self._origin(domain), self.knots[-1]
+        pad = 1e-12 * (abs(c) + reach)
+        return (int(np.searchsorted(nodes, c - reach - pad, "left")),
+                int(np.searchsorted(nodes, c + reach + pad, "right")))
 
     def sample(self, domain, grid):
         """Nodal values of the profile on the grid."""
-        d = self.distances(domain, grid)
-        if np.isinf(self.knots[0]):
-            return np.full_like(d, self.left_value)
-        return np.interp(d, self.knots, self.knot_values,
-                         left=self.left_value, right=0.0)
+        return self._values(domain, grid.nodes)
 
 
 def _support(v):
@@ -334,6 +345,82 @@ def build_collar_function(domain, a, r0, center=None):
                         left_value=1.0, center=center)
 
 
+# elements per block of the quotient sweep: a (_BLOCK, 2) float array is 64 KB,
+# below glibc's mmap threshold, so the heap reuses every temporary of a sweep
+_BLOCK = 4096
+
+
+def _prepared(domain, grid, u):
+    """``(lo, hi, values)``: ``u`` is 0 outside nodes [lo, hi) of the grid, and
+    ``values(a, b)`` gives its nodal values on nodes a to b - 1.
+
+    ``u`` is a TestFunction or an array of nodal values, which spans the grid.
+    """
+    nodes = grid.nodes
+    if isinstance(u, TestFunction):
+        return (*u._window(domain, nodes), lambda a, b: u._values(domain, nodes[a:b]))
+    v = np.asarray(u, dtype=float)
+    if len(v) != len(nodes):
+        raise ValueError("nodal vector length does not match the grid")
+    return 0, len(v), lambda a, b: v[a:b]
+
+
+def _check_disjoint(functions, n_elements):
+    """Raise on the first pair (i, k), i < k, of prepared functions whose supports
+    share an element; each pair is sampled only where both node windows reach."""
+    for i, (lo_i, hi_i, values_i) in enumerate(functions):
+        for k in range(i + 1, len(functions)):
+            lo_k, hi_k, values_k = functions[k]
+            # the elements with a node in both windows
+            a, b = max(lo_i, lo_k, 1) - 1, min(hi_i, hi_k, n_elements)
+            if a < b and np.any(_support(values_i(a, b + 1)) & _support(values_k(a, b + 1))):
+                raise ValueError(f"supports of test functions {i} and {k} overlap")
+
+
+def _quotients(domain, rho, alpha, functions, grid):
+    """v^T K_0 v / v^T M v of each prepared function, in one sweep over the grid.
+
+    The sweep takes _BLOCK elements at a time: their element forms (so the
+    densities are evaluated and checked finite on the whole grid), then each
+    function sampled on the block's nodes where its window meets them.  Both
+    sums have only nonnegative terms, sum_e g_e (v_{e+1} - v_e)^2 and
+    sum_e hw_e sum_q wm_{e,q} u_q^2 (u_q the P1 interpolant at the Gauss
+    points), and outside a window every term is zero.
+    """
+    problem = ModeProblem(domain=domain, rho=rho, alpha=float(alpha), grid=grid)
+    num, den = [0.0] * len(functions), [0.0] * len(functions)
+    n_elements = grid.n_elements
+    for start in range(0, n_elements, _BLOCK):
+        stop = min(start + _BLOCK, n_elements)
+        forms = element_forms(problem, start, stop)
+        for i, (lo, hi, values) in enumerate(functions):
+            a, b = max(start, lo - 1), min(stop, hi)  # elements with a node in [lo, hi)
+            if a >= b:
+                continue
+            v = values(a, b + 1)
+            e = slice(a - start, b - start)
+            left, right = v[:-1], v[1:]
+            d = right - left
+            d *= d
+            d *= forms.g[e]
+            num[i] += float(d.sum())
+            wm = forms.wm[e]
+            u = left * _P  # at the left Gauss point
+            u += _Q * right
+            u *= u
+            u *= wm[:, 0]
+            w = np.multiply(left, _Q, out=d)  # at the right one
+            w += _P * right
+            w *= w
+            w *= wm[:, 1]
+            u += w
+            u *= forms.hw[e]
+            den[i] += float(u.sum())
+    if any(d <= 0 for d in den):
+        raise ValueError("test function vanishes in the mass inner product")
+    return [n / d for n, d in zip(num, den)]
+
+
 def rayleigh_quotient(domain, rho, alpha, u, grid=None):
     """Rayleigh quotient int sigma |grad u|^2 dV / int rho u^2 dV.
 
@@ -342,70 +429,18 @@ def rayleigh_quotient(domain, rho, alpha, u, grid=None):
     forms supply both quadratic forms.
     """
     grid = _default_grid(domain, grid)
-    v = _nodal(u, domain, grid)
-    return _form_quotient(_forms(domain, rho, alpha, grid), v, _support(v))
-
-
-def _nodal(u, domain, grid):
-    if isinstance(u, TestFunction):
-        return u.sample(domain, grid)
-    v = np.asarray(u, dtype=float)
-    if len(v) != len(grid.nodes):
-        raise ValueError("nodal vector length does not match the grid")
-    return v
-
-
-def _forms(domain, rho, alpha, grid):
-    return element_forms(ModeProblem(domain=domain, rho=rho, alpha=float(alpha),
-                                     grid=grid, j=0))
-
-
-def _form_quotient(forms, v, support):
-    """v^T K_0 v / v^T M v from the element forms, over the elements of ``support``.
-
-    Both sums have only nonnegative terms: sum_e g_e (v_{e+1} - v_e)^2 and
-    sum_e hw_e sum_q wm_{e,q} u_q^2 (u_q the P1 interpolant at the Gauss
-    points); outside the support every term is zero, so only the range from
-    the first to the last supported element is summed.
-    """
-    elements = np.flatnonzero(support)
-    if not len(elements):
-        raise ValueError("test function vanishes in the mass inner product")
-    lo, hi = elements[0], elements[-1] + 1
-    left, right = v[lo:hi], v[lo + 1:hi + 1]
-    d = right - left
-    d *= d
-    d *= forms.g[lo:hi]
-    num = float(d.sum())
-    wm = forms.wm[lo:hi]
-    u = left * _P  # at the left Gauss point
-    u += _Q * right
-    u *= u
-    u *= wm[:, 0]
-    w = np.multiply(left, _Q, out=d)  # at the right one
-    w += _P * right
-    w *= w
-    w *= wm[:, 1]
-    u += w
-    u *= forms.hw[lo:hi]
-    den = float(u.sum())
-    if den <= 0:
-        raise ValueError("test function vanishes in the mass inner product")
-    return num / den
+    return _quotients(domain, rho, alpha, [_prepared(domain, grid, u)], grid)[0]
 
 
 def minmax_bound(domain, rho, alpha, test_functions, grid=None):
     """max_j R(u_j) over disjointly supported functions: an upper bound
     for lambda_k of the full problem (k + 1 functions supplied)."""
     grid = _default_grid(domain, grid)
-    values = [_nodal(u, domain, grid) for u in test_functions]
-    masks = [_support(v) for v in values]
-    for i in range(len(masks)):
-        for k in range(i + 1, len(masks)):
-            if np.any(masks[i] & masks[k]):
-                raise ValueError(f"supports of test functions {i} and {k} overlap")
-    forms = _forms(domain, rho, alpha, grid)
-    return max(_form_quotient(forms, v, mask) for v, mask in zip(values, masks))
+    functions = [_prepared(domain, grid, u) for u in test_functions]
+    if not functions:
+        raise ValueError("minmax_bound needs at least one test function")
+    _check_disjoint(functions, grid.n_elements)
+    return max(_quotients(domain, rho, alpha, functions, grid))
 
 
 @dataclass(frozen=True)
@@ -439,16 +474,18 @@ def holder_chain_check(domain, rho, alpha, u, grid=None):
     if not 0.0 < alpha < (n - 2) / n:
         raise ValueError(f"alpha must lie in (0, {(n - 2) / n:.6g}), got {alpha}")
     grid = _default_grid(domain, grid)
-    v = _nodal(u, domain, grid)
-    h = np.diff(grid.nodes)
-    slopes = np.diff(v) / h
+    lo, hi, values = _prepared(domain, grid, u)
+    # S lies in the elements with a node in [lo, hi): one node of margin each side
+    a, b = max(lo - 1, 0), min(hi + 1, len(grid.nodes))
+    nodes = grid.nodes[a:b]
+    slopes = np.diff(values(a, b)) / np.diff(nodes)
     mask = slopes != 0.0
     if not np.any(mask):
         raise ValueError("test function has empty gradient support")
 
     # every weight is elementwise, so it is evaluated on the elements of S alone;
     # the Gauss points are looked up on ``assembly``, where layer tracing sees them
-    pts, hw = assembly.gauss_points(grid.nodes)
+    pts, hw = assembly.gauss_points(nodes)
     pts, hw = pts[mask], hw[mask]
     omega = unit_sphere_area(n)
     vol = domain.profile(pts) ** (n - 1)

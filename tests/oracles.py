@@ -10,7 +10,9 @@ assembled pencil gives reference eigenvalues for the iterative solver.
 for every mode, kept as the bit-for-bit reference of the mode family;
 ``holder_chain_whole_grid`` and ``select_small_sets_lexsort`` are the
 whole-grid Hoelder weights and the sorting selection, kept as the
-bit-for-bit references of their package versions.
+bit-for-bit references of their package versions; ``overlapping_pair`` is
+the whole-grid support check that ``minmax_bound`` made before it swept
+the grid in blocks.
 """
 
 import math
@@ -328,6 +330,17 @@ def element_form_quotient(problem, v):
     num = g.astype(np.longdouble) @ np.diff(v) ** 2
     den = hw.astype(np.longdouble) @ (wm[:, 0] * u0 ** 2 + wm[:, 1] * u1 ** 2)
     return float(num / den)
+
+
+def overlapping_pair(values):
+    """The first (i, k), i < k, in lexicographic order, of nodal value arrays whose
+    supports share a grid element, by whole-grid element masks; None if none do."""
+    masks = [(v[:-1] != 0.0) | (v[1:] != 0.0) for v in values]
+    for i in range(len(masks)):
+        for k in range(i + 1, len(masks)):
+            if np.any(masks[i] & masks[k]):
+                return i, k
+    return None
 
 
 def holder_chain_whole_grid(domain, rho, alpha, u, grid):

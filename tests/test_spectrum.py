@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import densilab as dl
 from densilab import spectrum
@@ -380,6 +381,166 @@ def test_quotients_match_extended_precision_element_sums(name):
     v = smooth(grid.nodes)
     assert dl.rayleigh_quotient(domain, rho, alpha, v, grid) == pytest.approx(
         oracles.element_form_quotient(problem, v), rel=1e-13, abs=0.0)
+
+
+class _Unevaluable(dl.DensityField):
+    def _raw(self, r):
+        raise AssertionError("density evaluated")
+
+
+def test_minmax_needs_a_test_function():
+    iv = dl.Interval(-1.0, 1.0)
+    with pytest.raises(ValueError, match="minmax_bound needs at least one test function"):
+        dl.minmax_bound(iv, _Unevaluable(), 0.5, [], dl.RadialGrid.uniform(iv, 64))
+
+
+_BLOCK_SIZES = (spectrum._BLOCK - 1, spectrum._BLOCK, spectrum._BLOCK + 1,
+                2 * spectrum._BLOCK + 3)
+
+
+@st.composite
+def _blocked_case(draw):
+    """A domain, a grid of one to three sweep blocks, 1 to 4 plateaus or caps and a
+    smooth nodal function.
+
+    Consecutive supports lie a few elements apart, touch or overlap, and a
+    support edge lies within three elements of a block edge, or anywhere.
+    """
+    domain = draw(st.sampled_from([_IV, _DISK]))
+    grid = dl.RadialGrid.uniform(domain, draw(st.sampled_from(_BLOCK_SIZES)))
+    nodes = grid.nodes
+    h = nodes[1] - nodes[0]
+    block_edges = list(nodes[spectrum._BLOCK::spectrum._BLOCK]) or [nodes[-1]]
+    edge = draw(st.sampled_from(block_edges)) + draw(st.floats(min_value=-3.0,
+                                                               max_value=3.0)) * h
+    at_edge = draw(st.booleans())
+    gap = st.floats(min_value=-1.5, max_value=3.0).map(lambda g: g * h)  # < 0: overlap
+    inner = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=1.0))  # r / R
+    count = draw(st.integers(min_value=1, max_value=4))
+    fns = []
+    if domain is _DISK:
+        # nested, from the outermost support edge inwards
+        outer = edge if at_edge else draw(st.floats(min_value=0.3, max_value=1.0))
+        while len(fns) < count and outer > 0.005:
+            big_r = min(outer, 1.0) / 2
+            r = draw(inner if len(fns) == count - 1 else inner.filter(bool)) * big_r
+            fns.append(dl.build_plateau_function(domain, r, big_r))
+            outer = r / 2 - draw(gap)
+    else:
+        # side by side from a left end in [-1.2, -0.2], or shifted so that one
+        # support edge (outer or inner) lies at ``edge``; caps and plateaus past
+        # an end of the interval are cut off there
+        shapes = [(draw(st.floats(min_value=0.01, max_value=0.08)), draw(inner))
+                  for _ in range(count)]
+        centers, right = [], 0.0
+        for big_r, _ in shapes:
+            centers.append(right + 2 * big_r + draw(gap))
+            right = centers[-1] + 2 * big_r
+        shift = draw(st.floats(min_value=-1.2, max_value=-0.2))
+        if at_edge:
+            j = draw(st.integers(min_value=0, max_value=count - 1))
+            big_r, frac = shapes[j]
+            side = draw(st.sampled_from([-2.0, 2.0, -frac / 2, frac / 2])) * big_r
+            shift = edge - centers[j] - side
+        fns = [dl.build_plateau_function(domain, frac * big_r, big_r, center=c + shift)
+               for (big_r, frac), c in zip(shapes, centers) if -1.0 <= c + shift <= 1.0]
+        assume(fns)
+    smooth = np.cos(draw(st.floats(min_value=0.5, max_value=20.0)) * nodes)
+    return domain, grid, fns, smooth
+
+
+@settings(max_examples=80, deadline=None)
+@given(_blocked_case(), st.sampled_from([dl.Constant(1.0), dl.GaussianRadial(30.0)]),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_blocked_sweep_matches_whole_grid_references(case, rho, alpha):
+    domain, grid, fns, smooth = case
+    problem = ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid)
+    values = [u.sample(domain, grid) for u in fns]
+    refs = [oracles.element_form_quotient(problem, v) for v in values]
+    for u, ref in zip(fns, refs):
+        assert dl.rayleigh_quotient(domain, rho, alpha, u, grid) == pytest.approx(
+            ref, rel=1e-13, abs=0.0)
+    assert dl.rayleigh_quotient(domain, rho, alpha, smooth, grid) == pytest.approx(
+        oracles.element_form_quotient(problem, smooth), rel=1e-13, abs=0.0)
+    pair = oracles.overlapping_pair(values)
+    if pair is None:
+        assert dl.minmax_bound(domain, rho, alpha, fns, grid) == pytest.approx(
+            max(refs), rel=1e-13, abs=0.0)
+    else:
+        with pytest.raises(ValueError, match=f"supports of test functions {pair[0]} "
+                                             f"and {pair[1]} overlap"):
+            dl.minmax_bound(domain, rho, alpha, fns, grid)
+
+
+@pytest.mark.parametrize("domain", [_IV, _DISK], ids=["interval", "disk"])
+def test_profile_nonzero_at_its_last_knot(domain):
+    # a step, 1 for d <= 1/4 (a grid node) and 0 past it: the element just
+    # past d = 1/4 carries the whole gradient
+    grid = dl.RadialGrid.uniform(domain, spectrum._BLOCK)
+    h = grid.nodes[1] - grid.nodes[0]
+    rho, alpha = dl.GaussianRadial(30.0), 0.5
+    problem = ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid)
+    step = TestFunction(knots=(0.25,), knot_values=(1.0,), left_value=1.0)
+    ref = oracles.element_form_quotient(problem, step.sample(domain, grid))
+    assert dl.rayleigh_quotient(domain, rho, alpha, step, grid) == pytest.approx(
+        ref, rel=1e-13, abs=0.0)
+    # a ring, nonzero from d = 1/4 + gap h on: disjoint from the step for gap 2,
+    # sharing the step's last element for gap 1
+    for gap in (2, 1):
+        ring = TestFunction(knots=(0.25 + (gap - 1) * h, 0.3, 0.4),
+                            knot_values=(0.0, 1.0, 0.0))
+        values = [u.sample(domain, grid) for u in (step, ring)]
+        if gap == 2:
+            assert oracles.overlapping_pair(values) is None
+            assert dl.minmax_bound(domain, rho, alpha, [step, ring], grid) == pytest.approx(
+                max(ref, oracles.element_form_quotient(problem, values[1])),
+                rel=1e-13, abs=0.0)
+        else:
+            assert oracles.overlapping_pair(values) == (0, 1)
+            with pytest.raises(ValueError, match="supports of test functions 0 and 1 overlap"):
+                dl.minmax_bound(domain, rho, alpha, [step, ring], grid)
+
+
+class _InfiniteBeyond(dl.DensityField):
+    """1 for |x| <= 0.9, inf beyond."""
+
+    def _raw(self, r):
+        return np.where(np.abs(r) > 0.9, np.inf, 1.0)
+
+
+@pytest.mark.parametrize("n_el", _BLOCK_SIZES)
+@pytest.mark.parametrize("domain", [_IV, _DISK], ids=["interval", "disk"])
+def test_nonfinite_density_outside_every_support_raises(domain, n_el):
+    # the sweep evaluates the densities on every block, not only where a
+    # test function lives
+    grid = dl.RadialGrid.uniform(domain, n_el)
+    center = 0.0 if domain is _IV else None
+    fns = [dl.build_plateau_function(domain, 0.0, 0.05, center=center),
+           dl.build_plateau_function(domain, 0.3, 0.3, center=center)]
+    with pytest.raises(ValueError, match="non-finite"):
+        dl.minmax_bound(domain, _InfiniteBeyond(), 0.5, fns, grid)
+    with pytest.raises(ValueError, match="non-finite"):
+        dl.rayleigh_quotient(domain, _InfiniteBeyond(), 0.5, fns[0], grid)
+
+
+def test_quotient_sweeps_allocate_no_grid_sized_temporaries():
+    # at N = 2^16 one (N, 2) float array alone is 1 MB; the sweep's
+    # temporaries span one block
+    grid_disk = dl.RadialGrid.uniform(_DISK, 2 ** 16)
+    grid_iv = dl.RadialGrid.uniform(_IV, 2 ** 16)
+    fns = _QUOTIENT_CASES["disk"][1]
+    u = np.cos(3.0 * math.pi * (grid_iv.nodes + 1.0) / 2.0)
+    calls = (lambda: dl.minmax_bound(_DISK, dl.GaussianRadial(30.0), 0.7, fns, grid_disk),
+             lambda: dl.rayleigh_quotient(_IV, dl.Constant(1.0), 0.5, u, grid_iv))
+    for call in calls:
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
 
 def test_holder_chain_validates_exponent_and_dimension():
