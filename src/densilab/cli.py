@@ -133,8 +133,13 @@ def _cmd_measure(cfg, args):
         raise exp.UsageError(f"--k must be >= 1, got {args.k}")
     if args.instances < 1:
         raise exp.UsageError(f"--instances must be >= 1, got {args.instances}")
-    rng = np.random.default_rng(cfg.seed)
-    rows = []
+
+    def row(i, triple, k, show_indices):
+        sel = select_small_sets(triple, k)
+        return {"instance": i, "k": k, "K": triple.k_sets, "selected": len(sel),
+                "indices": " ".join(map(str, sel)) if show_indices else "",
+                "passed": brute_force_verify(triple, k, sel)}
+
     if args.csv:
         try:
             triple = MeasureTriple.from_csv(args.csv)
@@ -144,21 +149,14 @@ def _cmd_measure(cfg, args):
         if triple.k_sets < 4 * k + 1:
             raise exp.UsageError(f"k = {k} needs at least 4k + 1 = {4 * k + 1} sets, "
                                  f"--csv has {triple.k_sets}")
-        sel = select_small_sets(triple, k)
-        rows.append({"instance": 0, "k": k, "K": triple.k_sets,
-                     "selected": len(sel), "indices": " ".join(map(str, sel)),
-                     "passed": brute_force_verify(triple, k, sel)})
+        rows = [row(0, triple, k, show_indices=True)]
     else:
+        rng = np.random.default_rng(cfg.seed)
+        rows = []
         for i in range(args.instances):
             k = int(rng.integers(1, 11)) if args.k is None else args.k
-            triple = MeasureTriple.random(k, rng)
-            sel = select_small_sets(triple, k)
-            rows.append({"instance": i, "k": k, "K": triple.k_sets,
-                         "selected": len(sel), "indices": "",
-                         "passed": brute_force_verify(triple, k, sel)})
-    return exp.ScanReport("measure-lemma",
-                          ["instance", "k", "K", "selected", "indices", "passed"],
-                          rows, {}, exp._metadata())
+            rows.append(row(i, MeasureTriple.random(k, rng), k, show_indices=False))
+    return exp.ScanReport("measure-lemma", rows, {}, exp._metadata())
 
 
 def _cmd_gaussian(cfg, args):
@@ -224,11 +222,13 @@ COMMANDS = {
                     "--n --alpha --m --grid --exploratory", {}),
     "scan-bounded": (_cmd_scan_bounded,
                      "subcritical plateau scan with a supercritical companion",
-                     "--n --alpha --m --grid --companion-alpha", {}),
+                     "--n --alpha --m --grid --companion-alpha",
+                     {"domain": {"kind": "ball", "n": 3}, "alpha_values": (0.2,)}),
     "verify-1d": (_cmd_verify_1d, "interval lower-bound construction lambda_1 >= m",
                   "--alpha --m --grid", {}),
     "conformal-check": (_cmd_conformal, "conformal metric vs weighted problem",
-                        "--n --m --kmax --grid", {"m_values": (10.0,)}),
+                        "--n --m --kmax --grid",
+                        {"domain": {"kind": "ball", "n": 3}, "m_values": (10.0,)}),
     "measure-lemma": (_cmd_measure, "three-measure pigeonhole selection",
                       "--seed --k --instances --csv", {}),
     "gaussian-lemma": (_cmd_gaussian, "gaussian integral lower bound",

@@ -95,7 +95,6 @@ class ScanReport:
     """Rows plus per-alpha slope fits and run metadata."""
 
     experiment: str
-    columns: list
     rows: list
     fits: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
@@ -106,8 +105,9 @@ class ScanReport:
             all(f.get("passed", True) for f in self.fits.values())
 
     def to_csv(self, path):
+        """Header from the first row's keys; a row with another key raises."""
         with open(path, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=self.columns, extrasaction="ignore")
+            w = csv.DictWriter(fh, fieldnames=self.rows[0].keys())
             w.writeheader()
             w.writerows(self.rows)
 
@@ -192,20 +192,32 @@ def _weighted_slope(log_m, log_lam):
     return float(slope), 2.0 * se
 
 
-_SCAN_COLUMNS = ["alpha", "m", "grid_n", "lambda1_raw", "lambda1_extrapolated",
-                 "lambda1_normalized", "mass", "richardson_ratio",
-                 "richardson_error", "resolved", "passed", "note"]
+def _scan(domain, alphas, m_values, density, grid_n):
+    """One row per alpha in the given order and m ascending, in the scan CSV's
+    column order; ``density(m, a)`` builds the row's density."""
+    rows = []
+    for a in alphas:
+        for m in sorted(m_values):
+            rho = density(m, a)
+            rich = lambda1_richardson(domain, rho, a, grid_n)
+            grid = RadialGrid.for_density(domain, grid_n, m=m)
+            mass = density_mod.total_mass(rho, domain, grid)
+            factor = (mass / volume(domain, grid)) ** (1.0 - float(a))  # exact normalization
+            rows.append({"alpha": a, "m": m, "grid_n": grid_n,
+                         "lambda1_raw": rich["lambda1_raw"],
+                         "lambda1_extrapolated": rich["lambda1_extrapolated"],
+                         "lambda1_normalized": rich["lambda1_extrapolated"] * factor,
+                         "mass": mass, "richardson_ratio": rich["richardson_ratio"],
+                         "richardson_error": rich["richardson_error"],
+                         "resolved": rich["resolved"], "passed": True, "note": ""})
+    return rows
 
 
-def _scan_row(domain, alpha, m, rho, grid_n):
-    rich = lambda1_richardson(domain, rho, alpha, grid_n)
-    grid = RadialGrid.for_density(domain, grid_n, m=m)
-    mass = density_mod.total_mass(rho, domain, grid)
-    factor = (mass / volume(domain, grid)) ** (1.0 - float(alpha))  # exact normalization
-    row = {"alpha": alpha, "m": m, "grid_n": grid_n, "mass": mass, "note": ""}
-    row.update(rich)
-    row["lambda1_normalized"] = rich["lambda1_extrapolated"] * factor
-    return row
+def _series(rows, a):
+    """(m, normalized lambda_1) of the rows at alpha ``a``, by ascending m."""
+    sub = sorted((r for r in rows if r["alpha"] == a), key=lambda r: r["m"])
+    return (np.array([r["m"] for r in sub]),
+            np.array([r["lambda1_normalized"] for r in sub]))
 
 
 def exp_one_d_construction(m_values=(1.0, 10.0, 100.0, 1e3, 1e4),
@@ -220,31 +232,23 @@ def exp_one_d_construction(m_values=(1.0, 10.0, 100.0, 1e3, 1e4),
     for a in alpha_values:
         if not 0.0 < a < 1.0:
             raise UsageError(f"the rational-bump family needs alpha inside (0, 1), got {a}")
-    interval = Interval(-1.0, 1.0)
-    rows = []
-    for a in sorted(alpha_values):
-        for m in sorted(m_values):
-            row = _scan_row(interval, a, m, CauchyPower(m, a), grid_n)
-            row["passed"] = bool(row["lambda1_extrapolated"] >= 0.99 * m)
-            if not row["passed"]:
-                row["note"] = f"lambda1 {row['lambda1_extrapolated']:.6g} < {0.99 * m:.6g}"
-            rows.append(row)
-    fits = _slope_fits(rows, alpha_values)
-    return ScanReport("verify-1d", _SCAN_COLUMNS, rows, fits,
-                      _metadata(t0=t0))
+    rows = _scan(Interval(-1.0, 1.0), sorted(alpha_values), m_values, CauchyPower, grid_n)
+    for row in rows:
+        row["passed"] = bool(row["lambda1_extrapolated"] >= 0.99 * row["m"])
+        if not row["passed"]:
+            row["note"] = f"lambda1 {row['lambda1_extrapolated']:.6g} < {0.99 * row['m']:.6g}"
+    return ScanReport("verify-1d", rows, _slope_fits(rows, alpha_values), _metadata(t0=t0))
 
 
 def _slope_fits(rows, alpha_values, floor=None):
     fits = {}
     for a in alpha_values:
-        sub = [r for r in rows if r["alpha"] == a]
-        lam = np.array([r["lambda1_normalized"] for r in sub])
-        mm = np.array([r["m"] for r in sub])
-        if len(sub) < 4:
+        mm, lam = _series(rows, a)
+        if len(mm) < 4:
             fits[str(a)] = {"note": "slope fit needs >= 4 points"}
             continue
         slope, hw = _weighted_slope(np.log(mm), np.log(lam))
-        entry = {"slope": slope, "half_width": hw, "points": len(sub)}
+        entry = {"slope": slope, "half_width": hw, "points": len(mm)}
         if floor is not None:
             entry["slope_floor"] = floor(a)
             entry["passed"] = bool(slope >= floor(a))
@@ -268,28 +272,17 @@ def exp_blowup_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
         for a in alpha_values:
             if not a > critical:
                 raise UsageError(f"alpha={a} is not above the critical exponent {critical}")
-    rows = []
-    for a in sorted(alpha_values):
-        for m in sorted(m_values):
-            row = _scan_row(domain, a, m, GaussianRadial(m), grid_n)
-            row["passed"] = True
-            rows.append(row)
+    rows = _scan(domain, sorted(alpha_values), m_values, lambda m, a: GaussianRadial(m),
+                 grid_n)
     floor = (lambda a: 1.0 - (n / 2.0) * (1.0 - a) - 0.1) if assert_slopes else None
     fits = _slope_fits(rows, alpha_values, floor=floor)
     for a in alpha_values:
-        sub = [r for r in rows if r["alpha"] == a]
-        lam = np.array([r["lambda1_normalized"] for r in sub])
-        mm = np.array([r["m"] for r in sub])
+        mm, lam = _series(rows, a)
         increasing = np.diff(lam) > 0
-        m0 = None
-        for i in range(len(lam) - 1):
-            if np.all(increasing[i:]):
-                m0 = mm[i]
-                break
+        m0 = next((mm[i] for i in range(len(lam) - 1) if np.all(increasing[i:])), None)
         fits[str(a)]["m0_empirical"] = m0
         fits[str(a)]["monotone_divergence"] = m0 is not None
-    return ScanReport("scan-blowup", _SCAN_COLUMNS, rows, fits,
-                      _metadata(t0=t0))
+    return ScanReport("scan-blowup", rows, fits, _metadata(t0=t0))
 
 
 def exp_bounded_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
@@ -300,7 +293,7 @@ def exp_bounded_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
     changes by less than 5 % over the last decade of the m grid.  A
     companion supercritical column on the same m grid must grow by a
     factor of 3 over its last two decades, so the contrast is controlled;
-    the m grid must then span two decades.
+    the m grid must span two decades.
     """
     t0 = time.perf_counter()
     n = domain.dim
@@ -310,28 +303,22 @@ def exp_bounded_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
     for a in alpha_values:
         if not 0.0 <= a < critical:
             raise UsageError(f"alpha={a} is not below the critical exponent {critical}")
-    if companion_alpha is not None and companion_alpha <= critical:
+    if companion_alpha <= critical:
         raise UsageError("companion alpha must be supercritical")
-    if min(m_values) > max(m_values) / 10.0:
-        raise UsageError("m grid must span at least one decade")
-    if companion_alpha is not None and min(m_values) > max(m_values) / 100.0:
+    if min(m_values) > max(m_values) / 100.0:
         raise UsageError("a companion column needs an m grid spanning two decades")
 
     vol_pow = volume(domain) ** (2.0 / n)
-    all_alphas = list(alpha_values) + ([companion_alpha] if companion_alpha else [])
-    rows = []
-    for a in all_alphas:
-        for m in sorted(m_values):
-            row = _scan_row(domain, a, m, GaussianRadial(m), grid_n)
-            row["lambda1_normalized"] *= vol_pow
-            row["note"] = "companion" if a == companion_alpha else ""
-            row["passed"] = True
-            rows.append(row)
+    rows = _scan(domain, [*alpha_values, companion_alpha], m_values,
+                 lambda m, a: GaussianRadial(m), grid_n)
+    for row in rows:
+        row["lambda1_normalized"] *= vol_pow
+        if row["alpha"] == companion_alpha:
+            row["note"] = "companion"
     fits = {}
     for a in alpha_values:
-        sub = sorted((r for r in rows if r["alpha"] == a), key=lambda r: r["m"])
-        mm = np.array([r["m"] for r in sub])
-        runmax = np.maximum.accumulate([r["lambda1_normalized"] for r in sub])
+        mm, lam = _series(rows, a)
+        runmax = np.maximum.accumulate(lam)
         before = runmax[mm <= mm[-1] / 10.0]
         change = (runmax[-1] - before[-1]) / runmax[-1]
         fits[str(a)] = {
@@ -339,19 +326,15 @@ def exp_bounded_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
             "plateau_change": float(change),
             "passed": bool(change < 0.05),
         }
-    if companion_alpha:
-        sub = sorted((r for r in rows if r["alpha"] == companion_alpha),
-                     key=lambda r: r["m"])
-        mm = np.array([r["m"] for r in sub])
-        runmax = np.maximum.accumulate([r["lambda1_normalized"] for r in sub])
-        growth = runmax[-1] / runmax[mm <= mm[-1] / 100.0][-1]
-        fits["companion"] = {
-            "alpha": companion_alpha,
-            "growth": float(growth),
-            "passed": bool(growth >= 3.0),
-        }
-    return ScanReport("scan-bounded", _SCAN_COLUMNS, rows, fits,
-                      _metadata(t0=t0))
+    mm, lam = _series(rows, companion_alpha)
+    runmax = np.maximum.accumulate(lam)
+    growth = runmax[-1] / runmax[mm <= mm[-1] / 100.0][-1]
+    fits["companion"] = {
+        "alpha": companion_alpha,
+        "growth": float(growth),
+        "passed": bool(growth >= 3.0),
+    }
+    return ScanReport("scan-bounded", rows, fits, _metadata(t0=t0))
 
 
 def exp_conformal_identity(manifold, rho, k_max=5, grid_n=2048):
@@ -386,10 +369,7 @@ def exp_conformal_identity(manifold, rho, k_max=5, grid_n=2048):
              "rel_diff": fine[k], "rel_diff_coarse": coarse[k]}
             for k in range(k_max + 1)]
     passed = bool(np.max(fine) <= 1e-3 and np.max(fine) <= np.max(coarse))
-    return ScanReport("conformal-check",
-                      ["k", "lambda_conformal", "lambda_weighted",
-                       "rel_diff", "rel_diff_coarse"],
-                      rows,
+    return ScanReport("conformal-check", rows,
                       {"summary": {"max_rel_diff": float(np.max(fine)),
                                    "max_rel_diff_coarse": float(np.max(coarse)),
                                    "passed": passed}},
@@ -417,10 +397,7 @@ def exp_gaussian_integral_lemma(dims=(1, 2, 3), m_values=(10.0, 100.0, 1e3),
                          "integral": value, "lower_bound": bound,
                          "volume_box": (2.0 * half_side) ** n,
                          "passed": bool(value > bound)})
-    return ScanReport("gaussian-lemma",
-                      ["n", "m", "L", "integral", "lower_bound",
-                       "volume_box", "passed"],
-                      rows, {}, _metadata(t0=t0))
+    return ScanReport("gaussian-lemma", rows, {}, _metadata(t0=t0))
 
 
 def exp_weyl_fit(domain, rho, alpha, k_max=30, grid_n=2048):
@@ -446,7 +423,7 @@ def exp_weyl_fit(domain, rho, alpha, k_max=30, grid_n=2048):
     rows = [{"k": int(kk), "lambda": float(lam), "k_pow": float(xx),
              "fitted": float(ff)}
             for kk, lam, xx, ff in zip(k, y, x, fitted)]
-    return ScanReport("weyl-fit", ["k", "lambda", "k_pow", "fitted"], rows,
+    return ScanReport("weyl-fit", rows,
                       {"fit": {"slope": float(coef[0]), "intercept": float(coef[1]),
                                "r_squared": r2, "n": n}},
                       _metadata(t0=t0))
@@ -471,9 +448,7 @@ def exp_scaling_identity(domain, rho, alpha, c_values=(1e-3, 1.0, 1e3),
         rows.append({"c": c, "alpha": float(alpha), "lambda1": lam,
                      "expected": expected, "rel_err": err,
                      "passed": bool(err <= 1e-12)})
-    return ScanReport("scaling-check",
-                      ["c", "alpha", "lambda1", "expected", "rel_err", "passed"],
-                      rows, {}, _metadata(t0=t0))
+    return ScanReport("scaling-check", rows, {}, _metadata(t0=t0))
 
 
 def exp_convergence(domain, rho, alpha, n_values=(512, 1024, 2048)):
@@ -497,7 +472,4 @@ def exp_convergence(domain, rho, alpha, n_values=(512, 1024, 2048)):
     lams = _nested_lambda1(domain, rho, alpha, grids)
     rows = [{"grid_n": n_values[i], "lambda1": lams[i], **_richardson(*lams[i - 2:i + 1])}
             for i in range(2, len(lams))]
-    return ScanReport("converge",
-                      ["grid_n", "lambda1", "lambda1_extrapolated",
-                       "richardson_ratio", "richardson_error", "resolved"],
-                      rows, {}, _metadata(t0=t0))
+    return ScanReport("converge", rows, {}, _metadata(t0=t0))

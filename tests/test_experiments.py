@@ -35,9 +35,9 @@ def test_config_validation():
     ("solve", ["--config", "cfg.json"], '{"grid_n": 10'),
     ("solve", ["--config", "cfg.json"], '{"gridn": 1024}'),
     ("solve", ["--config", "missing.json"], None),
-    ("scan-bounded", [], None), ("scan-blowup", ["--n", "3", "--alpha", "0.3"], None),
+    ("scan-bounded", ["--n", "1"], None), ("scan-blowup", ["--n", "3", "--alpha", "0.3"], None),
     ("converge", ["--grids", "64,100,200"], None), ("converge", ["--grids", ""], None),
-    ("gaussian-lemma", ["--m", "0.5"], None), ("conformal-check", [], None),
+    ("gaussian-lemma", ["--m", "0.5"], None), ("conformal-check", ["--n", "1"], None),
     ("measure-lemma", ["--k", "0"], None), ("scan-blowup", ["--m", ""], None),
     ("verify-1d", ["--alpha", "0", "--m", "1,10", "--grid", "256"], None),
     ("conformal-check", ["--n", "2", "--m", "0", "--grid", "256"], None),
@@ -107,7 +107,7 @@ def test_cli_runs_the_config_it_records(tmp_path, monkeypatch):
             calls[name] = (args, kwargs)
             if name == "full_spectrum":
                 return SimpleNamespace(lambdas=[0.0], to_json=lambda path: None)
-            return exp.ScanReport(name, [], [])
+            return exp.ScanReport(name, [])
         return record
 
     for name in ("exp_weyl_fit", "exp_scaling_identity", "exp_conformal_identity",
@@ -447,6 +447,14 @@ def test_cli_scaling_check_passes_with_its_defaults(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3
     assert all(float(r["rel_err"]) <= 1e-12 for r in rows)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_subcommand_passes_at_its_defaults(command, tmp_path, capsys):
+    assert cli_main([command, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    expected = "solve: lambda_0..5 = " if command == "solve" else f"{command}: PASS "
+    assert out.startswith(expected)
 
 
 def _spectra_of(monkeypatch, run):

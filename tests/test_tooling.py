@@ -109,6 +109,17 @@ def test_readme_command_lines_parse():
         assert cli._config(args).experiment == argv[0]
 
 
+def test_scan_csv_header_is_the_readme_schema(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("Scan CSV columns are fixed:", 1)[1].split("```", 2)[1]
+    schema = "".join(block.split())
+    for argv in (["verify-1d", "--m", "1,10"], ["scan-blowup", "--n", "2", "--m", "10,100"],
+                 ["scan-bounded", "--m", "10,1000"]):
+        cli.main([*argv, "--grid", "64", "--out", str(tmp_path)])
+        with open(tmp_path / f"{argv[0]}.csv") as fh:
+            assert fh.readline().rstrip("\r\n") == schema
+
+
 def test_every_config_field_has_a_flag():
     # a field no flag sets can be changed only through a --config file
     fields = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
