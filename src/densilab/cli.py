@@ -86,40 +86,35 @@ def _one(values, flag):
     return values[0]
 
 
-def _cmd_solve(cfg, args):
+def _cmd_solve(cfg):
     domain = exp.domain_from_config(cfg.domain)
     rho = density_mod.from_config(cfg.density)
     alpha = _one(cfg.alpha_values, "--alpha")
     grid = RadialGrid.for_density(domain, cfg.grid_n, m=getattr(rho, "m", None))
     result = full_spectrum(domain, rho, alpha, cfg.k_max, grid=grid)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    stem = os.path.join(cfg.out_dir, "spectrum")
-    if cfg.fmt == "json":
-        result.to_json(stem + ".json")
-    else:
-        result.to_csv(stem + ".csv")
-    lam = ", ".join(f"{v:.6g}" for v in result.lambdas)
-    print(f"solve: lambda_0..{cfg.k_max} = {lam}")
-    # the spectrum is the whole output: no report to emit
+    rows = [{"k": k, "lambda": lam, "mode_j": j, "multiplicity": mult}
+            for k, lam, j, mult in result.slot_entries()]
+    return exp.ScanReport("solve", rows, {}, {"cutoff": result.cutoff, "counts": result.counts,
+                                              "counts_spent": result.counts_spent})
 
 
-def _cmd_scan_blowup(cfg, args):
+def _cmd_scan_blowup(cfg):
     return exp.exp_blowup_scan(exp.domain_from_config(cfg.domain), cfg.alpha_values,
                                cfg.m_values, cfg.grid_n,
                                assert_slopes=not cfg.exploratory)
 
 
-def _cmd_scan_bounded(cfg, args):
+def _cmd_scan_bounded(cfg):
     return exp.exp_bounded_scan(exp.domain_from_config(cfg.domain), cfg.alpha_values,
-                                cfg.m_values, companion_alpha=args.companion_alpha,
+                                cfg.m_values, companion_alpha=cfg.companion_alpha,
                                 grid_n=cfg.grid_n)
 
 
-def _cmd_verify_1d(cfg, args):
+def _cmd_verify_1d(cfg):
     return exp.exp_one_d_construction(cfg.m_values, cfg.alpha_values, cfg.grid_n)
 
 
-def _cmd_conformal(cfg, args):
+def _cmd_conformal(cfg):
     domain = exp.domain_from_config(cfg.domain)
     if not isinstance(domain, RevolutionManifold):
         raise exp.UsageError("conformal-check needs a manifold of revolution (--n 2 or 3)")
@@ -128,24 +123,19 @@ def _cmd_conformal(cfg, args):
     return exp.exp_conformal_identity(domain, rho, cfg.k_max, cfg.grid_n)
 
 
-def _cmd_measure(cfg, args):
-    if args.k is not None and args.k < 1:
-        raise exp.UsageError(f"--k must be >= 1, got {args.k}")
-    if args.instances < 1:
-        raise exp.UsageError(f"--instances must be >= 1, got {args.instances}")
-
+def _cmd_measure(cfg):
     def row(i, triple, k, show_indices):
         sel = select_small_sets(triple, k)
         return {"instance": i, "k": k, "K": triple.k_sets, "selected": len(sel),
                 "indices": " ".join(map(str, sel)) if show_indices else "",
                 "passed": brute_force_verify(triple, k, sel)}
 
-    if args.csv:
+    if cfg.csv:
         try:
-            triple = MeasureTriple.from_csv(args.csv)
+            triple = MeasureTriple.from_csv(cfg.csv)
         except (OSError, ValueError) as exc:  # missing, not numeric, not a measure
-            raise exp.UsageError(f"--csv {args.csv}: {exc}") from exc
-        k = max((triple.k_sets - 1) // 4, 1) if args.k is None else args.k
+            raise exp.UsageError(f"--csv {cfg.csv}: {exc}") from exc
+        k = max((triple.k_sets - 1) // 4, 1) if cfg.k is None else cfg.k
         if triple.k_sets < 4 * k + 1:
             raise exp.UsageError(f"k = {k} needs at least 4k + 1 = {4 * k + 1} sets, "
                                  f"--csv has {triple.k_sets}")
@@ -153,39 +143,38 @@ def _cmd_measure(cfg, args):
     else:
         rng = np.random.default_rng(cfg.seed)
         rows = []
-        for i in range(args.instances):
-            k = int(rng.integers(1, 11)) if args.k is None else args.k
+        for i in range(cfg.instances):
+            k = int(rng.integers(1, 11)) if cfg.k is None else cfg.k
             rows.append(row(i, MeasureTriple.random(k, rng), k, show_indices=False))
     return exp.ScanReport("measure-lemma", rows, {}, exp._metadata())
 
 
-def _cmd_gaussian(cfg, args):
+def _cmd_gaussian(cfg):
     return exp.exp_gaussian_integral_lemma(cfg.dims, cfg.m_values, cfg.box_half_side,
                                            cfg.grid_n)
 
 
-def _cmd_weyl(cfg, args):
+def _cmd_weyl(cfg):
     return exp.exp_weyl_fit(exp.domain_from_config(cfg.domain),
                             density_mod.from_config(cfg.density),
                             _one(cfg.alpha_values, "--alpha"), cfg.k_max, cfg.grid_n)
 
 
-def _cmd_scaling(cfg, args):
+def _cmd_scaling(cfg):
     return exp.exp_scaling_identity(exp.domain_from_config(cfg.domain),
                                     density_mod.from_config(cfg.density),
                                     _one(cfg.alpha_values, "--alpha"), cfg.c_values,
                                     cfg.grid_n)
 
 
-def _cmd_converge(cfg, args):
-    n_values = (cfg.grid_n // 4, cfg.grid_n // 2, cfg.grid_n) if args.grids is None else args.grids
+def _cmd_converge(cfg):
+    n_values = (cfg.grid_n // 4, cfg.grid_n // 2, cfg.grid_n) if cfg.grids is None else cfg.grids
     return exp.exp_convergence(exp.domain_from_config(cfg.domain),
                                density_mod.from_config(cfg.density),
                                _one(cfg.alpha_values, "--alpha"), n_values)
 
 
-# Each flag and the ExperimentConfig field it sets.  A flag with no field is
-# read from the parsed arguments by the one subcommand that declares it.
+# Each flag and the ExperimentConfig field it sets; --config alone sets none.
 FLAGS = {
     "--config": (None, {"help": "JSON file with ExperimentConfig values"}),
     "--out": ("out_dir", {"metavar": "OUT", "help": "output directory"}),
@@ -205,11 +194,11 @@ FLAGS = {
     "--dims": ("dims", {"type": _ints, "help": "dimensions, e.g. 1,2,3"}),
     "--L": ("box_half_side", {"type": float, "help": "box half-side"}),
     "--c": ("c_values", {"type": _floats, "help": "scale factors"}),
-    "--companion-alpha": (None, {"type": float, "default": 0.5}),
-    "--k": (None, {"type": int, "help": "fixed k (random in 1..10 otherwise)"}),
-    "--instances": (None, {"type": int, "default": 1000}),
-    "--csv": (None, {"help": "load one instance from a CSV file"}),
-    "--grids": (None, {"type": _ints, "help": "nested grid sizes"}),
+    "--companion-alpha": ("companion_alpha", {"type": float, "help": "companion exponent"}),
+    "--k": ("k", {"type": int, "help": "fixed k (random in 1..10 otherwise)"}),
+    "--instances": ("instances", {"type": int, "help": "number of random instances"}),
+    "--csv": ("csv", {"help": "load one instance from a CSV file"}),
+    "--grids": ("grids", {"type": _ints, "help": "nested grid sizes"}),
 }
 FIELDS = {field for field, _ in FLAGS.values() if field}
 
@@ -263,10 +252,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     cfg = _config(args)
     try:
-        report = args.fn(cfg, args)
+        report = args.fn(cfg)
     except exp.UsageError as exc:  # raised by an experiment's checks, before any solve
         args.parser.error(str(exc))
-    return 0 if report is None else _emit(report, cfg)
+    return _emit(report, cfg)
 
 
 if __name__ == "__main__":

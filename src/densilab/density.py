@@ -15,6 +15,8 @@ hit a common floor, and the discrete problem grows spurious low
 eigenvalues that the continuum problem does not have.
 """
 
+import math
+
 import numpy as np
 
 from . import geometry
@@ -27,7 +29,7 @@ def _check_range(r, lo, hi, what):
     """Reject points outside [lo, hi] beyond a rounding-level pad."""
     pad = 1e-12 * max(1.0, abs(lo), abs(hi))
     if np.any(r < lo - pad) or np.any(r > hi + pad):
-        raise ValueError(f"evaluation point outside {what}")
+        raise ValueError(f"evaluation point outside {what} [{lo}, {hi}]")
 
 
 class DensityField:
@@ -56,8 +58,8 @@ class DensityField:
 
 class Constant(DensityField):
     def __init__(self, c=1.0):
-        if not c > 0:
-            raise ValueError("density must be positive")
+        if not 0 < c < math.inf:
+            raise ValueError(f"density must be positive and finite, got {c}")
         self.c = float(c)
 
     def _raw(self, r):
@@ -71,8 +73,8 @@ class GaussianRadial(DensityField):
     """exp(-m r^2) with r the radial coordinate (geodesic distance)."""
 
     def __init__(self, m, floor=DENSITY_FLOOR):
-        if not m > 0:
-            raise ValueError("gaussian width parameter m must be positive")
+        if not 0 < m < math.inf:
+            raise ValueError(f"gaussian width m must be positive and finite, got {m}")
         self.m = float(m)
         self.floor = floor
 
@@ -97,8 +99,8 @@ class CauchyPower(DensityField):
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
             raise ValueError("CauchyPower needs alpha strictly inside (0, 1)")
-        if not m > 0:
-            raise ValueError("width parameter m must be positive")
+        if not 0 < m < math.inf:
+            raise ValueError(f"width parameter m must be positive and finite, got {m}")
         self.m = float(m)
         self.alpha = alpha
         self.amplitude = (2.0 * alpha / (1.0 - alpha)) ** (1.0 / (1.0 - alpha))
@@ -130,7 +132,9 @@ class Tabulated(DensityField):
 
     @classmethod
     def from_csv(cls, path):
-        data = np.loadtxt(path, delimiter=",", comments="#")
+        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        if data.shape[1] != 2:
+            raise ValueError(f"{path}: need two columns (r, rho), got {data.shape[1]}")
         return cls(data[:, 0], data[:, 1])
 
     def _raw(self, r):
@@ -150,8 +154,8 @@ class Scaled(DensityField):
     """
 
     def __init__(self, base, c):
-        if not c > 0:
-            raise ValueError("scale factor must be positive")
+        if not 0 < c < math.inf:
+            raise ValueError(f"scale factor must be positive and finite, got {c}")
         self.base = base
         self.c = float(c)
         self.m = getattr(base, "m", None)

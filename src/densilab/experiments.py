@@ -43,7 +43,7 @@ def domain_from_config(cfg):
 
 @dataclass
 class ExperimentConfig:
-    """Everything a scan needs; the CLI fills it from flags and a JSON file."""
+    """Everything a subcommand reads; the CLI fills it from flags and a JSON file."""
 
     experiment: str = "solve"
     domain: dict = field(default_factory=lambda: {"kind": "interval"})
@@ -59,20 +59,34 @@ class ExperimentConfig:
     fmt: str = "csv"
     seed: int = 7
     exploratory: bool = False
+    companion_alpha: float = 0.5
+    k: int = None  # measure-lemma's k; None draws one in 1..10 per instance
+    instances: int = 1000
+    csv: str = None  # measure-lemma's one instance, loaded from this CSV file
+    grids: tuple = None  # converge's nested grid sizes; None is grid_n / 4, / 2, grid_n
 
     def __post_init__(self):
         ranges = (self.alpha_values, self.m_values, self.c_values, self.dims)
         if any(len(r) == 0 for r in ranges):
             raise ValueError("parameter ranges must be nonempty")
-        if min(self.m_values) <= 0:
-            raise ValueError(f"m must be positive, got {min(self.m_values)}")
-        if min(self.c_values) <= 0:
-            raise ValueError(f"c must be positive, got {min(self.c_values)}")
+        # each check is written so that NaN fails it
+        for name, values in (("m", self.m_values), ("c", self.c_values),
+                             ("box_half_side", (self.box_half_side,))):
+            for v in values:
+                if not 0 < v < math.inf:
+                    raise ValueError(f"{name} must be positive and finite, got {v}")
+        for a in (*self.alpha_values, self.companion_alpha):
+            if not math.isfinite(a):
+                raise ValueError(f"alpha must be finite, got {a}")
         n = self.grid_n
         if n < 64 or n > 65536 or (n & (n - 1)):
             raise ValueError("grid_n must be a power of two in [64, 65536]")
         if self.k_max < 0:
             raise ValueError(f"k_max must be nonnegative, got {self.k_max}")
+        if self.k is not None and not self.k >= 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if not self.instances >= 1:
+            raise ValueError(f"instances must be >= 1, got {self.instances}")
         if not self.exploratory:
             for a in self.alpha_values:
                 if not 0.0 <= a <= 1.0:
@@ -80,10 +94,12 @@ class ExperimentConfig:
                         f"alpha={a} outside [0, 1]; pass exploratory=True to scan it "
                         "(no assertions are made there)")
         # raise here, not in the first solve
-        if isinstance(domain_from_config(self.domain), Interval) and self.k_max > n:
+        domain = domain_from_config(self.domain)
+        if isinstance(domain, Interval) and self.k_max > n:
             raise ValueError(f"an interval grid of {n} elements holds eigenvalues 0 to {n}, "
                              f"got k_max={self.k_max}")
-        density_mod.from_config(self.density)
+        # a tabulated density raises here unless its nodes cover the domain
+        density_mod.from_config(self.density)(np.array(domain.bounds))
 
     def to_dict(self):
         return {k: (list(v) if isinstance(v, tuple) else v)
@@ -293,7 +309,8 @@ def exp_bounded_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
     changes by less than 5 % over the last decade of the m grid.  A
     companion supercritical column on the same m grid must grow by a
     factor of 3 over its last two decades, so the contrast is controlled;
-    the m grid must span two decades.
+    the m grid must span two decades, and the companion alpha must be one
+    whose predicted growth 10^(2(1 - (n/2)(1 - a))) reaches 3.
     """
     t0 = time.perf_counter()
     n = domain.dim
@@ -303,8 +320,10 @@ def exp_bounded_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
     for a in alpha_values:
         if not 0.0 <= a < critical:
             raise UsageError(f"alpha={a} is not below the critical exponent {critical}")
-    if companion_alpha <= critical:
-        raise UsageError("companion alpha must be supercritical")
+    smallest = 1.0 - (2.0 / n) * (1.0 - math.log10(3.0) / 2.0)  # predicted growth 3
+    if not companion_alpha >= smallest:
+        raise UsageError(f"companion alpha={companion_alpha} must be supercritical enough to "
+                         f"grow by 3 over two decades: alpha >= {smallest:.4f}")
     if min(m_values) > max(m_values) / 100.0:
         raise UsageError("a companion column needs an m grid spanning two decades")
 

@@ -24,8 +24,6 @@ subspace on which the Rayleigh quotient is at most the largest individual
 quotient.
 """
 
-import csv
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -97,28 +95,6 @@ class SpectrumResult:
     def slot_entries(self):
         """One (k, lambda, mode_j, multiplicity) row per slot."""
         return self._rows
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "lambda", "mode_j", "multiplicity"])
-            w.writerows(self.slot_entries())
-
-    def to_json(self, path=None):
-        payload = {
-            "k_max": self.k_max,
-            "cutoff": self.cutoff,
-            "counts": list(self.counts),
-            "counts_spent": dict(self.counts_spent),
-            "entries": [
-                {"k": k, "lambda": lam, "mode_j": j, "multiplicity": mult}
-                for k, lam, j, mult in self.slot_entries()
-            ],
-        }
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        return payload
 
 
 def _start_vectors(start, nodes, j, count, pole_constrained):

@@ -332,6 +332,28 @@ def element_form_quotient(problem, v):
     return float(num / den)
 
 
+def element_form_ritz_values(pencil, vectors):
+    """Ritz values of a pencil on the columns of ``vectors``, the projected
+    stiffness summed from the element terms: sum_e g_e dv_e dv_e^T + V^T A V,
+    dv_e the columns' differences across element e.  Unlike V^T K V it keeps
+    no cancellation between columns of very different scale, so a column in
+    K's kernel projects to an exact zero row."""
+    hw, g, _, wj = _element_forms(pencil.problem)
+    v = np.asarray(vectors, dtype=float)
+    if pencil.problem.pole_constrained:
+        v = np.vstack([np.zeros((1, v.shape[1])), v])
+    dv = np.diff(v, axis=0)
+    k = dv.T @ (g[:, None] * dv)
+    if wj is not None:
+        a_diag, a_off = np.zeros(len(v)), np.zeros(len(g))
+        _accumulate(hw, wj, a_diag, a_off)
+        k += v.T @ (a_diag[:, None] * v)
+        k += v[:-1].T @ (a_off[:, None] * v[1:])
+        k += v[1:].T @ (a_off[:, None] * v[:-1])
+    v = v[1:] if pencil.problem.pole_constrained else v
+    return sla.eigh(k, v.T @ dense_m(pencil) @ v, eigvals_only=True)
+
+
 def overlapping_pair(values):
     """The first (i, k), i < k, in lexicographic order, of nodal value arrays whose
     supports share a grid element, by whole-grid element masks; None if none do."""

@@ -126,6 +126,17 @@ def test_tabulated_csv_roundtrip(tmp_path):
     assert rho(0.5) == pytest.approx(1.0 + math.cos(0.5), abs=1e-6)
     with pytest.raises(ValueError, match="positive"):
         dl.Tabulated(r, vals - 2.0)
+    np.savetxt(path, r, delimiter=",")
+    with pytest.raises(ValueError, match="two columns"):
+        dl.Tabulated.from_csv(path)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_closed_forms_reject_nonpositive_and_nonfinite_parameters(bad):
+    for build in (dl.Constant, dl.GaussianRadial, lambda m: dl.CauchyPower(m, 0.5),
+                  lambda c: dl.scale(dl.GaussianRadial(1.0), c)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build(bad)
 
 
 def test_tabulated_rejects_points_outside_its_nodes():

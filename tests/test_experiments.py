@@ -25,6 +25,13 @@ def test_config_validation():
         exp.ExperimentConfig(k_max=-1)
     cfg = exp.ExperimentConfig(alpha_values=(1.5,), exploratory=True)
     assert cfg.exploratory
+    # NaN fails every range check, and a non-finite alpha is never exploratory
+    for bad in ({"m_values": (math.nan,)}, {"c_values": (1.0, math.nan)},
+                {"box_half_side": math.inf}, {"companion_alpha": math.nan},
+                {"alpha_values": (math.inf,), "exploratory": True},
+                {"k": 0}, {"instances": 0}, {"instances": math.nan}):
+        with pytest.raises(ValueError):
+            exp.ExperimentConfig(**bad)
 
 
 @pytest.mark.parametrize("command, flags, config", [
@@ -64,7 +71,17 @@ def test_config_validation():
     ("gaussian-lemma", ["--dims", "0"], None),
     ("conformal-check", ["--n", "2", "--kmax", "0", "--grid", "256"], None),
     ("solve", ["--config", "cfg.json"],
-     '{"density": {"kind": "scaled", "c": 2.0, "base": {"kind": "gaussian", "m": 1.0}}}')],
+     '{"density": {"kind": "scaled", "c": 2.0, "base": {"kind": "gaussian", "m": 1.0}}}'),
+    ("conformal-check", ["--m", "inf"], None), ("solve", ["--density", "gaussian:inf"], None),
+    ("solve", ["--density", "constant:inf"], None), ("scaling-check", ["--c", "nan"], None),
+    ("scan-blowup", ["--alpha", "0.75", "--m", "nan,10,100"], None),
+    ("scan-bounded", ["--companion-alpha", "nan"], None),
+    ("solve", ["--alpha", "nan", "--exploratory"], None),
+    ("gaussian-lemma", ["--L", "inf"], None),
+    ("solve", ["--density", "tabulated:cfg.json"], "0.0\n0.5\n1.0\n"),
+    ("solve", ["--density", "tabulated:cfg.json"], "-1.0,1.0\n0.0,2.0\n0.9,1.0\n"),
+    ("solve", ["--n", "2", "--density", "tabulated:cfg.json"], "0.0,1.0\n0.5,2.0\n0.9,1.0\n"),
+    ("scan-bounded", ["--companion-alpha", "0.4", "--grid", "512"], None)],
     ids=["kmax-negative", "grid-not-power-of-two", "grid-zero", "alpha-empty", "m-empty",
          "config-grid-not-power-of-two", "config-truncated", "config-unknown-key",
          "config-missing", "scan-bounded-on-interval", "scan-blowup-subcritical",
@@ -80,7 +97,12 @@ def test_config_validation():
          "measure-lemma-csv-not-numeric", "measure-lemma-csv-too-few-sets",
          "measure-lemma-csv-k-too-large", "converge-graded-interval-odd",
          "solve-kmax-above-interval-capacity", "scaling-check-c-zero",
-         "gaussian-lemma-dims-zero", "conformal-check-kmax-zero", "config-density-scaled"])
+         "gaussian-lemma-dims-zero", "conformal-check-kmax-zero", "config-density-scaled",
+         "conformal-check-m-inf", "density-gaussian-inf", "density-constant-inf",
+         "scaling-check-c-nan", "scan-blowup-m-nan", "scan-bounded-companion-nan",
+         "alpha-nan-exploratory", "gaussian-lemma-L-inf", "density-tabulated-one-column",
+         "density-tabulated-short-of-interval", "density-tabulated-short-of-disk",
+         "scan-bounded-companion-below-growth-3"])
 def test_cli_config_errors_are_usage_errors(command, flags, config, tmp_path, monkeypatch,
                                             capsys):
     def no_solve(*args, **kwargs):
@@ -106,12 +128,13 @@ def test_cli_runs_the_config_it_records(tmp_path, monkeypatch):
         def record(*args, **kwargs):
             calls[name] = (args, kwargs)
             if name == "full_spectrum":
-                return SimpleNamespace(lambdas=[0.0], to_json=lambda path: None)
+                return SimpleNamespace(slot_entries=lambda: [], cutoff=1.0, counts=(1,),
+                                       counts_spent={})
             return exp.ScanReport(name, [])
         return record
 
     for name in ("exp_weyl_fit", "exp_scaling_identity", "exp_conformal_identity",
-                 "exp_convergence", "exp_blowup_scan"):
+                 "exp_convergence", "exp_blowup_scan", "exp_bounded_scan"):
         monkeypatch.setattr(exp, name, spy(name))
     monkeypatch.setattr(cli, "full_spectrum", spy("full_spectrum"))
 
@@ -135,6 +158,13 @@ def test_cli_runs_the_config_it_records(tmp_path, monkeypatch):
     assert args[1].m == 10.0 and args[2:] == (5, 2048)
     run("converge", "--grid", "512", "--alpha", "1.5", "--exploratory")
     assert calls["exp_convergence"][0][2:] == (1.5, (128, 256, 512))
+    run("converge", "--grids", "64,128,256")
+    assert calls["exp_convergence"][0][3] == (64, 128, 256)
+    with open(tmp_path / "exp_convergence.json") as fh:
+        assert json.load(fh)["metadata"]["config"]["grids"] == [64, 128, 256]
+    (tmp_path / "cfg.json").write_text('{"companion_alpha": 0.7}')
+    run("scan-bounded", "--config", str(tmp_path / "cfg.json"))
+    assert calls["exp_bounded_scan"][1]["companion_alpha"] == 0.7
     run("scan-blowup", "--n", "2", "--alpha", "0.6", "--m", "10,100", "--grid", "128")
     args, kwargs = calls["exp_blowup_scan"]
     assert args[1:] == ((0.6,), (10.0, 100.0), 128) and kwargs == {"assert_slopes": True}
@@ -321,6 +351,9 @@ def test_bounded_scan_small():
                              m_values=m_grid)
     with pytest.raises(ValueError, match="supercritical"):
         exp.exp_bounded_scan(ball, (0.2,), m_values=m_grid, companion_alpha=0.1)
+    # predicted growth 10^0.2 = 1.585 over two decades, below the gate's 3
+    with pytest.raises(exp.UsageError, match=r"alpha >= 0\.4924"):
+        exp.exp_bounded_scan(ball, (0.2,), m_values=m_grid, companion_alpha=0.4)
 
 
 def test_scan_report_serialization(tmp_path):
@@ -363,10 +396,23 @@ def test_cli_solve_writes_spectrum(tmp_path, capsys):
     rc = cli_main(["solve", "--n", "2", "--alpha", "0.0", "--kmax", "3",
                    "--density", "constant:1", "--grid", "256", "--out", str(tmp_path)])
     assert rc == 0
-    with open(tmp_path / "spectrum.csv") as fh:
-        rows = list(csv.DictReader(fh))
+    assert capsys.readouterr().out.startswith("solve: PASS (4 rows) -> ")
+    with open(tmp_path / "solve.csv") as fh:
+        assert fh.readline().rstrip("\r\n") == "k,lambda,mode_j,multiplicity"
+        rows = list(csv.DictReader(fh, fieldnames=["k", "lambda", "mode_j", "multiplicity"]))
     assert len(rows) == 4
     assert float(rows[1]["lambda"]) == pytest.approx(3.38996, rel=1e-3)
+    # the metadata names what ran, with the plan and the counts it spent
+    disk = dl.RevolutionManifold.ball(2, 1.0)
+    res = dl.full_spectrum(disk, dl.Constant(1.0), 0.0, 3, grid=dl.RadialGrid.uniform(disk, 256))
+    with open(tmp_path / "solve.meta.json") as fh:
+        meta = json.load(fh)["metadata"]
+    assert meta["config"]["domain"] == {"kind": "ball", "n": 2}
+    assert meta["config"]["density"] == {"kind": "constant", "c": 1.0}
+    assert meta["config"]["alpha_values"] == [0.0]
+    assert meta["tool_version"] == dl.__version__
+    assert (meta["cutoff"], meta["counts"]) == (res.cutoff, list(res.counts))
+    assert meta["counts_spent"] == res.counts_spent
 
 
 def test_cli_converge(tmp_path):
@@ -453,8 +499,39 @@ def test_cli_scaling_check_passes_with_its_defaults(tmp_path):
 def test_every_subcommand_passes_at_its_defaults(command, tmp_path, capsys):
     assert cli_main([command, "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    expected = "solve: lambda_0..5 = " if command == "solve" else f"{command}: PASS "
-    assert out.startswith(expected)
+    assert out.startswith(f"{command}: PASS ")
+
+
+# Each subcommand at a small size, so that a replay of its recorded config is quick.
+_SMALL = {
+    "solve": ["--grid", "64"],
+    "scan-blowup": ["--n", "2", "--m", "10,100", "--grid", "64"],
+    "scan-bounded": ["--m", "10,1000", "--grid", "64"],
+    "verify-1d": ["--m", "1,10", "--grid", "64"],
+    "conformal-check": ["--n", "2", "--m", "1", "--kmax", "3", "--grid", "64"],
+    "measure-lemma": ["--instances", "5", "--k", "2"],
+    "gaussian-lemma": ["--m", "10,100", "--grid", "64"],
+    "weyl-fit": ["--grid", "64"],
+    "scaling-check": ["--grid", "64"],
+    "converge": ["--grids", "64,128,256"],
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_recorded_config_reproduces_its_run(command, tmp_path):
+    assert set(_SMALL) == set(cli.COMMANDS)
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    rc = cli_main([command, *_SMALL[command], "--out", str(first), "--format", "json"])
+    with open(first / f"{command}.json") as fh:
+        ran = json.load(fh)
+    (tmp_path / "cfg.json").write_text(json.dumps(ran["metadata"]["config"]))
+    assert cli_main([command, "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(replay)]) == rc
+    with open(replay / f"{command}.json") as fh:
+        again = json.load(fh)
+    # the timing fields aside, the replay is the run
+    assert (again["rows"], again["fits"]) == (ran["rows"], ran["fits"])
+    assert again["metadata"]["config"] == {**ran["metadata"]["config"], "out_dir": str(replay)}
 
 
 def _spectra_of(monkeypatch, run):
@@ -500,5 +577,4 @@ def test_count_tally_of_the_benchmark_inputs(monkeypatch):
     for spectra, bound in ((conformal, 220), (blowup, 260)):
         tallies = [res.counts_spent for res, _ in spectra]
         assert all(set(t) == {"plan", "solve"} and t["plan"] > 0 for t in tallies)
-        assert all(res.to_json()["counts_spent"] == res.counts_spent for res, _ in spectra)
         assert sum(t["plan"] + t["solve"] for t in tallies) <= bound

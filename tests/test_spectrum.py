@@ -5,11 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from hypothesis import assume, given, settings, strategies as st
 
 import densilab as dl
 from densilab import spectrum
+from densilab.cli import main as cli_main
 from densilab.assembly import ModeProblem, assemble, element_forms
 from densilab.eigensolver import count_below
 from densilab.spectrum import TestFunction
@@ -636,20 +636,27 @@ def test_alpha_endpoints_reproduce_direct_pencils():
     assert np.array_equal(forms.wk, forms.wm)  # sigma = rho at every Gauss point
 
 
-def test_spectrum_serialization(tmp_path):
+def test_spectrum_serialization(tmp_path, capsys):
+    # a spectrum is written by the command line's common report writer: the
+    # CSV one row per slot under a fixed header, the JSON the same rows
     iv = dl.Interval(-1.0, 1.0)
     res = dl.full_spectrum(iv, dl.Constant(1.0), 0.0, 3,
                            grid=dl.RadialGrid.uniform(iv, 128))
-    csv_path = tmp_path / "spec.csv"
-    res.to_csv(csv_path)
-    lines = csv_path.read_text().strip().splitlines()
+    argv = ["solve", "--n", "1", "--alpha", "0.0", "--kmax", "3",
+            "--density", "constant:1", "--grid", "128"]
+    assert cli_main([*argv, "--out", str(tmp_path / "csv")]) == 0
+    lines = (tmp_path / "csv" / "solve.csv").read_text().strip().splitlines()
     assert lines[0] == "k,lambda,mode_j,multiplicity"
     assert len(lines) == 5
 
-    payload = res.to_json(tmp_path / "spec.json")
-    assert payload["k_max"] == 3
-    with open(tmp_path / "spec.json") as fh:
-        assert json.load(fh)["entries"][0]["k"] == 0
+    assert cli_main([*argv, "--format", "json", "--out", str(tmp_path / "json")]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "json" / "solve.json") as fh:
+        payload = json.load(fh)
+    assert payload["rows"][0]["k"] == 0
+    assert [row["lambda"] for row in payload["rows"]] == list(res.lambdas)
+    assert payload["metadata"]["config"]["k_max"] == 3
+    assert payload["metadata"]["counts"] == list(res.counts)
 
 
 _WARM_DOMAINS = {"disk": dl.RevolutionManifold.ball(2, 1.0),
@@ -684,8 +691,7 @@ def test_warm_start_matches_cold_and_refinement_is_monotone(name, log_m, alpha, 
         assert (pairs.path == "rqi") != (pairs.refused is not None)
         # nested conforming spaces (Poincare separation): the fine pencil's
         # Ritz values on the prolonged coarse vectors bound its eigenvalues
-        ritz = sla.eigh(prolonged.T @ oracles.dense_k(pencil) @ prolonged,
-                        prolonged.T @ oracles.dense_m(pencil) @ prolonged, eigvals_only=True)
+        ritz = oracles.element_form_ritz_values(pencil, prolonged)
         assert np.all(pairs.values <= ritz + 1e-10 * ritz[-1])
 
 

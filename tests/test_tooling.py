@@ -121,9 +121,12 @@ def test_scan_csv_header_is_the_readme_schema(tmp_path):
 
 
 def test_every_config_field_has_a_flag():
-    # a field no flag sets can be changed only through a --config file
+    # a field no flag sets can be changed only through a --config file, and a
+    # flag that sets no field would be a side channel the config cannot record
     fields = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
     assert fields == cli.FIELDS | {"experiment"}
+    assert [flag for flag, (field, _) in cli.FLAGS.items() if field is None] == ["--config"]
+    assert len(cli.FIELDS) == len(cli.FLAGS) - 1  # one flag per field
 
 
 def test_entry_point_reports_usage_errors():
