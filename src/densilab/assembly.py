@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import density as density_mod
-from .geometry import Interval, RadialGrid, RevolutionManifold, sphere_eigenvalue
+from .geometry import Interval, RadialGrid, RevolutionManifold, _check_endpoints, sphere_eigenvalue
 # element_integrals is unused here, but the benchmark tracer patches it on this module
 from .quadrature import _GAUSS_OFFSET, element_integrals, gauss_points  # noqa: F401
 
@@ -53,11 +53,7 @@ class ModeProblem:
                 raise ValueError("mode index must be >= 0")
         else:
             raise TypeError(f"unsupported domain type {type(self.domain).__name__}")
-        lo, hi = self.domain.bounds
-        nodes = self.grid.nodes
-        if abs(nodes[0] - lo) > 1e-12 * max(1.0, abs(lo)) or \
-           abs(nodes[-1] - hi) > 1e-12 * max(1.0, abs(hi)):
-            raise ValueError("grid does not cover the domain")
+        _check_endpoints(self.grid.nodes, self.domain)
 
     @property
     def stiffness_density(self):

@@ -1,8 +1,8 @@
 """Generalized symmetric eigensolver for tridiagonal pencils: count, then solve.
 
-``count_below``: by Sylvester's law of inertia, the number of eigenvalues
-below sigma is the number of negative pivots of K - sigma M, which
-``dpttrf`` computes in O(N) on the pencil equilibrated to a unit mass
+``counter(pencil)(sigma)``: by Sylvester's law of inertia, the number of
+eigenvalues below sigma is the number of negative pivots of K - sigma M,
+which ``dpttrf`` computes in O(N) on the pencil equilibrated to a unit mass
 diagonal (forming (e/d) e, never e^2, so nothing overflows where the
 density underflows).  A cold solve (path ``"sturm"``) bisects a bracket on
 those counts until it holds eigenvalue i alone (Barth-Martin-Wilkinson
@@ -150,15 +150,11 @@ class _Record:
 
 
 def counter(pencil):
-    """``count_below`` of one pencil as a function of sigma: its ``_Record``, built once."""
+    """The number of eigenvalues of K v = lambda M v below sigma (Sylvester inertia),
+    as a function of sigma: the pencil's ``_Record``, built once."""
     if pencil._solver is None:
         pencil._solver = _Record(pencil)
     return pencil._solver
-
-
-def count_below(pencil, sigma):
-    """Number of eigenvalues of K v = lambda M v below ``sigma`` (Sylvester inertia)."""
-    return counter(pencil)(sigma)
 
 
 def ramp_quotient(pencil):

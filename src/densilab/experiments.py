@@ -310,7 +310,8 @@ def exp_bounded_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
     companion supercritical column on the same m grid must grow by a
     factor of 3 over its last two decades, so the contrast is controlled;
     the m grid must span two decades, and the companion alpha must be one
-    whose predicted growth 10^(2(1 - (n/2)(1 - a))) reaches 3.
+    whose predicted growth 10^(2(1 - (n/2)(1 - a))) reaches 3, and at most 1
+    (past 1 the floored region's eigenvalues, near floor^(a - 1), overflow).
     """
     t0 = time.perf_counter()
     n = domain.dim
@@ -321,9 +322,9 @@ def exp_bounded_scan(domain, alpha_values, m_values=DEFAULT_M_GRID,
         if not 0.0 <= a < critical:
             raise UsageError(f"alpha={a} is not below the critical exponent {critical}")
     smallest = 1.0 - (2.0 / n) * (1.0 - math.log10(3.0) / 2.0)  # predicted growth 3
-    if not companion_alpha >= smallest:
+    if not smallest <= companion_alpha <= 1.0:
         raise UsageError(f"companion alpha={companion_alpha} must be supercritical enough to "
-                         f"grow by 3 over two decades: alpha >= {smallest:.4f}")
+                         f"grow by 3 over two decades: alpha >= {smallest:.4f}, and at most 1")
     if min(m_values) > max(m_values) / 100.0:
         raise UsageError("a companion column needs an m grid spanning two decades")
 
@@ -402,6 +403,12 @@ def exp_gaussian_integral_lemma(dims=(1, 2, 3), m_values=(10.0, 100.0, 1e3),
     for n in dims:
         if int(n) != n or n < 1:
             raise UsageError(f"dimension must be an integer >= 1, got {n}")
+    try:
+        boxes = {n: (2.0 * half_side) ** n for n in dims}
+    except OverflowError:
+        boxes = {}
+    if not all(math.isfinite(boxes.get(n, math.inf)) for n in dims):
+        raise UsageError(f"the box volume (2 L)^n overflows: L={half_side}, dims={dims}")
     rows = []
     for m in sorted(m_values):
         if not (m > 0 and m ** -0.5 <= half_side):
@@ -414,7 +421,7 @@ def exp_gaussian_integral_lemma(dims=(1, 2, 3), m_values=(10.0, 100.0, 1e3),
             bound = math.exp(-n) * m ** (-n / 2.0)
             rows.append({"n": n, "m": m, "L": half_side,
                          "integral": value, "lower_bound": bound,
-                         "volume_box": (2.0 * half_side) ** n,
+                         "volume_box": boxes[n],
                          "passed": bool(value > bound)})
     return ScanReport("gaussian-lemma", rows, {}, _metadata(t0=t0))
 

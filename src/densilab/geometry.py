@@ -109,6 +109,14 @@ class RevolutionManifold:
         return cls(n=n, R=float(r_nodes[-1]), profile=spline, pole_slope_tol=pole_slope_tol)
 
 
+def _check_endpoints(nodes, domain):
+    """Raise unless the first and last node are the domain's bounds, to 1e-12."""
+    lo, hi = domain.bounds
+    if abs(nodes[0] - lo) > 1e-12 * max(1.0, abs(lo)) or \
+       abs(nodes[-1] - hi) > 1e-12 * max(1.0, abs(hi)):
+        raise ValueError("grid does not cover the domain: its endpoints must be its bounds")
+
+
 class RadialGrid:
     """Sorted nodes covering the radial coordinate range of a domain."""
 
@@ -119,10 +127,7 @@ class RadialGrid:
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("grid nodes must be strictly increasing")
         if domain is not None:
-            lo, hi = domain.bounds
-            if abs(nodes[0] - lo) > 1e-12 * max(1.0, abs(lo)) or \
-               abs(nodes[-1] - hi) > 1e-12 * max(1.0, abs(hi)):
-                raise ValueError("grid endpoints must match the domain")
+            _check_endpoints(nodes, domain)
         self.nodes = nodes
         self.nodes.flags.writeable = False
 

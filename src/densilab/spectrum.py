@@ -6,7 +6,7 @@ lambda_0 <= lambda_1 <= ...  The modes are one family, assembled once:
 K_j = G + mu_j A (``TridiagonalPencil.mode``).  It counts first, then
 solves.  By Sylvester's law of inertia, count_j(sigma), the number of
 mode j's eigenvalues below sigma, is the number of negative pivots of
-K_j - sigma M_j (``eigensolver.count_below``, O(N), no solve).  A cutoff
+K_j - sigma M_j (``eigensolver.counter``, O(N), no solve).  A cutoff
 sigma is fixed from counts alone, with N(sigma) = sum_j mult_j count_j(sigma)
 >= k_max + 1, and mode j is then solved for exactly count_j(sigma) pairs.
 The sweep ends at the first mode with count_j(sigma) = 0, and no later mode
@@ -16,7 +16,7 @@ of the unconstrained one, so positive definiteness of K_j - sigma M_j
 carries over to every mode after it.  The count is also each solve's
 certificate: count_j(sigma) pairs, all below sigma, are exactly the mode's
 eigenvalues below sigma, so no eigenvalue below sigma was missed.  Search,
-clearance and solve share each mode's memo of counts (``eigensolver.counter``).
+clearance and solve share each mode's memo of counts.
 
 Radial plateau ("annulus") test functions give min-max upper bounds:
 any k+1 of them with pairwise disjoint supports span a (k+1)-dimensional
@@ -24,7 +24,7 @@ subspace on which the Rayleigh quotient is at most the largest individual
 quotient.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,55 +42,42 @@ _HARD_MODE_CAP = 256
 _BRACKET_RATIO = 1.25
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    value: float
-    mode_j: int
-    multiplicity: int
-    vector: np.ndarray = field(repr=False, compare=False)
-
-
 class SpectrumResult:
     """Merged spectrum with mode provenance; counts multiplicities.
 
     ``modes`` maps each solved mode j to its ``EigenPairs`` (every pair
     solved, not only those placed in slots, vectors on all of ``nodes``, the
     grid's nodes), which a finer grid's ``full_spectrum(start=...)`` reuses.
-    ``cutoff`` is the sigma of the count plan and ``counts[j]`` the number of
-    mode j's eigenvalues below it, each certified by its solve.
+    The k_max + 1 slots (``slot_entries()``, values ``lambdas``) merge the
+    values of all modes in one sort, each repeated ``multiplicities[j]``
+    times, ties by mode j and then by pair.
+    ``cutoff`` is the sigma of the count plan and ``counts[j]``, the number of
+    mode j's pairs, its count of eigenvalues below it, certified by its solve.
     ``counts_spent``: counts made in the plan (search, clearance) and in the solves.
     """
 
-    def __init__(self, entries, k_max, modes, nodes, cutoff, counts, counts_spent):
-        self.entries = []
-        self._rows = []  # (k, lambda, mode_j, multiplicity), one per slot
-        for ent in sorted(entries, key=lambda t: t.value):
-            if len(self._rows) > k_max:
-                break
-            self.entries.append(ent)
-            k = len(self._rows)
-            self._rows.extend((k + i, ent.value, ent.mode_j, ent.multiplicity)
-                              for i in range(ent.multiplicity))
-        del self._rows[k_max + 1:]
+    def __init__(self, k_max, modes, multiplicities, nodes, cutoff, counts_spent):
+        merged = sorted((v, j) for j, pairs in modes.items() for v in pairs.values)
+        slots = [(v, j, multiplicities[j]) for v, j in merged
+                 for _ in range(multiplicities[j])][:k_max + 1]
+        if len(slots) < k_max + 1:
+            raise ValueError("not enough eigenvalues computed to fill k_max + 1 slots")
+        self._rows = [(k, *slot) for k, slot in enumerate(slots)]
+        self.lambdas = np.array([v for v, _, _ in slots])
         self.k_max = k_max
         self.modes = modes
         self.nodes = nodes
         self.cutoff = cutoff
-        self.counts = counts
         self.counts_spent = counts_spent
-        self._slots = np.array([row[1] for row in self._rows])
-        if len(self._slots) < k_max + 1:
-            raise ValueError("not enough eigenvalues computed to fill k_max + 1 slots")
+
+    @property
+    def counts(self):
+        return tuple(len(pairs.values) for pairs in self.modes.values())
 
     @property
     def paths(self):
         """The solver path of each solved mode: ``{j: "sturm" | "rqi" | "zero"}``."""
         return {j: pairs.path for j, pairs in self.modes.items()}
-
-    @property
-    def lambdas(self):
-        """Eigenvalues by slot, multiplicity expanded, length k_max + 1."""
-        return self._slots
 
     def slot_entries(self):
         """One (k, lambda, mode_j, multiplicity) row per slot."""
@@ -222,13 +209,8 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, start=None):
     if len(counts) > j_last and isinstance(domain, RevolutionManifold):
         raise RuntimeError(f"mode sweep did not terminate below j={j_last}")
     plan = sum(counter(p).spent for p in pencils.values())
-    modes = {}
-    entries = []
-    for j, count in enumerate(counts):
-        pairs = modes[j] = _solve_mode(mode(j), count, start, cutoff)
-        entries.extend(SpectrumEntry(v, j, mult(j), pairs.vectors[:, i])
-                       for i, v in enumerate(pairs.values))
-    return SpectrumResult(entries, k_max, modes, grid.nodes, cutoff, tuple(counts), {
+    modes = {j: _solve_mode(mode(j), count, start, cutoff) for j, count in enumerate(counts)}
+    return SpectrumResult(k_max, modes, [mult(j) for j in modes], grid.nodes, cutoff, {
         "plan": plan, "solve": sum(counter(p).spent for p in pencils.values()) - plan})
 
 
@@ -468,8 +450,7 @@ def holder_chain_check(domain, rho, alpha, u, grid=None):
 
     def weights(vals):
         """omega times each element's integral, as ``element_integrals`` gives it."""
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite weight value at a quadrature node")
+        assembly._check_finite("weight", vals)
         return omega * (hw * vals.sum(axis=1))
 
     w_vol = weights(vol)

@@ -4,7 +4,7 @@ import pytest
 import densilab as dl
 from densilab import spectrum
 from densilab.assembly import ModeProblem, TridiagonalPencil, assemble
-from densilab.eigensolver import count_below, solve_generalized
+from densilab.eigensolver import counter, solve_generalized
 from densilab.quadrature import element_integrals
 
 import oracles
@@ -184,11 +184,11 @@ def test_assembled_bands_are_read_only():
     disk = dl.RevolutionManifold.ball(2, 1.0)
     grid = dl.RadialGrid.uniform(disk, 64)
     p = assemble(ModeProblem(domain=disk, rho=dl.Constant(1.0), alpha=0.5, grid=grid, j=1))
-    assert count_below(p, 50.0) == 2
+    assert counter(p)(50.0) == 2
     with pytest.raises(ValueError, match="read-only"):
         p.k_diag *= 4
     for pencil in (p, p.mode(0), p.mode(3)):
         assert not any(a.flags.writeable for a in _bands(pencil))
-    assert count_below(p, 50.0) == 2
+    assert counter(p)(50.0) == 2
     scaled = TridiagonalPencil(4 * p.k_diag, 4 * p.k_off, p.m_diag, p.m_off)
-    assert count_below(scaled, 50.0) == 1
+    assert counter(scaled)(50.0) == 1

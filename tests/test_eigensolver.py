@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import densilab as dl
 from densilab import eigensolver
 from densilab.assembly import ModeProblem, TridiagonalPencil, assemble
-from densilab.eigensolver import (EigenSolveError, IndefiniteMassError, count_below,
+from densilab.eigensolver import (EigenSolveError, IndefiniteMassError, counter,
                                   solve_generalized)
 from densilab.spectrum import full_spectrum
 
@@ -306,11 +306,11 @@ def test_exceeds_brackets_the_lowest_eigenvalue(name):
     # a count of zero below sigma: every eigenvalue exceeds sigma (the sweep stop)
     if j == 0:
         # the zero mode: below lambda_1, within 1e-9 lambda_1 of zero
-        assert count_below(p, lam[1] * (1 - 1e-8)) != 0
-        assert count_below(p, -1e-9 * lam[1]) == 0
+        assert counter(p)(lam[1] * (1 - 1e-8)) != 0
+        assert counter(p)(-1e-9 * lam[1]) == 0
     else:
-        assert count_below(p, lam[0] * (1 - 1e-8)) == 0
-        assert count_below(p, lam[0] * (1 + 1e-8)) != 0
+        assert counter(p)(lam[0] * (1 - 1e-8)) == 0
+        assert counter(p)(lam[0] * (1 + 1e-8)) != 0
 
 
 @pytest.mark.parametrize("n_el", [256, 1024])
@@ -321,17 +321,17 @@ def test_count_below_matches_dense_oracle(name, n_el):
     p = assemble(ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid, j=j))
     lam = dense_pencil_eigenvalues(p, 4)
     for k in (1, 2, 3):
-        assert count_below(p, lam[k] * (1 - 1e-8)) == k
-        assert count_below(p, lam[k] * (1 + 1e-8)) == k + 1
+        assert counter(p)(lam[k] * (1 - 1e-8)) == k
+        assert counter(p)(lam[k] * (1 + 1e-8)) == k + 1
 
 
 def test_count_below_restarts_past_negative_pivots():
     # K = diag(1, 2, ..., n), M = I: the count is the number of integers below sigma
     n = 9
     p = _pencil(np.arange(1.0, n + 1), np.zeros(n - 1), np.ones(n), np.zeros(n - 1))
-    assert [count_below(p, s) for s in (0.5, 1.5, 4.5, 8.5, 9.5)] == [0, 1, 4, 8, 9]
+    assert [counter(p)(s) for s in (0.5, 1.5, 4.5, 8.5, 9.5)] == [0, 1, 4, 8, 9]
     # an exactly zero pivot counts as negative: sigma = 1 puts it in row 1
-    assert count_below(p, 1.0) == 1
+    assert counter(p)(1.0) == 1
 
 
 def test_zero_mode_is_deflated():
@@ -389,7 +389,7 @@ def test_paths_name_the_solver():
                 min_size=1, max_size=40))
 def test_memoised_counts_match_direct_counts(pencil, seed, shifts):
     # a random SPD pencil of that size or a floored pencil; shifts +-tau 10^e
-    # around its ramp quotient tau, negative ones too, as count_below takes them
+    # around its ramp quotient tau, negative ones too, as the counter takes them
     if isinstance(pencil, str):
         domain, m, n_el, j = _FLOORED[pencil]
         pencil = assemble(ModeProblem(domain=domain, rho=dl.GaussianRadial(m), alpha=0.1,
@@ -401,7 +401,7 @@ def test_memoised_counts_match_direct_counts(pencil, seed, shifts):
     for sign, e in shifts:
         sigma = sign * tau * 10.0 ** e
         direct = eigensolver._count(*count.bands, sigma)
-        assert count(sigma) == count_below(pencil, sigma) == direct
+        assert count(sigma) == counter(pencil)(sigma) == direct
     assert count.spent <= len(shifts)
     # between two memo points of equal count, or below one of count 0: decided
     # by the memo, with no new count

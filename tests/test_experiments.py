@@ -81,7 +81,9 @@ def test_config_validation():
     ("solve", ["--density", "tabulated:cfg.json"], "0.0\n0.5\n1.0\n"),
     ("solve", ["--density", "tabulated:cfg.json"], "-1.0,1.0\n0.0,2.0\n0.9,1.0\n"),
     ("solve", ["--n", "2", "--density", "tabulated:cfg.json"], "0.0,1.0\n0.5,2.0\n0.9,1.0\n"),
-    ("scan-bounded", ["--companion-alpha", "0.4", "--grid", "512"], None)],
+    ("scan-bounded", ["--companion-alpha", "0.4", "--grid", "512"], None),
+    ("scan-bounded", ["--companion-alpha", "1.5", "--grid", "64", "--m", "10,1000"], None),
+    ("gaussian-lemma", ["--L", "1e300", "--grid", "64"], None)],
     ids=["kmax-negative", "grid-not-power-of-two", "grid-zero", "alpha-empty", "m-empty",
          "config-grid-not-power-of-two", "config-truncated", "config-unknown-key",
          "config-missing", "scan-bounded-on-interval", "scan-blowup-subcritical",
@@ -102,7 +104,8 @@ def test_config_validation():
          "scaling-check-c-nan", "scan-blowup-m-nan", "scan-bounded-companion-nan",
          "alpha-nan-exploratory", "gaussian-lemma-L-inf", "density-tabulated-one-column",
          "density-tabulated-short-of-interval", "density-tabulated-short-of-disk",
-         "scan-bounded-companion-below-growth-3"])
+         "scan-bounded-companion-below-growth-3", "scan-bounded-companion-above-one",
+         "gaussian-lemma-box-overflows"])
 def test_cli_config_errors_are_usage_errors(command, flags, config, tmp_path, monkeypatch,
                                             capsys):
     def no_solve(*args, **kwargs):

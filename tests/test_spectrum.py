@@ -11,7 +11,7 @@ import densilab as dl
 from densilab import spectrum
 from densilab.cli import main as cli_main
 from densilab.assembly import ModeProblem, assemble, element_forms
-from densilab.eigensolver import count_below
+from densilab.eigensolver import counter
 from densilab.spectrum import TestFunction
 
 import oracles
@@ -61,9 +61,9 @@ def test_zero_mode_constant_eigenvector():
     disk = dl.RevolutionManifold.ball(2, 1.0)
     res = dl.full_spectrum(disk, dl.GaussianRadial(3.0), 0.5, 2,
                            grid=dl.RadialGrid.uniform(disk, 256))
-    ent = res.entries[0]
-    assert ent.value == 0.0
-    v = ent.vector
+    _, value, j, _ = res.slot_entries()[0]
+    assert value == 0.0 and value == res.modes[j].values[0]
+    v = res.modes[j].vectors[:, 0]
     assert np.max(np.abs(v - v.mean())) <= 1e-7 * abs(v.mean())
 
 
@@ -89,15 +89,15 @@ def test_each_mode_asks_only_for_pairs_it_can_place(monkeypatch):
     # each mode is asked for its count below the cutoff: 5 pairs for 13 slots
     assert asked == list(res.counts) == [2, 1, 1, 1]
     family = assemble(ModeProblem(domain=ball, rho=dl.Constant(1.0), alpha=0.0, grid=grid))
-    assert [count_below(family.mode(j), res.cutoff) for j in range(5)] == [2, 1, 1, 1, 0]
+    assert [counter(family.mode(j))(res.cutoff) for j in range(5)] == [2, 1, 1, 1, 0]
     # the stop mode is counted, never solved
-    assert len(asked) == 1 + max(e.mode_j for e in res.entries)
+    assert len(asked) == len(res.modes) == 1 + max(row[2] for row in res.slot_entries())
     disk = dl.RevolutionManifold.ball(2, 1.0)
     asked.clear()
     res = dl.full_spectrum(disk, dl.GaussianRadial(100.0), 0.75, 1,
                            grid=dl.RadialGrid.uniform(disk, 256))
     assert asked == list(res.counts) == [1, 1]
-    assert max(e.mode_j for e in res.entries) == 1
+    assert max(row[2] for row in res.slot_entries()) == 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -125,10 +125,36 @@ def test_mode_sweep_misses_no_eigenvalue(n, m, k_max):
     # every mode's count at the cutoff is the number of its returned values
     # below it (none for the modes past the sweep), and the oracle's
     for j, pencil in enumerate(pencils):
-        below = count_below(pencil, res.cutoff)
+        below = counter(pencil)(res.cutoff)
         solved = res.modes[j].values if j in res.modes else np.empty(0)
         assert below == np.sum(solved < res.cutoff) == np.sum(dense[j] < res.cutoff)
     assert list(res.counts) == [len(res.modes[j].values) for j in range(len(res.counts))]
+
+
+_SLOT_DOMAINS = {"interval": dl.Interval(-1.0, 1.0), "disk": dl.RevolutionManifold.ball(2, 1.0),
+                 "ball3": dl.RevolutionManifold.ball(3, 1.0),
+                 "cap": dl.RevolutionManifold.spherical_cap(2, 1.2)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(_SLOT_DOMAINS)), st.floats(min_value=0.0, max_value=4.0),
+       st.floats(min_value=0.1, max_value=1.0), st.integers(min_value=0, max_value=30))
+def test_slots_are_the_merge_of_the_modes(name, log_m, alpha, k_max):
+    # the slot rows, brute force: every value of every solved mode, repeated by
+    # its multiplicity, sorted stably (ties by mode, then by pair), then cut
+    dom = _SLOT_DOMAINS[name]
+    res = dl.full_spectrum(dom, dl.GaussianRadial(10.0 ** log_m), alpha, k_max,
+                           grid=dl.RadialGrid.uniform(dom, 64))
+    union = []
+    for j in sorted(res.modes):
+        mult = 1 if isinstance(dom, dl.Interval) else dl.sphere_multiplicity(j, dom.n)
+        union.extend((v, j, mult) for v in res.modes[j].values for _ in range(mult))
+    union.sort(key=lambda row: row[0])
+    expected = [(k, *row) for k, row in enumerate(union[:k_max + 1])]
+    assert res.slot_entries() == expected
+    assert res.lambdas.tolist() == [row[1] for row in expected]
+    assert res.counts == tuple(len(res.modes[j].values) for j in range(len(res.modes)))
+    assert sorted(res.modes) == list(range(len(res.modes)))
 
 
 @pytest.mark.parametrize("miss", ["drop-last", "skip-one"])
@@ -156,7 +182,7 @@ def test_k_max_zero_is_the_zero_mode_alone():
         assert res.counts == (1,) and res.paths == {0: "zero"}
         pencil = assemble(ModeProblem(domain=dom, rho=dl.GaussianRadial(10.0), alpha=0.5,
                                       grid=grid))
-        assert count_below(pencil, res.cutoff) == 1
+        assert counter(pencil)(res.cutoff) == 1
 
 
 def test_cutoff_keeps_clear_of_eigenvalues():
@@ -202,10 +228,11 @@ def test_rayleigh_quotient_basics():
 
     res = dl.full_spectrum(iv, dl.GaussianRadial(2.0), 0.5, 3, grid=grid)
     for k in (1, 2, 3):
-        ent = res.entries[k]
+        _, value, j, _ = res.slot_entries()[k]
+        assert value == res.modes[j].values[k]  # an interval's one mode holds every slot
         quot = dl.rayleigh_quotient(iv, dl.GaussianRadial(2.0), 0.5,
-                                    ent.vector, grid)
-        assert quot == pytest.approx(ent.value, rel=1e-10)
+                                    res.modes[j].vectors[:, k], grid)
+        assert quot == pytest.approx(value, rel=1e-10)
 
 
 def test_plateau_shape_and_validation():

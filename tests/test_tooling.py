@@ -54,7 +54,7 @@ def test_tracer_patches_and_restores(monkeypatch):
     top = [s for s in tracer.spans if s.parent is None]
     assert [s.name for s in top] == ["full_spectrum"]
     # one eigensolver span per mode solved, so calls and mode_yield count solves
-    solved = 1 + max(e.mode_j for e in res.entries)
+    solved = 1 + max(row[2] for row in res.slot_entries())
     assert solved >= 2
     assert sum(s.layer == "eigensolver" for s in tracer.spans) == solved
     assert top[0].info["modes_swept"] == top[0].info["modes_used"] == solved
