@@ -125,8 +125,7 @@ class Tabulated(DensityField):
         values = np.asarray(values, dtype=float)
         if np.any(values <= 0):
             raise ValueError("tabulated density values must be positive")
-        from scipy.interpolate import PchipInterpolator  # loaded only where PCHIP runs
-        self._spline = PchipInterpolator(r_nodes, values)
+        self._spline = geometry.pchip(r_nodes, values)
         self.r_nodes = r_nodes
         self.values = values
 

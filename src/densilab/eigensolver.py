@@ -17,15 +17,21 @@ the kernel of a j = 0 pencil, are returned exactly as lambda_0 = 0.
 One record per pencil (``counter``) keeps its checks, equilibration and a
 memo of counts, monotone in sigma: a shift between two of equal count, or
 below one of 0, costs no ``dpttrf``.  No bracket or shift depends on it.
+
+``dgtsv`` and ``dpttrf`` come from scipy's LAPACK extension, loaded by its
+file spec: importing ``scipy.linalg`` for them would cost most of the
+package's import time.  ``LAPACK_LOADER`` says which way they were loaded.
 """
 
 import bisect
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dpttrf
 
 # relative half-width of a count certificate's bracket around an eigenvalue
 CERTIFICATE_DELTA = 1e-8
@@ -38,6 +44,36 @@ _RQI_ROUNDING = 4 * np.finfo(float).eps
 # bracket steps from the ramp quotient (also the cutoff search's); width of a cluster
 BRACKET_STEP = 4.0
 _CLUSTER_WIDTH = 1e-13
+
+
+def _flapack_by_file_spec():
+    """scipy's ``linalg/_flapack`` extension, without the package inits of
+    ``scipy`` and ``scipy.linalg``; the same module they would load."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ImportError("scipy is not an importable package")
+    linalg = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(linalg, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no _flapack extension in {linalg}")
+
+
+def _load_lapack():
+    """``(dgtsv, dpttrf, loader)``: by file spec, else from ``scipy.linalg.lapack``."""
+    try:
+        flapack = _flapack_by_file_spec()
+        return flapack.dgtsv, flapack.dpttrf, "file spec"
+    except (ImportError, OSError, AttributeError):
+        from scipy.linalg.lapack import dgtsv, dpttrf
+        return dgtsv, dpttrf, "scipy.linalg.lapack"
+
+
+dgtsv, dpttrf, LAPACK_LOADER = _load_lapack()
 
 
 class IndefiniteMassError(ValueError):

@@ -24,6 +24,8 @@ from .spectrum import full_spectrum
 
 DEFAULT_M_GRID = tuple(10.0 ** e for e in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0))
 RICHARDSON_WINDOW = (3.5, 4.5)
+# e^{-745} rounds to the least subnormal double, e^{-x} to 0 just past it
+_EXP_UNDERFLOW = 745.0
 
 
 class UsageError(ValueError):
@@ -398,7 +400,12 @@ def exp_conformal_identity(manifold, rho, k_max=5, grid_n=2048):
 
 def exp_gaussian_integral_lemma(dims=(1, 2, 3), m_values=(10.0, 100.0, 1e3),
                                 half_side=1.0, grid_n=2048):
-    """(int_{-L}^{L} e^{-m t^2} dt)^n is strictly above e^{-n} m^{-n/2}."""
+    """(int_{-L}^{L} e^{-m t^2} dt)^n is strictly above e^{-n} m^{-n/2}.
+
+    The integral runs over |t| <= min(L, T_m), T_m = sqrt(745 / m), beyond
+    which e^{-m t^2} underflows to 0: the grid resolves the Gaussian's width
+    however large L is.
+    """
     t0 = time.perf_counter()
     for n in dims:
         if int(n) != n or n < 1:
@@ -413,8 +420,8 @@ def exp_gaussian_integral_lemma(dims=(1, 2, 3), m_values=(10.0, 100.0, 1e3),
     for m in sorted(m_values):
         if not (m > 0 and m ** -0.5 <= half_side):
             raise UsageError(f"need m > 0 and m^(-1/2) <= L: m={m}, L={half_side}")
-        seg = Interval(-half_side, half_side)
-        grid = RadialGrid.for_density(seg, grid_n, m=m)
+        cut = min(half_side, math.sqrt(_EXP_UNDERFLOW / m))
+        grid = RadialGrid.for_density(Interval(-cut, cut), grid_n, m=m)
         line = integrate(grid.nodes, GaussianRadial(m))
         for n in dims:
             value = line ** n

@@ -102,11 +102,78 @@ class RevolutionManifold:
     @classmethod
     def tabulated(cls, n, r_nodes, theta_values, pole_slope_tol=1e-5):
         """Profile given by samples, interpolated monotone-cubically."""
-        from scipy.interpolate import PchipInterpolator  # loaded only where PCHIP runs
         r_nodes = np.asarray(r_nodes, dtype=float)
-        theta_values = np.asarray(theta_values, dtype=float)
-        spline = PchipInterpolator(r_nodes, theta_values)
+        spline = pchip(r_nodes, theta_values)
         return cls(n=n, R=float(r_nodes[-1]), profile=spline, pole_slope_tol=pole_slope_tol)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, kept shape-preserving (Moler, pchiptx)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip(x, y):
+    """Monotone piecewise-cubic Hermite interpolant of samples y at nodes x.
+
+    Fritsch-Butland (1984) slopes: zero where the secant slopes change sign
+    or vanish, else their weighted harmonic mean.  Returns a vectorized
+    callable that extends the end cubics beyond [x_0, x_last].  Bit for bit
+    scipy's ``PchipInterpolator`` on 1-D samples: the same slopes, the same
+    coefficients, summed in the order its ``_ppoly.evaluate`` uses, and the
+    same ``ValueError`` for invalid samples.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("`x` must be 1-dimensional.")
+    if y.ndim != 1:
+        raise ValueError("`y` must be 1-dimensional.")
+    if x.shape[0] < 2:
+        raise ValueError("`x` must contain at least 2 elements.")
+    if x.shape[0] != y.shape[0]:
+        raise ValueError("The length of `y` along `axis`=0 doesn't match the length of `x`")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("`x` must contain only finite values.")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("`y` must contain only finite values.")
+    h = np.diff(x)
+    if np.any(h <= 0):
+        raise ValueError("`x` must be strictly increasing sequence.")
+    m = np.diff(y) / h
+    if len(x) == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d = np.zeros_like(y)
+        d[1:-1][~flat] = 1.0 / whmean[~flat]
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    # c0 s^3 + c1 s^2 + c2 s + c3 on [x_i, x_i+1), s = q - x_i; the sum starts
+    # from 0.0 there, which turns a -0.0 sample into +0.0
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], 0.0 + y[:-1]
+    inner = x[1:-1]
+
+    def interpolant(q):
+        q = np.asarray(q, dtype=float)
+        flat_q = q.ravel()
+        # the cubic of [x_i, x_i+1), of the last one at x_last and beyond, of
+        # the first one below x_0
+        i = inner.searchsorted(flat_q, side="right")
+        s = flat_q - x[i]
+        s2 = s * s
+        return (((c3[i] + c2[i] * s) + c1[i] * s2) + c0[i] * (s2 * s)).reshape(q.shape)
+
+    return interpolant
 
 
 def _check_endpoints(nodes, domain):

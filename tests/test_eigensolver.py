@@ -1,9 +1,12 @@
+import importlib.machinery
+import importlib.util
 import math
 import re
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.linalg.lapack
 from hypothesis import given, settings, strategies as st
 
 import densilab as dl
@@ -19,6 +22,27 @@ from oracles import dense_k, dense_m, dense_pencil_eigenvalues
 def _pencil(kd, ke, md, me):
     return TridiagonalPencil(np.asarray(kd, float), np.asarray(ke, float),
                              np.asarray(md, float), np.asarray(me, float))
+
+
+def test_lapack_by_file_spec_is_scipys():
+    # the extension loaded by its file spec is the module scipy.linalg.lapack exports
+    assert eigensolver.LAPACK_LOADER == "file spec"
+    assert eigensolver.dpttrf is scipy.linalg.lapack.dpttrf
+    assert eigensolver.dgtsv is scipy.linalg.lapack.dgtsv
+
+
+def _refuse(*args):
+    raise ImportError("refused")
+
+
+@pytest.mark.parametrize("target, name, value", [
+    (importlib.machinery, "EXTENSION_SUFFIXES", []),
+    (importlib.util, "module_from_spec", _refuse),
+], ids=["no extension file", "extension fails to load"])
+def test_lapack_falls_back_to_scipy_linalg(monkeypatch, target, name, value):
+    monkeypatch.setattr(target, name, value)
+    assert eigensolver._load_lapack() == (scipy.linalg.lapack.dgtsv, scipy.linalg.lapack.dpttrf,
+                                          "scipy.linalg.lapack")
 
 
 def test_identity_pencil():

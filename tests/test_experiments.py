@@ -226,6 +226,18 @@ def test_gaussian_lemma_rows():
         exp.exp_gaussian_integral_lemma(dims=(2, 0), m_values=(100.0,))
 
 
+@pytest.mark.parametrize("half_side", [1.0, 1e3, 1e20, 1e200])
+def test_gaussian_lemma_resolves_the_width_on_any_box(half_side):
+    # the grid spans |t| <= sqrt(745 / m), not the box: at L = 1e3 and 2048
+    # elements a box-wide grid left 3 nodes inside the Gaussian's width
+    rep = exp.exp_gaussian_integral_lemma(dims=(1,), m_values=exp.DEFAULT_M_GRID,
+                                          half_side=half_side)
+    assert rep.passed
+    for r in rep.rows:
+        exact = math.sqrt(math.pi / r["m"]) * math.erf(math.sqrt(r["m"]) * half_side)
+        assert r["integral"] == pytest.approx(exact, rel=0.0, abs=1e-15)
+
+
 def test_convergence_study_flags():
     iv = dl.Interval(-1.0, 1.0)
     rep = exp.exp_convergence(iv, dl.Constant(1.0), 0.0, (128, 256, 512))

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from densilab import (Interval, RadialGrid, RevolutionManifold,
                       Constant, GaussianRadial, conformal_reparametrize,
                       homothety, sphere_eigenvalue, sphere_multiplicity,
                       total_mass, volume)
+from densilab.geometry import pchip
 
 
 def test_interval_volume_is_length():
@@ -158,3 +161,73 @@ def test_tabulated_profile_roundtrip():
     r = np.linspace(0.0, 1.0, 257)
     m = RevolutionManifold.tabulated(2, r, np.sin(r))
     assert abs(m.profile(np.array([0.37]))[0] - math.sin(0.37)) < 1e-8
+
+
+def _samples(rng, n, shape):
+    """Strictly increasing x of n points and y of the named shape."""
+    x = rng.uniform(-50.0, 50.0) + np.cumsum(rng.uniform(1e-3, 5.0, n))
+    if shape == "monotone":  # with flat runs where a step is 0
+        y = np.cumsum(rng.choice([0.0, 1.0], n) * rng.exponential(1.0, n))
+    elif shape == "flat":
+        y = np.full(n, rng.normal())
+    elif shape == "oscillating":
+        y = (-1.0) ** np.arange(n) * rng.uniform(0.0, 3.0, n)
+    else:
+        y = rng.normal(0.0, 10.0, n)
+    return x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=60),
+       st.sampled_from(["monotone", "flat", "oscillating", "random"]),
+       st.integers(min_value=0, max_value=2 ** 31))
+def test_pchip_is_scipys_bit_for_bit(n, shape, seed):
+    rng = np.random.default_rng(seed)
+    x, y = _samples(rng, n, shape)
+    width = x[-1] - x[0]
+    q = np.concatenate([x, [x[0], x[-1], -0.0], rng.uniform(x[0], x[-1], 40),
+                        x[0] - rng.uniform(0.0, width, 5), x[-1] + rng.uniform(0.0, width, 5)])
+    ours, theirs = pchip(x, y), PchipInterpolator(x, y)
+    assert ours(q).tobytes() == theirs(q).tobytes()
+    # the query's shape carries over, a scalar's too
+    grid = q[:40].reshape(5, 8)
+    assert ours(grid).shape == (5, 8) and ours(grid).tobytes() == theirs(grid).tobytes()
+    assert ours(q[7]).shape == () and ours(q[7]).tobytes() == theirs(q[7]).tobytes()
+
+
+def test_pchip_sum_starts_from_zero():
+    # every term at the knot x = 2.6 is -0.0; scipy's sum starts from 0.0
+    x, y = [1.5, 2.6, 4.5, 6.1], [0.04, -0.0, -0.22, -1.25]
+    assert pchip(x, y)(2.6).tobytes() == PchipInterpolator(x, y)(2.6).tobytes()
+    assert not np.signbit(pchip(x, y)(2.6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["not 1-D", "one point", "no points", "length mismatch",
+                        "x not finite", "y not finite", "x repeats", "x decreases"]),
+       st.integers(min_value=3, max_value=30), st.integers(min_value=0, max_value=2 ** 31))
+def test_pchip_rejects_what_scipy_rejects(case, n, seed):
+    rng = np.random.default_rng(seed)
+    x, y = _samples(rng, n, "random")
+    k = rng.integers(1, n - 1)
+    if case == "not 1-D":
+        x = np.stack([x, x])
+    elif case == "one point":
+        x, y = x[:1], y[:1]
+    elif case == "no points":
+        x, y = x[:0], y[:0]
+    elif case == "length mismatch":
+        y = y[:-1]
+    elif case == "x not finite":
+        x[k] = rng.choice([np.nan, np.inf, -np.inf])
+    elif case == "y not finite":
+        y[k] = rng.choice([np.nan, np.inf, -np.inf])
+    elif case == "x repeats":
+        x[k] = x[k - 1]
+    else:
+        x[k], x[k + 1] = x[k + 1], x[k]
+    with pytest.raises(ValueError) as theirs:
+        PchipInterpolator(x, y)
+    with pytest.raises(ValueError) as ours:
+        pchip(x, y)
+    assert str(ours.value) == str(theirs.value)
