@@ -14,6 +14,7 @@ import numpy as np
 
 from . import density as density_mod
 from . import experiments as exp
+from .eigensolver import EigenSolveError
 from .geometry import RadialGrid, RevolutionManifold
 from .measures import MeasureTriple, brute_force_verify, select_small_sets
 from .spectrum import full_spectrum
@@ -255,6 +256,9 @@ def main(argv=None):
         report = args.fn(cfg)
     except exp.UsageError as exc:  # raised by an experiment's checks, before any solve
         args.parser.error(str(exc))
+    except EigenSolveError as exc:  # a solve that refused its pencil: one line, exit 1
+        print(f"densilab: error: {exc}", file=sys.stderr)
+        return 1
     return _emit(report, cfg)
 
 

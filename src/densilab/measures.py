@@ -66,6 +66,9 @@ def select_small_sets(triple, k):
     output is deterministic.  The K - 3k smallest are found by a partition
     about the (K - 3k)-th smallest value, in linear time.  Requires
     K >= 4k + 1.  Returns ascending indices.
+
+    The sets are tracked as boolean masks of length K, and the only copy
+    of a column is the survivors' third measure, partitioned in place.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -74,22 +77,45 @@ def select_small_sets(triple, k):
         raise ValueError(f"need K >= 4k + 1 = {4 * k + 1} sets, got {kk}")
     bounds = triple.totals / (k + 1)
     values = triple.values
-    survivors = np.flatnonzero((values[:, 0] <= bounds[0]) & (values[:, 1] <= bounds[1]))
+    survivors = values[:, 0] <= bounds[0]
+    survivors &= values[:, 1] <= bounds[1]
     want = kk - 3 * k
-    if len(survivors) <= want:
-        return survivors.tolist()
-    third = values[survivors, 2]
-    cut = np.partition(third, want - 1)[want - 1]
-    keep = third < cut
-    tied = np.flatnonzero(third == cut)
-    keep[tied[: want - np.count_nonzero(keep)]] = True
-    return survivors[keep].tolist()
+    if np.count_nonzero(survivors) <= want:
+        return np.flatnonzero(survivors).tolist()
+    third = values[:, 2][survivors]
+    third.partition(want - 1)
+    cut = third[want - 1]
+    del third  # the masks below need no copy of a column
+    keep = values[:, 2] < cut
+    keep &= survivors
+    tied = survivors  # reused: from here on, the survivors at the cut
+    tied &= values[:, 2] == cut
+    keep[np.flatnonzero(tied)[: want - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep).tolist()
 
 
 def brute_force_verify(triple, k, selection):
-    """True iff the selection has >= k + 1 sets all meeting the bounds."""
-    selection = list(selection)
-    if len(selection) < k + 1:
+    """True iff the selection names >= k + 1 distinct sets, all meeting the bounds.
+
+    ``selection`` is any iterable of set indices; an index outside
+    0 .. K - 1 makes it False.
+    """
+    if not isinstance(selection, (list, tuple, np.ndarray)):
+        selection = list(selection)  # an iterator or a set
+    idx = np.asarray(selection)
+    if len(idx) < k + 1:
+        return False
+    if idx.min() < 0 or idx.max() >= triple.k_sets:
+        return False
+    chosen = np.zeros(triple.k_sets, dtype=bool)
+    chosen[idx] = True
+    del idx  # the mask alone is kept through the column checks
+    if np.count_nonzero(chosen) < k + 1:  # a set named twice counts once
         return False
     bounds = triple.totals / (k + 1)
-    return bool(np.all(triple.values[selection] <= bounds))
+    for j in range(3):  # one column at a time
+        over = triple.values[:, j] > bounds[j]
+        over &= chosen
+        if over.any():
+            return False
+    return True

@@ -42,7 +42,8 @@ def element_integrals(nodes, fn):
     if not np.all(np.isfinite(vals)):
         bad = pts[~np.isfinite(vals).all(axis=1)]
         raise ValueError(f"non-finite weight value at quadrature node(s) {bad[:3]}")
-    return hw * vals.sum(axis=1)
+    # the column add is the reduction over axis 1 at a fraction of its cost
+    return hw * (vals[:, 0] + vals[:, 1])
 
 
 def integrate(nodes, fn):

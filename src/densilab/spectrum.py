@@ -424,6 +424,10 @@ def holder_chain_check(domain, rho, alpha, u, grid=None):
     weakening the bound), with the shared element quadrature, so for
     rho == 1 and constant |grad u| both inequalities are equalities up
     to rounding.  Needs n >= 3 and alpha in (0, (n-2)/n).
+
+    The sweep takes _BLOCK elements of the function's node window at a
+    time and evaluates every weight, which is elementwise, at the Gauss
+    points of the block's part of S alone.
     """
     if not isinstance(domain, RevolutionManifold) or domain.n < 3:
         raise ValueError("the chain needs a manifold of dimension n >= 3")
@@ -433,37 +437,40 @@ def holder_chain_check(domain, rho, alpha, u, grid=None):
         raise ValueError(f"alpha must lie in (0, {(n - 2) / n:.6g}), got {alpha}")
     grid = _default_grid(domain, grid)
     lo, hi, values = _prepared(domain, grid, u)
-    # S lies in the elements with a node in [lo, hi): one node of margin each side
-    a, b = max(lo - 1, 0), min(hi + 1, len(grid.nodes))
-    nodes = grid.nodes[a:b]
-    slopes = np.diff(values(a, b)) / np.diff(nodes)
-    mask = slopes != 0.0
-    if not np.any(mask):
-        raise ValueError("test function has empty gradient support")
-
-    # every weight is elementwise, so it is evaluated on the elements of S alone;
-    # the Gauss points are looked up on ``assembly``, where layer tracing sees them
-    pts, hw = assembly.gauss_points(nodes)
-    pts, hw = pts[mask], hw[mask]
     omega = unit_sphere_area(n)
-    vol = domain.profile(pts) ** (n - 1)
+    sig = density_mod.power(rho, alpha)
+    rex = density_mod.power(rho, n * alpha / (n - 2))
 
-    def weights(vals):
+    def weights(vals, hw):
         """omega times each element's integral, as ``element_integrals`` gives it."""
         assembly._check_finite("weight", vals)
-        return omega * (hw * vals.sum(axis=1))
+        return omega * (hw * (vals[:, 0] + vals[:, 1]))
 
-    w_vol = weights(vol)
-    w_rho = weights(rho(pts) * vol)
-    w_sig = weights(density_mod.power(rho, alpha)(pts) * vol)
-    w_rex = weights(density_mod.power(rho, n * alpha / (n - 2))(pts) * vol)
-
-    g = np.abs(slopes[mask])
-    energy = float(np.sum(g ** 2 * w_sig))
-    grad_n = float(np.sum(g ** n * w_vol))
-    vol_s = float(np.sum(w_vol))
-    mass_s = float(np.sum(w_rho))
-    mass_ex = float(np.sum(w_rex))
+    energy = grad_n = vol_s = mass_s = mass_ex = 0.0
+    supported = False
+    # S lies in the elements with a node in [lo, hi)
+    first, last = max(lo - 1, 0), min(hi, grid.n_elements)
+    for start in range(first, last, _BLOCK):
+        stop = min(start + _BLOCK, last)
+        block = grid.nodes[start:stop + 1]
+        slopes = np.diff(values(start, stop + 1)) / np.diff(block)
+        mask = slopes != 0.0
+        if not mask.any():
+            continue
+        supported = True
+        # the Gauss points are looked up on ``assembly``, where layer tracing sees them
+        pts, hw = assembly.gauss_points(block)
+        pts, hw = pts[mask], hw[mask]
+        vol = domain.profile(pts) ** (n - 1)
+        w_vol = weights(vol, hw)
+        g = np.abs(slopes[mask])
+        mass_s += float(np.sum(weights(rho(pts) * vol, hw)))
+        energy += float(np.sum(g ** 2 * weights(sig(pts) * vol, hw)))
+        mass_ex += float(np.sum(weights(rex(pts) * vol, hw)))
+        grad_n += float(np.sum(g ** n * w_vol))
+        vol_s += float(np.sum(w_vol))
+    if not supported:
+        raise ValueError("test function has empty gradient support")
 
     after_first = grad_n ** (2.0 / n) * mass_ex ** ((n - 2.0) / n)
     after_second = (grad_n ** (2.0 / n) * mass_s ** alpha

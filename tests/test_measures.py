@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -56,6 +57,31 @@ def test_brute_force_verify_cases():
     assert not brute_force_verify(t, 1, [0, 1])   # contains the violator
     assert not brute_force_verify(t, 1, [])       # size below k + 1
     assert not brute_force_verify(t, 1, [3])
+    assert not brute_force_verify(t, 1, [1, 1])   # one set named twice
+    assert not brute_force_verify(t, 1, [1, -1])  # -1 names no set
+    assert not brute_force_verify(t, 1, [1, 5])   # nor does K
+    assert brute_force_verify(t, 1, [2, 1, 2])    # two sets, each counted once
+    assert brute_force_verify(t, 1, iter((3, 4)))
+    assert brute_force_verify(t, 1, {1, 4})
+
+
+def test_selection_allocates_no_k_sized_copies():
+    # K = 4 * 2^14 + 1: the returned list of k + 1 ints is most of the peak;
+    # one (K,) float copy is 0.5 MB and the parent's index arrays were 1.9 MB
+    k = 2 ** 14
+    t = MeasureTriple.random(k, np.random.default_rng(0))
+
+    def select_and_verify():
+        return brute_force_verify(t, k, select_small_sets(t, k))
+
+    assert select_and_verify()
+    tracemalloc.start()
+    try:
+        assert select_and_verify()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_ties_at_bound_count_as_small():

@@ -364,6 +364,72 @@ def test_holder_chain_matches_whole_grid_weights_bit_for_bit(domain):
                     assert got == oracles.holder_chain_whole_grid(domain, rho, alpha, u, grid)
 
 
+_HOLDER_DOMAINS = (dl.RevolutionManifold.ball(3, 1.0), dl.RevolutionManifold.ball(4, 1.0),
+                   dl.RevolutionManifold.spherical_cap(3, 2.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_holder_chain_blocked_sweep_matches_whole_grid(data):
+    # grids of 2-4 blocks; the ramps of the profile, and so S, start and end
+    # at random element positions, fractions of an element included
+    domain = data.draw(st.sampled_from(_HOLDER_DOMAINS), label="domain")
+    blocks = data.draw(st.integers(2, 4), label="blocks")
+    n_el = (blocks - 1) * spectrum._BLOCK + data.draw(st.integers(1, spectrum._BLOCK), label="tail")
+    grid = dl.RadialGrid.uniform(domain, n_el)
+    at = st.floats(0.0, float(n_el), allow_nan=False)
+    x = sorted(data.draw(st.lists(at, min_size=4, max_size=4), label="knots"))
+    assume(x[3] - x[0] >= 2.0)  # a node inside the support, so S is not empty
+    knots = tuple(domain.extent * xi / n_el for xi in x)
+    if data.draw(st.booleans(), label="collar"):
+        u = TestFunction(knots=knots[2:], knot_values=(1.0, 0.0), left_value=1.0)
+    else:
+        u = TestFunction(knots=knots, knot_values=(0.0, 1.0, 1.0, 0.0))
+    rho = data.draw(st.sampled_from([dl.Constant(1.0), dl.GaussianRadial(3.0),
+                                     dl.GaussianRadial(300.0)]), label="rho")
+    alpha = (domain.n - 2) / domain.n * data.draw(st.floats(0.01, 0.99), label="alpha share")
+    got = dl.holder_chain_check(domain, rho, alpha, u, grid)
+    want = oracles.holder_chain_whole_grid(domain, rho, alpha, u, grid)
+    for name in ("energy", "after_first", "after_second"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-13, abs=0.0)
+    # the slacks are differences of those: relative to the report's scale, as in ``holds``
+    scale = max(abs(want.energy), abs(want.after_second))
+    for name in ("first_slack", "second_slack"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-13 * scale
+
+
+def test_holder_chain_allocates_no_window_sized_temporaries():
+    # the plateau's support reaches 0.9 of the radius, so S spans most of
+    # the 2^16-element grid, where one (N, 2) float array alone is 1 MB
+    ball = dl.RevolutionManifold.ball(3, 1.0)
+    grid = dl.RadialGrid.uniform(ball, 2 ** 16)
+    u = dl.build_plateau_function(ball, 0.1, 0.45)
+    for rho in (dl.Constant(1.0), dl.GaussianRadial(10.0)):
+        dl.holder_chain_check(ball, rho, 0.2, u, grid)
+        tracemalloc.start()
+        try:
+            dl.holder_chain_check(ball, rho, 0.2, u, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
+def test_holder_chain_checks_densities_on_s_alone():
+    ball = dl.RevolutionManifold.ball(3, 1.0)
+    grid = dl.RadialGrid.uniform(ball, 3 * spectrum._BLOCK + 7)
+    # S of the first function ends at r = 0.8, of the second at r = 1
+    inside = dl.build_plateau_function(ball, 0.1, 0.4)
+    rep = dl.holder_chain_check(ball, _InfiniteBeyond(), 0.2, inside, grid)
+    assert rep == dl.holder_chain_check(ball, dl.Constant(1.0), 0.2, inside, grid)
+    with pytest.raises(ValueError, match="non-finite weight"):
+        dl.holder_chain_check(ball, _InfiniteBeyond(), 0.2,
+                              dl.build_plateau_function(ball, 0.1, 0.5), grid)
+    flat = TestFunction(knots=(0.0, 0.5), knot_values=(0.0, 0.0))
+    with pytest.raises(ValueError, match="empty gradient support"):
+        dl.holder_chain_check(ball, _InfiniteBeyond(), 0.2, flat, grid)
+
+
 def test_rayleigh_quotient_of_interval_eigenfunctions_within_p1_error():
     # the P1 interpolant of cos(k pi (x + 1) / 2) has quotient
     # (k pi / 2)^2 (1 + (k pi h)^2 / 48 + ...); rounding of the summed forms

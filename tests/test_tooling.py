@@ -140,6 +140,21 @@ def test_entry_point_reports_usage_errors():
     assert "Traceback" not in proc.stderr
 
 
+def test_entry_point_reports_a_refused_solve():
+    # the solver refuses a pencil out of floating range; the entry point says
+    # so in one line and exits 1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "densilab", "solve", "--n", "2",
+                           "--alpha", "1e300", "--exploratory", "--grid", "64"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("densilab: error: the cutoff search")
+    assert "floating range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_failing_property_reports_its_example(tmp_path):
     # a failing @given test imports hypothesis's patch writer, which warns;
     # under the suite's filterwarnings = ["error"] the conftest must keep
