@@ -10,11 +10,10 @@ behavior of the normalized spectrum around alpha = (n-2)/n.
 __version__ = "0.1.0"
 
 from .geometry import (Interval, RadialGrid, RevolutionManifold, conformal_reparametrize,
-                       homothety, sphere_eigenvalue, sphere_multiplicity,
-                       unit_sphere_area, volume)
+                       sphere_eigenvalue, sphere_multiplicity, unit_sphere_area, volume)
 from .density import (CauchyPower, Constant, DensityField, GaussianRadial,
                       PowerDensity, Scaled, Tabulated, normalize, power, scale,
-                      stretched, total_mass)
+                      total_mass)
 from .assembly import ModeProblem, TridiagonalPencil, assemble
 from .eigensolver import (EigenPairs, EigenSolveError, IndefiniteMassError,
                           solve_generalized)
@@ -27,11 +26,11 @@ from . import experiments
 
 __all__ = [
     "Interval", "RadialGrid", "RevolutionManifold",
-    "conformal_reparametrize", "homothety", "sphere_eigenvalue",
+    "conformal_reparametrize", "sphere_eigenvalue",
     "sphere_multiplicity", "unit_sphere_area", "volume",
     "CauchyPower", "Constant", "DensityField", "GaussianRadial",
     "PowerDensity", "Scaled", "Tabulated", "normalize", "power", "scale",
-    "stretched", "total_mass",
+    "total_mass",
     "ModeProblem", "TridiagonalPencil", "assemble",
     "EigenPairs", "EigenSolveError", "IndefiniteMassError",
     "solve_generalized",

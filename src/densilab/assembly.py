@@ -65,70 +65,49 @@ class ModeProblem:
         return isinstance(self.domain, RevolutionManifold) and self.j >= 1
 
 
-@dataclass
+@dataclass(eq=False)
+class Mass:
+    """Read-only mass bands, one object per variant of a family (M for j = 0,
+    M without the pole row for j >= 1) that every mode of the variant shares;
+    ``eigensolver.counter`` keeps the mass side of its records here."""
+
+    diag: np.ndarray
+    off: np.ndarray
+    _solver: object = field(default=None, repr=False)
+
+
+@dataclass(eq=False)
 class TridiagonalPencil:
-    """Symmetric tridiagonal stiffness/mass pair (K, M)."""
+    """Symmetric tridiagonal stiffness/mass pair (K, M) and K's energy split.
+
+    ``split`` = (g, a_diag, a_off): v^T K v = sum_i g_i (v_{i+1} - v_i)^2 + v^T A v.
+    For a mode of a family (``ModeFamily.mode``) g and A sum nonnegative
+    element terms, so v^T K v is evaluated without the cancellation between
+    K's diagonal and off-diagonal, or the rounding of G + mu_j A into the bands.
+    """
 
     k_diag: np.ndarray
     k_off: np.ndarray
-    m_diag: np.ndarray
-    m_off: np.ndarray
-    problem: ModeProblem = field(default=None, repr=False)
-    # set by ``assemble``: what every mode shares, (hw, wk, theta, G bands, M bands)
-    family: tuple = field(default=None, repr=False)
-    # set by ``mode``: ``energy_split()``; and the record of ``eigensolver.counter``
-    _split: tuple = field(default=None, repr=False, compare=False)
-    _solver: object = field(default=None, init=False, repr=False, compare=False)
+    mass: Mass
+    split: tuple
+    problem: ModeProblem = None
+    family: "ModeFamily" = field(default=None, repr=False)
+    # the record of ``eigensolver.counter``
+    _solver: object = field(default=None, init=False, repr=False)
 
-    def mode(self, j):
-        """Mode j's pencil K_j = G + mu_j A of the family, with no density evaluation.
+    m_diag = property(lambda self: self.mass.diag)
+    m_off = property(lambda self: self.mass.off)
 
-        The angular form A is positive semidefinite, so K_{j+1} - K_j =
-        (mu_{j+1} - mu_j) A is too; for j >= 1 the pole node is removed.
-        The bands are read-only: the pencil's solver record
-        (``eigensolver.counter``) is built from them once.
-        """
-        problem = replace(self.problem, j=j)
-        hw, _, _, k_diag, g_off, m_diag, m_off = self.family
-        k_off, a_diag, a_off = g_off, np.zeros(len(k_diag)), np.zeros(len(g_off))
-        if problem.pole_constrained:
-            k_diag, k_off = k_diag.copy(), k_off.copy()
-            _accumulate(hw, self._angular_weight(j), (k_diag, k_off), (a_diag, a_off))
-            a_diag[1] -= g_off[0]  # the pole element's g_0 v_1^2, v_0 = 0
-            k_diag, k_off, m_diag, m_off = _read_only(k_diag[1:], k_off[1:],
-                                                      m_diag[1:], m_off[1:])
-            g_off, a_diag, a_off = g_off[1:], a_diag[1:], a_off[1:]
-        if np.any(m_diag <= 0):
-            raise ValueError("mass matrix not positive definite: "
-                             "non-positive density or degenerate grid")
-        return TridiagonalPencil(k_diag, k_off, m_diag, m_off, problem, self.family,
-                                 (-g_off, a_diag, a_off))
-
-    def _angular_weight(self, j):
-        """Gauss-point weights mu_j sigma theta^{n-3} of mode j's angular form A."""
-        _, wk, th, *_ = self.family
-        n = self.problem.domain.n
-        wj = sphere_eigenvalue(j, n) * wk * th ** float(n - 3)
-        _check_finite("angular weight", wj)
-        return wj
-
-    def energy_split(self):
-        """``(g, a_diag, a_off)`` with v^T K v = sum_i g_i (v_{i+1} - v_i)^2 + v^T A v.
-
-        For a mode of a family, g is the gradient weight of each element
-        (G's rows sum to zero by construction) and A the angular form; for
-        j >= 1 the pole element's term g_0 v_1^2 moves to A's diagonal.  Both
-        parts are then sums of nonnegative element terms, so v^T K v is
-        evaluated without the cancellation between K's diagonal and
-        off-diagonal, and without the rounding of G + mu_j A into the bands.
-        Without a family, g = -k_off and A = diag(K 1).
-        """
-        if self._split is not None:
-            return self._split
-        rows = self.k_diag.astype(float)
-        rows[:-1] += self.k_off
-        rows[1:] += self.k_off
-        return -self.k_off, rows, np.zeros_like(self.k_off)
+    @classmethod
+    def from_bands(cls, k_diag, k_off, m_diag, m_off, problem=None):
+        """A pencil of its bands alone: g = -k_off and A = diag(K 1), the row sums."""
+        k_diag, k_off, m_diag, m_off = (np.asarray(a, dtype=float)
+                                        for a in (k_diag, k_off, m_diag, m_off))
+        rows = k_diag.copy()
+        rows[:-1] += k_off
+        rows[1:] += k_off
+        return cls(k_diag, k_off, Mass(m_diag, m_off), (-k_off, rows, np.zeros_like(k_off)),
+                   problem)
 
     @property
     def size(self):
@@ -139,6 +118,43 @@ class TridiagonalPencil:
 
     def m_norm1(self):
         return _tri_norm1(self.m_diag, self.m_off)
+
+
+@dataclass(frozen=True, eq=False)
+class ModeFamily:
+    """The element parts every mode j of a ModeProblem shares, evaluated once (``assemble``):
+    per element the half width and the gradient weight g; sigma and theta^{n-3}
+    at the Gauss points (``theta3`` is None on an interval); the read-only bands
+    of G; ``masses``, the ``Mass`` of mode 0 and the one of every mode j >= 1."""
+
+    problem: ModeProblem  # mode 0
+    hw: np.ndarray
+    g: np.ndarray
+    wk: np.ndarray
+    theta3: np.ndarray
+    g_diag: np.ndarray
+    g_off: np.ndarray
+    masses: tuple
+
+    def mode(self, j):
+        """Mode j's pencil K_j = G + mu_j A, with no density evaluation; A is positive
+        semidefinite, so K_{j+1} - K_j = (mu_{j+1} - mu_j) A is too.  For j >= 1 the
+        pole node is removed.  The bands are read-only: the pencil's solver record
+        (``eigensolver.counter``) is built from them once."""
+        problem = replace(self.problem, j=j)
+        if not problem.pole_constrained:
+            return TridiagonalPencil(self.g_diag, self.g_off, self.masses[0],
+                                     (self.g, np.zeros(len(self.g_diag)), np.zeros(len(self.g))),
+                                     problem, self)
+        # Gauss-point weights mu_j sigma theta^{n-3} of mode j's angular form
+        wj = sphere_eigenvalue(j, problem.domain.n) * self.wk * self.theta3
+        _check_finite("angular weight", wj)
+        k_diag, k_off = self.g_diag.copy(), self.g_off.copy()
+        a_diag, a_off = np.zeros(len(k_diag)), np.zeros(len(k_off))
+        _accumulate(self.hw, wj, (k_diag, k_off), (a_diag, a_off))
+        a_diag[1] += self.g[0]  # the pole element's g_0 v_1^2, v_0 = 0
+        return TridiagonalPencil(*_read_only(k_diag[1:], k_off[1:]), self.masses[1],
+                                 (self.g[1:], a_diag[1:], a_off[1:]), problem, self)
 
 
 def _tri_norm1(d, e):
@@ -219,28 +235,30 @@ def element_forms(problem, start=0, stop=None):
 
 
 def assemble(problem):
-    """Assemble the tridiagonal pencil of a ModeProblem.
+    """Assemble the ``ModeFamily`` of a ModeProblem; return its mode ``problem.j``.
 
     Only the diagonal and one off-diagonal band are built, so K and M are
     exactly symmetric.  For j = 0 the element stiffness has exact zero
     row sums (constants are in the kernel); for j >= 1 the pole node is
     removed.  Densities, profile and Gauss points are evaluated once per
-    call (``element_forms``); ``mode(j)`` of the result derives any other
+    call (``element_forms``); ``pencil.family.mode(j)`` derives any other
     mode from them.
     """
     forms = element_forms(problem)
     npts = len(forms.g) + 1
-    k_diag = np.zeros(npts)
-    k_off = np.zeros(npts - 1)
-    m_diag = np.zeros(npts)
-    m_off = np.zeros(npts - 1)
+    g_diag, m_diag = np.zeros(npts), np.zeros(npts)
+    g_off, m_off = np.zeros(npts - 1), np.zeros(npts - 1)
 
     # gradient part G: g_e [[1, -1], [-1, 1]]
-    k_diag[:-1] += forms.g
-    k_diag[1:] += forms.g
-    k_off -= forms.g
+    g_diag[:-1] += forms.g
+    g_diag[1:] += forms.g
+    g_off -= forms.g
     _accumulate(forms.hw, forms.wm, (m_diag, m_off))
-    # the angular forms need hw, wk and theta; g and wm live on in the bands
-    family = (forms.hw, forms.wk, forms.theta, *_read_only(k_diag, k_off, m_diag, m_off))
-    return TridiagonalPencil(k_diag, k_off, m_diag, m_off, replace(problem, j=0),
-                             family).mode(problem.j)
+    if np.any(m_diag <= 0):
+        raise ValueError("mass matrix not positive definite: "
+                         "non-positive density or degenerate grid")
+    _read_only(forms.g, g_diag, g_off, m_diag, m_off)
+    theta3 = None if forms.theta is None else forms.theta ** float(problem.domain.n - 3)
+    family = ModeFamily(replace(problem, j=0), forms.hw, forms.g, forms.wk, theta3, g_diag,
+                        g_off, (Mass(m_diag, m_off), Mass(m_diag[1:], m_off[1:])))
+    return family.mode(problem.j)

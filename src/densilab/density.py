@@ -214,25 +214,6 @@ def scale(rho, c):
     return Scaled(rho, c)
 
 
-def stretched(rho, s):
-    """The density r -> rho(r / s); transports rho under a homothety."""
-    if not s > 0:
-        raise ValueError("stretch factor must be positive")
-    if isinstance(rho, Constant):
-        return rho
-    if isinstance(rho, GaussianRadial):
-        return GaussianRadial(rho.m / s ** 2, floor=rho.floor)
-    if isinstance(rho, CauchyPower):
-        return CauchyPower(rho.m / s ** 2, rho.alpha)
-    if isinstance(rho, Scaled):
-        return Scaled(stretched(rho.base, s), rho.c)
-    if isinstance(rho, PowerDensity):
-        return PowerDensity(stretched(rho.base, s), rho.alpha)
-    if isinstance(rho, Tabulated):
-        return Tabulated(s * rho.r_nodes, rho.values)
-    raise TypeError(f"cannot stretch density of type {type(rho).__name__}")
-
-
 def total_mass(rho, domain, grid=None):
     """int_M rho dV with the package quadrature rule."""
     grid = geometry._default_grid(domain, grid)

@@ -14,9 +14,11 @@ lambda_i (1 - 1e-8), i + 1 below lambda_i (1 + 1e-8).  Start vectors (a
 coarser grid's) run the same iteration (path ``"rqi"``).  The constants,
 the kernel of a j = 0 pencil, are returned exactly as lambda_0 = 0.
 
-One record per pencil (``counter``) keeps its checks, equilibration and a
-memo of counts, monotone in sigma: a shift between two of equal count, or
-below one of 0, costs no ``dpttrf``.  No bracket or shift depends on it.
+One record per pencil (``counter``) keeps its equilibrated K and a memo of
+counts, monotone in sigma: a shift between two of equal count, or below one
+of 0, costs no ``dpttrf``.  No bracket or shift depends on it.  The mass
+side (equilibration, mass check, zero mode) is one record per ``pencil.mass``,
+which every mode j >= 1 of a family shares.
 
 ``dgtsv`` and ``dpttrf`` come from scipy's LAPACK extension, loaded by its
 file spec: importing ``scipy.linalg`` for them would cost most of the
@@ -121,11 +123,6 @@ def _row_norms(x):
     return top * np.linalg.norm(x / top[:, None], axis=1)
 
 
-def _arrays(pencil):
-    return tuple(np.asarray(a, dtype=float) for a in
-                 (pencil.k_diag, pencil.k_off, pencil.m_diag, pencil.m_off))
-
-
 def _count(kd_h, ke_h, me_h, sigma):
     """Negative pivots of the equilibrated K - sigma M (unit mass diagonal).
 
@@ -151,25 +148,47 @@ def _count(kd_h, ke_h, me_h, sigma):
     return count + int(d[0] <= 0)
 
 
-class _Record:
-    """One pencil's bands, 1-norms and ``energy_split()``; ``s`` = 1/sqrt(m_diag) and
-    the ``bands`` (k_diag, k_off, m_off) of s (K, M) s; the mass check; the count
-    memo.  Calling it counts below sigma; ``spent`` is the number of ``_count`` calls."""
+def _equilibrated(*bands):
+    if not all(np.all(np.isfinite(x)) for x in bands):
+        raise EigenSolveError("pencil dynamic range exceeds double precision after "
+                              "equilibration; reduce the density contrast or the grid grading")
+    return bands
+
+
+class _MassRecord:
+    """The mass side of the records of all pencils that share a ``pencil.mass``: ``s`` =
+    1/sqrt(m_diag), ``s2`` = s^2, ``me_h`` (the off-diagonal of s M s), the mass
+    check, ``norm1`` = ||M||_1 and ``zero``: on an unconstrained mode (Neumann,
+    j = 0), whose K 1 = 0 by construction, the M-normalized constant, equilibrated."""
 
     def __init__(self, pencil):
-        self.arrays = kd, ke, md, me = _arrays(pencil)
+        md, me = pencil.m_diag, pencil.m_off
         if np.any(md <= 0):
             raise IndefiniteMassError("mass diagonal has non-positive entries")
         self.s = s = 1.0 / np.sqrt(md)
+        self.s2 = s ** 2
         with np.errstate(over="ignore", invalid="ignore"):
-            self.bands = kd * s ** 2, ke * s[:-1] * s[1:], me * s[:-1] * s[1:]
-        if not all(np.all(np.isfinite(x)) for x in self.bands):
-            raise EigenSolveError("pencil dynamic range exceeds double precision after "
-                                  "equilibration; reduce the density contrast or the grid grading")
-        if dpttrf(np.ones(len(kd)), self.bands[2])[2]:
+            self.me_h, = _equilibrated(me * s[:-1] * s[1:])
+        if dpttrf(np.ones(len(md)), self.me_h)[2]:
             raise IndefiniteMassError("mass matrix is not positive definite")
-        self.norms = pencil.k_norm1(), pencil.m_norm1()
-        self.split = pencil.energy_split()
+        self.norm1, self.zero = pencil.m_norm1(), None
+        if pencil.problem and not pencil.problem.pole_constrained:
+            w = np.sqrt(md)  # sqrt(m_diag) / sqrt(1^T M 1)
+            self.zero = w / np.sqrt(_quadratic(1.0, self.me_h, w))
+            self.zero.flags.writeable = False  # shared by every solve of the mass
+
+
+class _Record:
+    """One pencil's record over its ``mass`` record: the ``bands`` (k_diag, k_off, m_off)
+    of s (K, M) s, the 1-norms of K and M and the count memo.  Calling it counts
+    below sigma; ``spent`` is the number of ``_count`` calls."""
+
+    def __init__(self, pencil, mass):
+        self.mass, s = mass, mass.s
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.bands = *_equilibrated(pencil.k_diag * mass.s2,
+                                        pencil.k_off * s[:-1] * s[1:]), mass.me_h
+        self.norms = pencil.k_norm1(), mass.norm1
         self.sigmas, self.counts, self.spent = [], [], 0  # the memo, by increasing sigma
 
     def __call__(self, sigma):
@@ -187,21 +206,24 @@ class _Record:
 
 def counter(pencil):
     """The number of eigenvalues of K v = lambda M v below sigma (Sylvester inertia),
-    as a function of sigma: the pencil's ``_Record``, built once."""
+    as a function of sigma: the pencil's ``_Record``, built once, over the
+    ``_MassRecord`` built once for every pencil of its ``mass``."""
     if pencil._solver is None:
-        pencil._solver = _Record(pencil)
+        if pencil.mass._solver is None:
+            pencil.mass._solver = _MassRecord(pencil)
+        pencil._solver = _Record(pencil, pencil.mass._solver)
     return pencil._solver
 
 
 def ramp_quotient(pencil):
     """Rayleigh quotient of a linear ramp: the scale of the low end of the spectrum."""
-    kd, ke, md, me = _arrays(pencil)
-    ramp = np.linspace(0.0, 1.0, len(kd))
-    return float(_quadratic(kd, ke, ramp) / _quadratic(md, me, ramp))
+    ramp = np.linspace(0.0, 1.0, pencil.size)
+    return float(_quadratic(pencil.k_diag, pencil.k_off, ramp)
+                 / _quadratic(pencil.m_diag, pencil.m_off, ramp))
 
 
 def _energy(split, s, w):
-    """v^T K v per row of ``w``, v = s w, from the pencil's ``energy_split()``.
+    """v^T K v per row of ``w``, v = s w, from the pencil's energy ``split``.
 
     Each row is scaled by a power of two (exact): its squares cannot overflow.
     """
@@ -212,12 +234,6 @@ def _energy(split, s, w):
     v = np.ldexp(v, -exp[:, None])
     num = np.diff(v, axis=1) ** 2 @ g + _quadratic(a_diag, a_off, v)
     return np.ldexp(num, 2 * exp)
-
-
-def _zero_mode(md, me_h):
-    """The M-normalized constant in equilibrated variables: sqrt(m_diag) / sqrt(1^T M 1)."""
-    w = np.sqrt(md)
-    return w / np.sqrt(_quadratic(1.0, me_h, w))
 
 
 def _rqi(rec, x, w, mw, bracket=None, cluster=False):
@@ -337,19 +353,20 @@ def _cold(pencil, w, mw, first):
     return w
 
 
-def _checked_pairs(rec, w, zero, path):
+def _checked_pairs(pencil, w, zero, path):
     """Eigenvalues of the M-normalized rows of ``w``; sorted, un-equilibrated and gated.
 
     Each eigenvalue is the Rayleigh quotient with its numerator in element
     form (``_energy``), except the deflated zero mode's, which is 0 exactly.
     Gates: residuals and M-orthonormality.
     """
-    kd, ke, md, me = rec.arrays
-    s, me_h = rec.s, rec.bands[2]
+    kd, ke, md, me = pencil.k_diag, pencil.k_off, pencil.m_diag, pencil.m_off
+    rec = counter(pencil)
+    s, me_h = rec.mass.s, rec.mass.me_h
     k = len(w)
     first = int(zero is not None)
     values = np.zeros(k)
-    values[first:] = (_energy(rec.split, s, w[first:])
+    values[first:] = (_energy(pencil.split, s, w[first:])
                       / _quadratic(1.0, me_h, w[first:]))
     order = np.argsort(values, kind="stable")
     values = values[order]
@@ -386,15 +403,13 @@ def solve_generalized(pencil, k_max, guess=None):
     if not 0 < k_need <= n:
         raise ValueError(f"requested {k_need} pairs from a pencil of size {n}")
     rec = counter(pencil)
-    s, md, me_h = rec.s, rec.arrays[2], rec.bands[2]
-    # K 1 = 0 by construction on an unconstrained mode (Neumann, j = 0)
-    zero = _zero_mode(md, me_h) if pencil.problem and not pencil.problem.pole_constrained else None
+    s, me_h, zero = rec.mass.s, rec.mass.me_h, rec.mass.zero
     if guess is not None:
         guess = np.asarray(guess, dtype=float)
         if guess.shape != (n, k_need):
             raise ValueError(f"guess has shape {guess.shape}, expected {(n, k_need)}")
     if zero is not None and k_need == 1:
-        return _checked_pairs(rec, zero[None], zero, "zero")
+        return _checked_pairs(pencil, zero[None], zero, "zero")
     w, mw = np.empty((k_need, n)), np.empty((k_need, n))  # pair i in row i
     first = int(zero is not None)
     if zero is not None:
@@ -404,9 +419,9 @@ def solve_generalized(pencil, k_max, guess=None):
         try:
             for i in range(first, k_need):
                 w[i], mw[i] = _rqi(rec, guess[:, i] / s, w[:i], mw[:i])
-            return _checked_pairs(rec, w, zero, "rqi")
+            return _checked_pairs(pencil, w, zero, "rqi")
         except EigenSolveError as exc:
             refused = f"warm start refused: {exc}"
-    pairs = _checked_pairs(rec, _cold(pencil, w, mw, first), zero, "sturm")
+    pairs = _checked_pairs(pencil, _cold(pencil, w, mw, first), zero, "sturm")
     pairs.refused = refused
     return pairs

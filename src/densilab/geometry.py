@@ -283,24 +283,6 @@ def sphere_multiplicity(j, n):
     return m
 
 
-def homothety(manifold, c):
-    """Scale the metric by a factor c > 0.
-
-    Lengths scale by sqrt(c): the radial extent becomes sqrt(c) R and the
-    profile becomes sqrt(c) theta(s / sqrt(c)); volume scales by c^{n/2}.
-    """
-    if not c > 0:
-        raise ValueError(f"homothety factor must be positive, got {c}")
-    s = math.sqrt(c)
-    theta = manifold.profile
-    return RevolutionManifold(
-        n=manifold.n,
-        R=s * manifold.R,
-        profile=lambda r, _t=theta, _s=s: _s * _t(np.asarray(r) / _s),
-        pole_slope_tol=manifold.pole_slope_tol,
-    )
-
-
 def conformal_reparametrize(manifold, rho, grid=None):
     """Manifold of revolution isometric to (M, rho^{2/n} g) for radial rho.
 

@@ -3,7 +3,7 @@
 ``full_spectrum`` merges the angular-mode Sturm-Liouville problems with
 their spherical-harmonic multiplicities into the ordered sequence
 lambda_0 <= lambda_1 <= ...  The modes are one family, assembled once:
-K_j = G + mu_j A (``TridiagonalPencil.mode``).  It counts first, then
+K_j = G + mu_j A (``ModeFamily.mode``).  It counts first, then
 solves.  By Sylvester's law of inertia, count_j(sigma), the number of
 mode j's eigenvalues below sigma, is the number of negative pivots of
 K_j - sigma M_j (``eigensolver.counter``, O(N), no solve).  A cutoff
@@ -158,15 +158,14 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, start=None):
     quotient iteration (``solve_generalized(guess=...)``).
     """
     grid = _default_grid(domain, grid)
-    family = assemble(ModeProblem(domain=domain, rho=rho, alpha=float(alpha), grid=grid))
-    # an interval's family has the one mode j = 0
+    pencils = {0: assemble(ModeProblem(domain=domain, rho=rho, alpha=float(alpha), grid=grid))}
+    # j -> mode j's pencil; an interval's family has the one mode j = 0
     j_last = 0 if isinstance(domain, Interval) else _HARD_MODE_CAP
     k_need = k_max + 1
-    pencils = {0: family}  # j -> mode j's pencil
 
     def mode(j):
         if j not in pencils:
-            pencils[j] = family.mode(j)
+            pencils[j] = pencils[0].family.mode(j)
         return pencils[j]
 
     def mult(j):
@@ -196,7 +195,7 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, start=None):
     else:
         raise ValueError(f"not enough eigenvalues to fill k_max + 1 = {k_need} slots: "
                          f"modes 0 to {j_last} hold {capacity}")
-    x, step = ((ramp_quotient(family), BRACKET_STEP) if start is None
+    x, step = ((ramp_quotient(pencils[0]), BRACKET_STEP) if start is None
                else (start.cutoff, _BRACKET_RATIO))
     cutoff = _cutoff(lambda sigma: counts_at(sigma, k_need)[1], x, k_need, step)
     # keep every eigenvalue a relative CERTIFICATE_DELTA away from the cutoff,
@@ -231,10 +230,13 @@ class TestFunction:
     __test__ = False  # keep pytest from collecting this as a test class
 
     def __post_init__(self):
+        knots = np.asarray(self.knots, dtype=float)
         vals = np.asarray(self.knot_values, dtype=float)
-        if np.any(vals < 0) or np.any(vals > 1) or not 0 <= self.left_value <= 1:
+        if not 0 < len(knots) == len(vals):
+            raise ValueError("a test function needs knots, and one value per knot")
+        if not (np.all((vals >= 0) & (vals <= 1)) and 0 <= self.left_value <= 1):
             raise ValueError("test function values must lie in [0, 1]")
-        if np.any(np.diff(self.knots) < 0):
+        if np.any(np.isnan(knots)) or np.any(np.diff(knots) < 0):
             raise ValueError("knots must be nondecreasing")
 
     @classmethod
@@ -257,10 +259,12 @@ class TestFunction:
 
     def _window(self, domain, nodes):
         """Node range [lo, hi) of the sorted ``nodes`` outside which the function is 0:
-        there d > knots[-1], with a pad for the rounding of d."""
+        d > knots[-1], and d < knots[0] on a manifold if ``left_value`` is 0 (one window
+        cannot skip an interval's hole around ``center``), with a pad for rounding."""
         c, reach = self._origin(domain), self.knots[-1]
         pad = 1e-12 * (abs(c) + reach)
-        return (int(np.searchsorted(nodes, c - reach - pad, "left")),
+        hole = isinstance(domain, RevolutionManifold) and self.left_value == 0
+        return (int(np.searchsorted(nodes, (self.knots[0] if hole else c - reach) - pad, "left")),
                 int(np.searchsorted(nodes, c + reach + pad, "right")))
 
     def sample(self, domain, grid):

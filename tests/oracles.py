@@ -12,7 +12,8 @@ for every mode, kept as the bit-for-bit reference of the mode family;
 whole-grid Hoelder weights and the sorting selection, kept as the
 bit-for-bit references of their package versions; ``overlapping_pair`` is
 the whole-grid support check that ``minmax_bound`` made before it swept
-the grid in blocks.
+the grid in blocks.  ``homothety`` and ``stretched`` transport a manifold
+and a density under a scaling of the metric, for the scaling tests.
 """
 
 import math
@@ -22,9 +23,48 @@ import scipy.linalg as sla
 
 from densilab import density as density_mod
 from densilab.assembly import _P, _Q, TridiagonalPencil, _check_finite
+from densilab.density import (CauchyPower, Constant, GaussianRadial, PowerDensity, Scaled,
+                              Tabulated)
 from densilab.geometry import RevolutionManifold, sphere_eigenvalue, unit_sphere_area
 from densilab.quadrature import element_integrals, gauss_points
 from densilab.spectrum import HolderChainReport
+
+
+def homothety(manifold, c):
+    """Scale the metric by a factor c > 0.
+
+    Lengths scale by sqrt(c): the radial extent becomes sqrt(c) R and the
+    profile becomes sqrt(c) theta(s / sqrt(c)); volume scales by c^{n/2}.
+    """
+    if not c > 0:
+        raise ValueError(f"homothety factor must be positive, got {c}")
+    s = math.sqrt(c)
+    theta = manifold.profile
+    return RevolutionManifold(
+        n=manifold.n,
+        R=s * manifold.R,
+        profile=lambda r, _t=theta, _s=s: _s * _t(np.asarray(r) / _s),
+        pole_slope_tol=manifold.pole_slope_tol,
+    )
+
+
+def stretched(rho, s):
+    """The density r -> rho(r / s); transports rho under a homothety."""
+    if not s > 0:
+        raise ValueError("stretch factor must be positive")
+    if isinstance(rho, Constant):
+        return rho
+    if isinstance(rho, GaussianRadial):
+        return GaussianRadial(rho.m / s ** 2, floor=rho.floor)
+    if isinstance(rho, CauchyPower):
+        return CauchyPower(rho.m / s ** 2, rho.alpha)
+    if isinstance(rho, Scaled):
+        return Scaled(stretched(rho.base, s), rho.c)
+    if isinstance(rho, PowerDensity):
+        return PowerDensity(stretched(rho.base, s), rho.alpha)
+    if isinstance(rho, Tabulated):
+        return Tabulated(s * rho.r_nodes, rho.values)
+    raise TypeError(f"cannot stretch density of type {type(rho).__name__}")
 
 
 def erf_series(x):
@@ -268,7 +308,7 @@ def assemble_per_mode(problem):
     if np.any(m_diag <= 0):
         raise ValueError("mass matrix not positive definite: "
                          "non-positive density or degenerate grid")
-    return TridiagonalPencil(k_diag, k_off, m_diag, m_off, problem=problem)
+    return TridiagonalPencil.from_bands(k_diag, k_off, m_diag, m_off, problem=problem)
 
 
 def _tridiagonal_times(d, e, v):

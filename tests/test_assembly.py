@@ -149,13 +149,34 @@ def _bands(p):
 @pytest.mark.parametrize("name", list(_FAMILIES))
 def test_mode_family_is_bit_identical_to_per_mode_assembly(name):
     domain, rho, alpha, grid = _FAMILIES[name]
-    family = assemble(ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid))
-    for j in range(6) if isinstance(domain, dl.RevolutionManifold) else [0]:
+    family = assemble(ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid)).family
+    for j in range(9) if isinstance(domain, dl.RevolutionManifold) else [0]:
         problem = ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid, j=j)
         ref = oracles.assemble_per_mode(problem)
-        for pencil in (family.mode(j), assemble(problem), assemble(problem).mode(0).mode(j)):
+        for pencil in (family.mode(j), assemble(problem),
+                       assemble(problem).family.mode(0).family.mode(j)):
             assert pencil.problem == problem
             assert all(np.array_equal(a, b) for a, b in zip(_bands(pencil), _bands(ref)))
+            assert all(np.array_equal(a, b) for a, b in zip(pencil.split, family.mode(j).split))
+
+
+def test_modes_of_one_family_share_one_mass_record():
+    # the mass side of the solver record (equilibration, mass check, zero mode)
+    # is built once for mode 0 and once for all modes j >= 1 of a family
+    domain, rho, alpha, grid = _FAMILIES["conformal-weighted"]
+    family = assemble(ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid)).family
+    records = [counter(family.mode(j)) for j in range(7)]
+    assert all(r.mass is records[1].mass for r in records[2:])
+    assert records[0].mass is not records[1].mass
+    assert len({id(r) for r in records}) == 7  # a K side and a memo per mode
+    alone = counter(assemble(ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid, j=2)))
+    assert alone.mass is not records[1].mass
+    assert records[0].mass.zero is not None and records[1].mass.zero is None
+    for rec, p in ((records[0], family.mode(0)), (records[1], family.mode(3))):
+        bare = counter(TridiagonalPencil.from_bands(*_bands(p), problem=p.problem))
+        assert all(np.array_equal(getattr(rec.mass, name), getattr(bare.mass, name))
+                   for name in ("s", "s2", "me_h", "zero"))
+        assert rec.mass.norm1 == bare.mass.norm1
 
 
 def test_full_spectrum_solves_the_per_mode_pencils(monkeypatch):
@@ -187,8 +208,8 @@ def test_assembled_bands_are_read_only():
     assert counter(p)(50.0) == 2
     with pytest.raises(ValueError, match="read-only"):
         p.k_diag *= 4
-    for pencil in (p, p.mode(0), p.mode(3)):
+    for pencil in (p, p.family.mode(0), p.family.mode(3)):
         assert not any(a.flags.writeable for a in _bands(pencil))
     assert counter(p)(50.0) == 2
-    scaled = TridiagonalPencil(4 * p.k_diag, 4 * p.k_off, p.m_diag, p.m_off)
+    scaled = TridiagonalPencil.from_bands(4 * p.k_diag, 4 * p.k_off, p.m_diag, p.m_off)
     assert counter(scaled)(50.0) == 1

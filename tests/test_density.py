@@ -110,11 +110,11 @@ def test_scaled_power_algebra_is_exact():
 
 
 def test_stretched_families():
-    g = dl.stretched(dl.GaussianRadial(8.0), 2.0)
+    g = oracles.stretched(dl.GaussianRadial(8.0), 2.0)
     assert isinstance(g, dl.GaussianRadial) and g.m == 2.0
-    cp = dl.stretched(dl.CauchyPower(8.0, 0.3), 2.0)
+    cp = oracles.stretched(dl.CauchyPower(8.0, 0.3), 2.0)
     assert cp.m == 2.0
-    assert dl.stretched(dl.Constant(3.0), 5.0)(0.1) == 3.0
+    assert oracles.stretched(dl.Constant(3.0), 5.0)(0.1) == 3.0
 
 
 def test_tabulated_csv_roundtrip(tmp_path):

@@ -20,8 +20,8 @@ from oracles import dense_k, dense_m, dense_pencil_eigenvalues
 
 
 def _pencil(kd, ke, md, me):
-    return TridiagonalPencil(np.asarray(kd, float), np.asarray(ke, float),
-                             np.asarray(md, float), np.asarray(me, float))
+    return TridiagonalPencil.from_bands(np.asarray(kd, float), np.asarray(ke, float),
+                                        np.asarray(md, float), np.asarray(me, float))
 
 
 def test_lapack_by_file_spec_is_scipys():

@@ -7,9 +7,10 @@ from scipy.interpolate import PchipInterpolator
 
 from densilab import (Interval, RadialGrid, RevolutionManifold,
                       Constant, GaussianRadial, conformal_reparametrize,
-                      homothety, sphere_eigenvalue, sphere_multiplicity,
-                      total_mass, volume)
+                      sphere_eigenvalue, sphere_multiplicity, total_mass, volume)
 from densilab.geometry import pchip
+
+from oracles import homothety
 
 
 def test_interval_volume_is_length():

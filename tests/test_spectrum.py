@@ -88,7 +88,7 @@ def test_each_mode_asks_only_for_pairs_it_can_place(monkeypatch):
     res = dl.full_spectrum(ball, dl.Constant(1.0), 0.0, 12, grid=grid)
     # each mode is asked for its count below the cutoff: 5 pairs for 13 slots
     assert asked == list(res.counts) == [2, 1, 1, 1]
-    family = assemble(ModeProblem(domain=ball, rho=dl.Constant(1.0), alpha=0.0, grid=grid))
+    family = assemble(ModeProblem(domain=ball, rho=dl.Constant(1.0), alpha=0.0, grid=grid)).family
     assert [counter(family.mode(j))(res.cutoff) for j in range(5)] == [2, 1, 1, 1, 0]
     # the stop mode is counted, never solved
     assert len(asked) == len(res.modes) == 1 + max(row[2] for row in res.slot_entries())
@@ -252,6 +252,43 @@ def test_plateau_shape_and_validation():
         dl.build_plateau_function(iv, 0.5, 0.2)
     with pytest.raises(ValueError, match="extent"):
         dl.build_plateau_function(iv, 0.5, 1.5)
+    # a NaN knot or value, unequal lengths and no knots at all are refused up
+    # front: they gave a NaN quotient, numpy's length error and an IndexError
+    with pytest.raises(ValueError, match="nondecreasing"):
+        TestFunction(knots=(math.nan, 0.5), knot_values=(1.0, 0.0))
+    with pytest.raises(ValueError, match="nondecreasing"):
+        TestFunction(knots=(math.nan,), knot_values=(1.0,))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        TestFunction(knots=(0.1, 0.5), knot_values=(1.0, math.nan))
+    for knots, values in (((0.1, 0.5), (1.0,)), ((0.1,), (1.0, 0.0)), ((), ())):
+        with pytest.raises(ValueError, match="one value per knot"):
+            TestFunction(knots=knots, knot_values=values)
+    assert TestFunction.constant().knots == (math.inf,)  # the constant's inf knot stays valid
+
+
+def test_window_of_a_plateau_starts_at_its_inner_ramp():
+    # on a manifold a plateau that is 0 below its inner ramp is 0 from the
+    # pole to knots[0] = r / 2: its node window starts there, less the pad
+    ball = dl.RevolutionManifold.ball(3, 1.0)
+    grid = dl.RadialGrid.uniform(ball, 2 ** 16)
+    plateau = dl.build_plateau_function(ball, 0.3, 0.45)
+    assert spectrum._prepared(ball, grid, plateau)[:2] == (9831, 58983)
+    # a cap or a collar (left value 1) starts at the pole, and an interval's
+    # plateau at center - 2R: one window cannot skip the hole around center
+    for u in (dl.build_plateau_function(ball, 0.0, 0.45), dl.build_collar_function(ball, 0.2, 0.3)):
+        assert spectrum._prepared(ball, grid, u)[0] == 0
+    iv = dl.Interval(-1.0, 1.0)
+    assert spectrum._prepared(iv, dl.RadialGrid.uniform(iv, 1024), dl.build_plateau_function(
+        iv, 0.3, 0.45, center=0.0))[:2] == (52, 973)
+    rho, alpha = dl.GaussianRadial(10.0), 0.2
+    want = oracles.element_form_quotient(ModeProblem(domain=ball, rho=rho, alpha=alpha, grid=grid),
+                                         plateau.sample(ball, grid))
+    assert dl.rayleigh_quotient(ball, rho, alpha, plateau, grid) == pytest.approx(
+        want, rel=1e-13, abs=0.0)
+    got = dl.holder_chain_check(ball, rho, alpha, plateau, grid)
+    want = oracles.holder_chain_whole_grid(ball, rho, alpha, plateau, grid)
+    for name in ("energy", "after_first", "after_second"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-13, abs=0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -708,8 +745,8 @@ def test_homothety_transports_spectrum():
     lam = dl.full_spectrum(disk, rho, 0.5, 2,
                            grid=dl.RadialGrid.uniform(disk, 512)).lambdas
     for c in (0.5, 3.0):
-        big = dl.homothety(disk, c)
-        moved = dl.stretched(rho, math.sqrt(c))
+        big = oracles.homothety(disk, c)
+        moved = oracles.stretched(rho, math.sqrt(c))
         lam_c = dl.full_spectrum(big, moved, 0.5, 2,
                                  grid=dl.RadialGrid.uniform(big, 512)).lambdas
         assert np.allclose(lam_c[1:], lam[1:] / c, rtol=1e-8)
