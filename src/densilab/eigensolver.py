@@ -18,7 +18,7 @@ One record per pencil (``counter``) keeps its equilibrated K and a memo of
 counts, monotone in sigma: a shift between two of equal count, or below one
 of 0, costs no ``dpttrf``.  No bracket or shift depends on it.  The mass
 side (equilibration, mass check, zero mode) is one record per ``pencil.mass``,
-which every mode j >= 1 of a family shares.
+which every mode j >= 1 of a family shares, and which slices mode 0's.
 
 ``dgtsv`` and ``dpttrf`` come from scipy's LAPACK extension, loaded by its
 file spec: importing ``scipy.linalg`` for them would cost most of the
@@ -46,6 +46,8 @@ _RQI_ROUNDING = 4 * np.finfo(float).eps
 # bracket steps from the ramp quotient (also the cutoff search's); width of a cluster
 BRACKET_STEP = 4.0
 _CLUSTER_WIDTH = 1e-13
+# a zero pivot counts as this, negated
+_TINY = np.finfo(float).tiny
 
 
 def _flapack_by_file_spec():
@@ -129,22 +131,24 @@ def _count(kd_h, ke_h, me_h, sigma):
     ``dpttrf`` stops at the first pivot p <= 0 (``info`` is its 1-based row);
     elimination goes on past it on the tail, whose first diagonal entry
     becomes a - (e / p) e.  A zero pivot counts as a tiny negative one, as
-    in LAPACK ``dstebz``.  One ``dpttrf`` call per negative pivot, plus one.
+    in LAPACK ``dstebz``.  One ``dpttrf`` call per negative pivot, plus one,
+    each in place on the shifted bands: at a failed pivot it has not yet
+    touched the rows after it, nor ``e[info - 1:]``.
     """
     d, e = kd_h - sigma, ke_h - sigma * me_h
     count = 0
-    while len(d) > 1:  # the LAPACK wrapper needs n >= 2
-        pivots, _, info = dpttrf(d, e)
-        if info == 0:
-            return count
-        count += 1
-        if info == len(d):
-            return count
-        p = min(pivots[info - 1], -np.finfo(float).tiny)
-        with np.errstate(over="ignore"):
-            d = d[info:].copy()
+    with np.errstate(over="ignore"):
+        while len(d) > 1:  # the LAPACK wrapper needs n >= 2
+            pivots, _, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+            if info == 0:
+                return count
+            count += 1
+            if info == len(d):
+                return count
+            p = min(pivots[info - 1], -_TINY)
+            d = d[info:]
             d[0] -= (e[info - 1] / p) * e[info - 1]
-        e = e[info:]
+            e = e[info:]
     return count + int(d[0] <= 0)
 
 
@@ -159,23 +163,48 @@ class _MassRecord:
     """The mass side of the records of all pencils that share a ``pencil.mass``: ``s`` =
     1/sqrt(m_diag), ``s2`` = s^2, ``me_h`` (the off-diagonal of s M s), the mass
     check, ``norm1`` = ||M||_1 and ``zero``: on an unconstrained mode (Neumann,
-    j = 0), whose K 1 = 0 by construction, the M-normalized constant, equilibrated."""
+    j = 0), whose K 1 = 0 by construction, the M-normalized constant, equilibrated.
 
-    def __init__(self, pencil):
-        md, me = pencil.m_diag, pencil.m_off
-        if np.any(md <= 0):
-            raise IndefiniteMassError("mass diagonal has non-positive entries")
-        self.s = s = 1.0 / np.sqrt(md)
-        self.s2 = s ** 2
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.me_h, = _equilibrated(me * s[:-1] * s[1:])
-        if dpttrf(np.ones(len(md)), self.me_h)[2]:
-            raise IndefiniteMassError("mass matrix is not positive definite")
+    Given ``full``, the record of M, the pencil's mass is M's trailing principal
+    submatrix M[1:, 1:] (a family's j >= 1 mass): s, s2 and me_h are slices of
+    full's, equal bit for bit to their own equilibration, which is elementwise.
+    Its checks hold with full's: by induction, each rounded pivot of the
+    trailing factorization is at least the matching pivot of the full one.
+    """
+
+    def __init__(self, pencil, full=None):
+        if full is not None:
+            self.s, self.s2, self.me_h = full.s[1:], full.s2[1:], full.me_h[1:]
+        else:
+            md, me = pencil.m_diag, pencil.m_off
+            if np.any(md <= 0):
+                raise IndefiniteMassError("mass diagonal has non-positive entries")
+            self.s = s = 1.0 / np.sqrt(md)
+            self.s2 = s ** 2
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.me_h, = _equilibrated(me * s[:-1] * s[1:])
+            if dpttrf(np.ones(len(md)), self.me_h)[2]:
+                raise IndefiniteMassError("mass matrix is not positive definite")
+            for a in (self.s, self.s2, self.me_h):
+                a.flags.writeable = False  # a trailing record's slices share them
         self.norm1, self.zero = pencil.m_norm1(), None
         if pencil.problem and not pencil.problem.pole_constrained:
-            w = np.sqrt(md)  # sqrt(m_diag) / sqrt(1^T M 1)
+            w = np.sqrt(pencil.m_diag)  # sqrt(m_diag) / sqrt(1^T M 1)
             self.zero = w / np.sqrt(_quadratic(1.0, self.me_h, w))
             self.zero.flags.writeable = False  # shared by every solve of the mass
+
+
+def _mass_record(pencil):
+    """The ``_MassRecord`` of ``pencil.mass``, built once.  A family's j >= 1 mass
+    slices the record of its j = 0 mass, which is built first if need be."""
+    mass = pencil.mass
+    if mass._solver is None:
+        family = pencil.family
+        full = None
+        if family is not None and mass is not family.masses[0]:
+            full = _mass_record(family.mode(0))
+        mass._solver = _MassRecord(pencil, full)
+    return mass._solver
 
 
 class _Record:
@@ -209,9 +238,7 @@ def counter(pencil):
     as a function of sigma: the pencil's ``_Record``, built once, over the
     ``_MassRecord`` built once for every pencil of its ``mass``."""
     if pencil._solver is None:
-        if pencil.mass._solver is None:
-            pencil.mass._solver = _MassRecord(pencil)
-        pencil._solver = _Record(pencil, pencil.mass._solver)
+        pencil._solver = _Record(pencil, _mass_record(pencil))
     return pencil._solver
 
 
@@ -244,7 +271,8 @@ def _rqi(rec, x, w, mw, bracket=None, cluster=False):
     their squares cannot overflow.  Given the ``bracket`` (lo, hi) of
     eigenvalue i the first shift is its midpoint, and so is every later one
     whose quotient lies outside it (inverse iteration, which cannot wander
-    off to a neighbour); else the first shift is the quotient of ``x``.
+    off to a neighbour), the bracket halved on a count first unless it is a
+    ``cluster``'s; else the first shift is the quotient of ``x``.
     With ``cluster`` (a bracket as narrow as counts allow) the certificate
     only asks that eigenvalue i lie within delta of lambda.  Returns the
     M-normalized vector and M_h times it; raises ``EigenSolveError``.
@@ -287,9 +315,12 @@ def _rqi(rec, x, w, mw, bracket=None, cluster=False):
         settled = max(_RQI_RTOL * abs(new), _RQI_ROUNDING * ((y * y) @ kd_abs))
         converged = lam is not None and abs(new - lam) <= settled
         x, mx, lam = y, my, new
-        sigma = lam if lo <= lam <= hi else mid
         if converged:
             break
+        if not (cluster or lo <= lam <= hi):
+            lo, hi = (mid, hi) if rec(mid) <= i else (lo, mid)
+            mid = math.sqrt(lo) * math.sqrt(hi)
+        sigma = lam if lo <= lam <= hi else mid
     else:
         raise EigenSolveError(f"pair {i} did not settle in {_RQI_MAX_STEPS} RQI steps")
     below = [rec(lam * f) for f in (1 - CERTIFICATE_DELTA, 1 + CERTIFICATE_DELTA)]
@@ -357,7 +388,8 @@ def _checked_pairs(pencil, w, zero, path):
     """Eigenvalues of the M-normalized rows of ``w``; sorted, un-equilibrated and gated.
 
     Each eigenvalue is the Rayleigh quotient with its numerator in element
-    form (``_energy``), except the deflated zero mode's, which is 0 exactly.
+    form (``_energy``), except the deflated zero mode's, which is 0 exactly;
+    alone, that positive constant needs no quotient, sort or sign.
     Gates: residuals and M-orthonormality.
     """
     kd, ke, md, me = pencil.k_diag, pencil.k_off, pencil.m_diag, pencil.m_off
@@ -366,13 +398,16 @@ def _checked_pairs(pencil, w, zero, path):
     k = len(w)
     first = int(zero is not None)
     values = np.zeros(k)
-    values[first:] = (_energy(pencil.split, s, w[first:])
-                      / _quadratic(1.0, me_h, w[first:]))
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = s * w[order]
-    # a deterministic sign: largest component positive
-    vectors *= np.sign(vectors[np.arange(k), np.argmax(np.abs(vectors), axis=1)])[:, None]
+    if k == first:
+        vectors = s * w
+    else:
+        values[first:] = (_energy(pencil.split, s, w[first:])
+                          / _quadratic(1.0, me_h, w[first:]))
+        order = np.argsort(values, kind="stable")
+        values = values[order]
+        vectors = s * w[order]
+        # a deterministic sign: largest component positive
+        vectors *= np.sign(vectors[np.arange(k), np.argmax(np.abs(vectors), axis=1)])[:, None]
     mv = _tri_mul(md, me, vectors)
     residuals = (_row_norms(_tri_mul(kd, ke, vectors) - values[:, None] * mv)
                  / (rec.norms[0] + np.abs(values) * rec.norms[1]))

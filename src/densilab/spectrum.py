@@ -153,7 +153,11 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, start=None):
     first mode with count_j(sigma) = 0 ends the sweep, counted, never solved.
 
     ``start``, a ``SpectrumResult`` of the same problem on another (coarser)
-    grid, warm-starts each mode it solved for at least as many pairs: its
+    grid, lends its plan: when every mode counts ``start.counts`` at
+    ``start.cutoff`` (1 -+ CERTIFICATE_DELTA) and they fill k_max + 1 slots,
+    its cutoff is the plan, kept as it is, not searched down to a factor 1.25
+    of N(sigma) = k_max + 1; else the search runs from ``start.cutoff``.  It
+    also warm-starts each mode it solved for at least as many pairs: its
     first vectors, interpolated onto ``grid``, seed count-certified Rayleigh
     quotient iteration (``solve_generalized(guess=...)``).
     """
@@ -195,9 +199,16 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, start=None):
     else:
         raise ValueError(f"not enough eigenvalues to fill k_max + 1 = {k_need} slots: "
                          f"modes 0 to {j_last} hold {capacity}")
-    x, step = ((ramp_quotient(pencils[0]), BRACKET_STEP) if start is None
-               else (start.cutoff, _BRACKET_RATIO))
-    cutoff = _cutoff(lambda sigma: counts_at(sigma, k_need)[1], x, k_need, step)
+    cutoff = None
+    # the start's plan, if it fills the slots and its counts hold at its certificate
+    if start is not None and sum(mult(j) * c for j, c in enumerate(start.counts)) >= k_need:
+        above, below = (counts_at(start.cutoff * (1 + f * CERTIFICATE_DELTA)) for f in (1, -1))
+        if above == below and tuple(above[0]) == start.counts:
+            cutoff = start.cutoff
+    if cutoff is None:
+        x, step = ((ramp_quotient(pencils[0]), BRACKET_STEP) if start is None
+                   else (start.cutoff, _BRACKET_RATIO))
+        cutoff = _cutoff(lambda sigma: counts_at(sigma, k_need)[1], x, k_need, step)
     # keep every eigenvalue a relative CERTIFICATE_DELTA away from the cutoff,
     # so that rounding in a count or a solve cannot flip its side
     while True:

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import densilab as dl
 from densilab import spectrum
-from densilab.assembly import ModeProblem, TridiagonalPencil, assemble
-from densilab.eigensolver import counter, solve_generalized
+from densilab.assembly import Mass, ModeProblem, TridiagonalPencil, assemble
+from densilab.eigensolver import IndefiniteMassError, counter, solve_generalized
 from densilab.quadrature import element_integrals
 
 import oracles
@@ -177,6 +179,41 @@ def test_modes_of_one_family_share_one_mass_record():
         assert all(np.array_equal(getattr(rec.mass, name), getattr(bare.mass, name))
                    for name in ("s", "s2", "me_h", "zero"))
         assert rec.mass.norm1 == bare.mass.norm1
+    # the j >= 1 mass is M[1:, 1:]: its equilibration is a slice of mode 0's
+    assert all(np.shares_memory(getattr(records[1].mass, name), getattr(records[0].mass, name))
+               for name in ("s", "s2", "me_h"))
+
+
+def test_mode_order_does_not_change_the_mass_records():
+    # counting a j >= 1 mode first builds the j = 0 mass record first
+    domain, rho, alpha, grid = _FAMILIES["conformal-weighted"]
+    problem = ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid)
+    in_order, reversed_ = (assemble(problem).family for _ in range(2))
+    trailing = counter(reversed_.mode(1)).mass
+    assert reversed_.masses[0]._solver is not None
+    records = [counter(reversed_.mode(0)).mass, trailing]
+    for rec, ref in zip(records, (counter(in_order.mode(j)).mass for j in (0, 1))):
+        assert all(np.array_equal(getattr(rec, name), getattr(ref, name))
+                   for name in ("s", "s2", "me_h"))
+        assert rec.norm1 == ref.norm1
+        assert (rec.zero is None) == (ref.zero is None)
+        assert rec.zero is None or np.array_equal(rec.zero, ref.zero)
+    assert all(np.shares_memory(getattr(trailing, name), getattr(records[0], name))
+               for name in ("s", "s2", "me_h"))
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_an_indefinite_family_mass_raises_from_either_mode(first):
+    # positive diagonal, 2 x 2 minors negative: M and M[1:, 1:] are indefinite
+    domain, rho, alpha, grid = _FAMILIES["conformal-weighted"]
+    family = assemble(ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid)).family
+    md = family.masses[0].diag
+    me = 2.0 * np.sqrt(md[:-1] * md[1:])
+    bad = replace(family, masses=(Mass(md, me), Mass(md[1:], me[1:])))
+    with pytest.raises(IndefiniteMassError):
+        counter(bad.mode(first))
+    with pytest.raises(IndefiniteMassError):
+        counter(bad.mode(1 - first))
 
 
 def test_full_spectrum_solves_the_per_mode_pencils(monkeypatch):

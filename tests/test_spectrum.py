@@ -848,6 +848,30 @@ def test_wrong_start_is_refused_and_solved_cold():
     assert np.array_equal(warm.lambdas, cold.lambdas)
 
 
+def test_a_start_lends_its_plan_when_its_counts_hold(monkeypatch):
+    # the m = 10 blow-up row's grids: the N 512 spectrum keeps the N 256
+    # cutoff, with no search; a start of k_max 1 fills 3 of the 6 slots of
+    # k_max 5, so that spectrum searches from its cutoff as before, with the
+    # same counts
+    searched = []
+    cutoff = spectrum._cutoff
+    monkeypatch.setattr(spectrum, "_cutoff", lambda *a: searched.append(a) or cutoff(*a))
+    disk, rho = _WARM_DOMAINS["disk"], dl.GaussianRadial(10.0)
+    coarse_grid, fine_grid = (dl.RadialGrid.for_density(disk, n, m=10.0) for n in (256, 512))
+    coarse = dl.full_spectrum(disk, rho, 0.75, 1, grid=coarse_grid)
+    searched.clear()
+    kept = dl.full_spectrum(disk, rho, 0.75, 1, grid=fine_grid, start=coarse)
+    assert not searched and kept.counts_spent["plan"] <= 5
+    assert kept.cutoff == coarse.cutoff and kept.counts == coarse.counts == (1, 1)
+    wider = dl.full_spectrum(disk, rho, 0.75, 5, grid=fine_grid, start=coarse)
+    assert len(searched) == 1 and searched[0][1] == coarse.cutoff
+    assert wider.cutoff == 65.10066978722291 and wider.counts == (2, 1, 1)
+    assert wider.counts_spent == {"plan": 22, "solve": 11}
+    for res, k_max in ((kept, 1), (wider, 5)):
+        cold = dl.full_spectrum(disk, rho, 0.75, k_max, grid=fine_grid)
+        assert np.allclose(res.lambdas, cold.lambdas, rtol=1e-10, atol=0.0)
+
+
 def test_exactly_singular_shifted_solve_keeps_the_warm_start():
     # mode 2's first RQI step meets an exactly zero dgtsv pivot: the start's
     # quotient is already an eigenvalue to working precision
