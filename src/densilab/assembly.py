@@ -69,7 +69,7 @@ class ModeProblem:
 class Mass:
     """Read-only mass bands, one object per variant of a family (M for j = 0,
     M without the pole row for j >= 1) that every mode of the variant shares;
-    ``eigensolver.counter`` keeps the mass side of its records here."""
+    ``eigensolver.counter`` caches the mass's equilibration here."""
 
     diag: np.ndarray
     off: np.ndarray

@@ -14,11 +14,11 @@ lambda_i (1 - 1e-8), i + 1 below lambda_i (1 + 1e-8).  Start vectors (a
 coarser grid's) run the same iteration (path ``"rqi"``).  The constants,
 the kernel of a j = 0 pencil, are returned exactly as lambda_0 = 0.
 
-One record per pencil (``counter``) keeps its equilibrated K and a memo of
-counts, monotone in sigma: a shift between two of equal count, or below one
-of 0, costs no ``dpttrf``.  No bracket or shift depends on it.  The mass
-side (equilibration, mass check, zero mode) is one record per ``pencil.mass``,
-which every mode j >= 1 of a family shares, and which slices mode 0's.
+One record per pencil (``counter``) keeps its equilibrated bands, its zero
+mode and a memo of counts, monotone in sigma: a shift between two of equal
+count, or below one of 0, costs no ``dpttrf``.  No bracket or shift depends
+on it.  The mass's equilibration and check are built once per ``pencil.mass``
+and cached on it; every mode j >= 1 of a family shares one, which slices mode 0's.
 
 ``dgtsv`` and ``dpttrf`` come from scipy's LAPACK extension, loaded by its
 file spec: importing ``scipy.linalg`` for them would cost most of the
@@ -159,66 +159,58 @@ def _equilibrated(*bands):
     return bands
 
 
-class _MassRecord:
-    """The mass side of the records of all pencils that share a ``pencil.mass``: ``s`` =
-    1/sqrt(m_diag), ``s2`` = s^2, ``me_h`` (the off-diagonal of s M s), the mass
-    check, ``norm1`` = ||M||_1 and ``zero``: on an unconstrained mode (Neumann,
-    j = 0), whose K 1 = 0 by construction, the M-normalized constant, equilibrated.
+def _equilibration(pencil):
+    """``(s, s2, me_h, norm1)`` of ``pencil.mass``, built and checked once per ``Mass``
+    and cached in ``mass._solver``: s = 1/sqrt(m_diag), s2 = s^2, me_h the
+    off-diagonal of s M s, norm1 = ||M||_1.
 
-    Given ``full``, the record of M, the pencil's mass is M's trailing principal
-    submatrix M[1:, 1:] (a family's j >= 1 mass): s, s2 and me_h are slices of
-    full's, equal bit for bit to their own equilibration, which is elementwise.
-    Its checks hold with full's: by induction, each rounded pivot of the
-    trailing factorization is at least the matching pivot of the full one.
+    A family's j >= 1 mass is the trailing principal submatrix M[1:, 1:] of
+    its j = 0 mass M: its s, s2 and me_h are slices of M's (built first if
+    need be), equal bit for bit to their own equilibration, which is
+    elementwise.  Its checks hold with M's: by induction, each rounded pivot
+    of the trailing factorization is at least the matching pivot of the full one.
     """
-
-    def __init__(self, pencil, full=None):
-        if full is not None:
-            self.s, self.s2, self.me_h = full.s[1:], full.s2[1:], full.me_h[1:]
-        else:
-            md, me = pencil.m_diag, pencil.m_off
-            if np.any(md <= 0):
-                raise IndefiniteMassError("mass diagonal has non-positive entries")
-            self.s = s = 1.0 / np.sqrt(md)
-            self.s2 = s ** 2
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.me_h, = _equilibrated(me * s[:-1] * s[1:])
-            if dpttrf(np.ones(len(md)), self.me_h)[2]:
-                raise IndefiniteMassError("mass matrix is not positive definite")
-            for a in (self.s, self.s2, self.me_h):
-                a.flags.writeable = False  # a trailing record's slices share them
-        self.norm1, self.zero = pencil.m_norm1(), None
-        if pencil.problem and not pencil.problem.pole_constrained:
-            w = np.sqrt(pencil.m_diag)  # sqrt(m_diag) / sqrt(1^T M 1)
-            self.zero = w / np.sqrt(_quadratic(1.0, self.me_h, w))
-            self.zero.flags.writeable = False  # shared by every solve of the mass
-
-
-def _mass_record(pencil):
-    """The ``_MassRecord`` of ``pencil.mass``, built once.  A family's j >= 1 mass
-    slices the record of its j = 0 mass, which is built first if need be."""
     mass = pencil.mass
     if mass._solver is None:
         family = pencil.family
-        full = None
         if family is not None and mass is not family.masses[0]:
-            full = _mass_record(family.mode(0))
-        mass._solver = _MassRecord(pencil, full)
+            s, s2, me_h, _ = _equilibration(family.mode(0))
+            arrays = s[1:], s2[1:], me_h[1:]
+        else:
+            md, me = mass.diag, mass.off
+            if np.any(md <= 0):
+                raise IndefiniteMassError("mass diagonal has non-positive entries")
+            s = 1.0 / np.sqrt(md)
+            with np.errstate(over="ignore", invalid="ignore"):
+                me_h, = _equilibrated(me * s[:-1] * s[1:])
+            if dpttrf(np.ones(len(md)), me_h)[2]:
+                raise IndefiniteMassError("mass matrix is not positive definite")
+            arrays = s, s ** 2, me_h
+            for a in arrays:
+                a.flags.writeable = False  # a j >= 1 mass's slices share them
+        mass._solver = (*arrays, pencil.m_norm1())
     return mass._solver
 
 
 class _Record:
-    """One pencil's record over its ``mass`` record: the ``bands`` (k_diag, k_off, m_off)
-    of s (K, M) s, the 1-norms of K and M and the count memo.  Calling it counts
-    below sigma; ``spent`` is the number of ``_count`` calls."""
+    """One pencil's record: ``s`` of its mass's ``_equilibration``, the ``bands``
+    (k_diag, k_off, m_off) of s (K, M) s, the 1-norms of K and M, the count
+    memo and ``zero``: on an unconstrained mode (Neumann, j = 0), whose K 1 = 0
+    by construction, the M-normalized constant, equilibrated; else None.
+    Calling it counts below sigma; ``spent`` is the number of ``_count`` calls."""
 
-    def __init__(self, pencil, mass):
-        self.mass, s = mass, mass.s
+    def __init__(self, pencil):
+        s, s2, me_h, m_norm1 = _equilibration(pencil)
         with np.errstate(over="ignore", invalid="ignore"):
-            self.bands = *_equilibrated(pencil.k_diag * mass.s2,
-                                        pencil.k_off * s[:-1] * s[1:]), mass.me_h
-        self.norms = pencil.k_norm1(), mass.norm1
+            self.bands = *_equilibrated(pencil.k_diag * s2,
+                                        pencil.k_off * s[:-1] * s[1:]), me_h
+        self.s, self.norms = s, (pencil.k_norm1(), m_norm1)
         self.sigmas, self.counts, self.spent = [], [], 0  # the memo, by increasing sigma
+        self.zero = None
+        if pencil.problem and not pencil.problem.pole_constrained:
+            w = np.sqrt(pencil.m_diag)  # sqrt(m_diag) / sqrt(1^T M 1)
+            self.zero = w / np.sqrt(_quadratic(1.0, me_h, w))
+            self.zero.flags.writeable = False  # shared by every solve of the pencil
 
     def __call__(self, sigma):
         i = bisect.bisect_left(self.sigmas, sigma)
@@ -235,10 +227,9 @@ class _Record:
 
 def counter(pencil):
     """The number of eigenvalues of K v = lambda M v below sigma (Sylvester inertia),
-    as a function of sigma: the pencil's ``_Record``, built once, over the
-    ``_MassRecord`` built once for every pencil of its ``mass``."""
+    as a function of sigma: the pencil's ``_Record``, built once."""
     if pencil._solver is None:
-        pencil._solver = _Record(pencil, _mass_record(pencil))
+        pencil._solver = _Record(pencil)
     return pencil._solver
 
 
@@ -384,7 +375,7 @@ def _cold(pencil, w, mw, first):
     return w
 
 
-def _checked_pairs(pencil, w, zero, path):
+def _checked_pairs(pencil, w, path):
     """Eigenvalues of the M-normalized rows of ``w``; sorted, un-equilibrated and gated.
 
     Each eigenvalue is the Rayleigh quotient with its numerator in element
@@ -394,9 +385,9 @@ def _checked_pairs(pencil, w, zero, path):
     """
     kd, ke, md, me = pencil.k_diag, pencil.k_off, pencil.m_diag, pencil.m_off
     rec = counter(pencil)
-    s, me_h = rec.mass.s, rec.mass.me_h
+    s, me_h = rec.s, rec.bands[2]
     k = len(w)
-    first = int(zero is not None)
+    first = int(rec.zero is not None)
     values = np.zeros(k)
     if k == first:
         vectors = s * w
@@ -438,13 +429,13 @@ def solve_generalized(pencil, k_max, guess=None):
     if not 0 < k_need <= n:
         raise ValueError(f"requested {k_need} pairs from a pencil of size {n}")
     rec = counter(pencil)
-    s, me_h, zero = rec.mass.s, rec.mass.me_h, rec.mass.zero
+    s, me_h, zero = rec.s, rec.bands[2], rec.zero
     if guess is not None:
         guess = np.asarray(guess, dtype=float)
         if guess.shape != (n, k_need):
             raise ValueError(f"guess has shape {guess.shape}, expected {(n, k_need)}")
     if zero is not None and k_need == 1:
-        return _checked_pairs(pencil, zero[None], zero, "zero")
+        return _checked_pairs(pencil, zero[None], "zero")
     w, mw = np.empty((k_need, n)), np.empty((k_need, n))  # pair i in row i
     first = int(zero is not None)
     if zero is not None:
@@ -454,9 +445,9 @@ def solve_generalized(pencil, k_max, guess=None):
         try:
             for i in range(first, k_need):
                 w[i], mw[i] = _rqi(rec, guess[:, i] / s, w[:i], mw[:i])
-            return _checked_pairs(pencil, w, zero, "rqi")
+            return _checked_pairs(pencil, w, "rqi")
         except EigenSolveError as exc:
             refused = f"warm start refused: {exc}"
-    pairs = _checked_pairs(pencil, _cold(pencil, w, mw, first), zero, "sturm")
+    pairs = _checked_pairs(pencil, _cold(pencil, w, mw, first), "sturm")
     pairs.refused = refused
     return pairs

@@ -129,7 +129,7 @@ class ScanReport:
             w.writeheader()
             w.writerows(self.rows)
 
-    def to_json(self, path=None):
+    def to_json(self, path):
         payload = {
             "experiment": self.experiment,
             "rows": self.rows,
@@ -137,9 +137,8 @@ class ScanReport:
             "metadata": self.metadata,
             "passed": self.passed,
         }
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2, default=float)
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2, default=float)
         return payload
 
 

@@ -191,7 +191,7 @@ class RadialGrid:
         nodes = np.array(nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 9:
             raise ValueError("grid needs at least 8 elements")
-        if np.any(np.diff(nodes) <= 0):
+        if not np.all(np.diff(nodes) > 0):  # written so that a NaN node fails it
             raise ValueError("grid nodes must be strictly increasing")
         if domain is not None:
             _check_endpoints(nodes, domain)

@@ -39,12 +39,10 @@ class MeasureTriple:
         return self.values.shape[0]
 
     @classmethod
-    def from_csv(cls, path, totals=None):
-        """K rows, 3 columns; totals default to the column sums."""
+    def from_csv(cls, path):
+        """K rows, 3 columns; the totals are the column sums."""
         v = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-        if totals is None:
-            totals = v.sum(axis=0)
-        return cls(values=v, totals=np.asarray(totals, dtype=float))
+        return cls(values=v, totals=v.sum(axis=0))
 
     @classmethod
     def random(cls, k, rng):

@@ -199,22 +199,23 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, start=None):
     else:
         raise ValueError(f"not enough eigenvalues to fill k_max + 1 = {k_need} slots: "
                          f"modes 0 to {j_last} hold {capacity}")
-    cutoff = None
+
+    def cleared(sigma):
+        """The mode counts at sigma (1 + delta) if those at sigma (1 - delta) agree, else
+        None: then no eigenvalue lies within a relative CERTIFICATE_DELTA of sigma,
+        so rounding in a count or a solve cannot flip its side of the cutoff sigma."""
+        counts = counts_at(sigma * (1 + CERTIFICATE_DELTA))[0]
+        return counts if counts == counts_at(sigma * (1 - CERTIFICATE_DELTA))[0] else None
+
     # the start's plan, if it fills the slots and its counts hold at its certificate
-    if start is not None and sum(mult(j) * c for j, c in enumerate(start.counts)) >= k_need:
-        above, below = (counts_at(start.cutoff * (1 + f * CERTIFICATE_DELTA)) for f in (1, -1))
-        if above == below and tuple(above[0]) == start.counts:
-            cutoff = start.cutoff
-    if cutoff is None:
+    if (start is not None and sum(mult(j) * c for j, c in enumerate(start.counts)) >= k_need
+            and cleared(start.cutoff) == list(start.counts)):
+        cutoff = start.cutoff
+    else:
         x, step = ((ramp_quotient(pencils[0]), BRACKET_STEP) if start is None
                    else (start.cutoff, _BRACKET_RATIO))
         cutoff = _cutoff(lambda sigma: counts_at(sigma, k_need)[1], x, k_need, step)
-    # keep every eigenvalue a relative CERTIFICATE_DELTA away from the cutoff,
-    # so that rounding in a count or a solve cannot flip its side
-    while True:
-        counts = counts_at(cutoff * (1 + CERTIFICATE_DELTA))[0]
-        if counts == counts_at(cutoff * (1 - CERTIFICATE_DELTA))[0]:
-            break
+    while (counts := cleared(cutoff)) is None:
         cutoff *= 1 + 3 * CERTIFICATE_DELTA
     if len(counts) > j_last and isinstance(domain, RevolutionManifold):
         raise RuntimeError(f"mode sweep did not terminate below j={j_last}")

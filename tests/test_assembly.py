@@ -163,43 +163,50 @@ def test_mode_family_is_bit_identical_to_per_mode_assembly(name):
 
 
 def test_modes_of_one_family_share_one_mass_record():
-    # the mass side of the solver record (equilibration, mass check, zero mode)
-    # is built once for mode 0 and once for all modes j >= 1 of a family
+    # the mass's equilibration and check are built once for mode 0 and once for
+    # all modes j >= 1 of a family; the zero mode only on mode 0
     domain, rho, alpha, grid = _FAMILIES["conformal-weighted"]
     family = assemble(ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid)).family
     records = [counter(family.mode(j)) for j in range(7)]
-    assert all(r.mass is records[1].mass for r in records[2:])
-    assert records[0].mass is not records[1].mass
+    assert all(r.s is records[1].s and r.bands[2] is records[1].bands[2] for r in records[2:])
+    assert records[0].s is not records[1].s
     assert len({id(r) for r in records}) == 7  # a K side and a memo per mode
     alone = counter(assemble(ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid, j=2)))
-    assert alone.mass is not records[1].mass
-    assert records[0].mass.zero is not None and records[1].mass.zero is None
+    assert alone.s is not records[1].s
+    assert records[0].zero is not None and all(r.zero is None for r in records[1:])
     for rec, p in ((records[0], family.mode(0)), (records[1], family.mode(3))):
-        bare = counter(TridiagonalPencil.from_bands(*_bands(p), problem=p.problem))
-        assert all(np.array_equal(getattr(rec.mass, name), getattr(bare.mass, name))
-                   for name in ("s", "s2", "me_h", "zero"))
-        assert rec.mass.norm1 == bare.mass.norm1
+        bare = TridiagonalPencil.from_bands(*_bands(p), problem=p.problem)
+        bare_rec = counter(bare)
+        assert all(np.array_equal(a, b) for a, b in zip(p.mass._solver, bare.mass._solver))
+        assert all(np.array_equal(getattr(rec, name), getattr(bare_rec, name))
+                   for name in ("s", "zero"))
+        assert np.array_equal(rec.bands[2], bare_rec.bands[2])
+        assert rec.norms[1] == bare_rec.norms[1]
     # the j >= 1 mass is M[1:, 1:]: its equilibration is a slice of mode 0's
-    assert all(np.shares_memory(getattr(records[1].mass, name), getattr(records[0].mass, name))
-               for name in ("s", "s2", "me_h"))
+    full, trailing = (m._solver for m in family.masses)
+    assert all(np.shares_memory(a, b) for a, b in zip(trailing[:3], full[:3]))
+    # each mass has its own ||M||_1
+    assert (full[3], trailing[3]) == (family.mode(0).m_norm1(), family.mode(1).m_norm1())
 
 
 def test_mode_order_does_not_change_the_mass_records():
-    # counting a j >= 1 mode first builds the j = 0 mass record first
+    # counting a j >= 1 mode first builds the j = 0 equilibration first
     domain, rho, alpha, grid = _FAMILIES["conformal-weighted"]
     problem = ModeProblem(domain=domain, rho=rho, alpha=alpha, grid=grid)
     in_order, reversed_ = (assemble(problem).family for _ in range(2))
-    trailing = counter(reversed_.mode(1)).mass
+    trailing = counter(reversed_.mode(1))
     assert reversed_.masses[0]._solver is not None
-    records = [counter(reversed_.mode(0)).mass, trailing]
-    for rec, ref in zip(records, (counter(in_order.mode(j)).mass for j in (0, 1))):
-        assert all(np.array_equal(getattr(rec, name), getattr(ref, name))
-                   for name in ("s", "s2", "me_h"))
-        assert rec.norm1 == ref.norm1
+    records = [counter(reversed_.mode(0)), trailing]
+    for j, rec in enumerate(records):
+        ref = counter(in_order.mode(j))
+        assert all(np.array_equal(a, b) for a, b in zip(reversed_.masses[j]._solver[:3],
+                                                        in_order.masses[j]._solver[:3]))
+        assert np.array_equal(rec.s, ref.s) and np.array_equal(rec.bands[2], ref.bands[2])
+        assert rec.norms[1] == ref.norms[1]
         assert (rec.zero is None) == (ref.zero is None)
         assert rec.zero is None or np.array_equal(rec.zero, ref.zero)
-    assert all(np.shares_memory(getattr(trailing, name), getattr(records[0], name))
-               for name in ("s", "s2", "me_h"))
+    assert all(np.shares_memory(a, b) for a, b in zip(reversed_.masses[1]._solver[:3],
+                                                      reversed_.masses[0]._solver[:3]))
 
 
 @pytest.mark.parametrize("first", [0, 1])

@@ -109,6 +109,15 @@ def test_scaled_power_algebra_is_exact():
     assert np.allclose(lhs(x), c ** a * dl.power(rho, a)(x), rtol=1e-15)
 
 
+def test_power_of_a_power_of_a_tabulated_density():
+    t = dl.Tabulated([0.0, 0.3, 0.6, 1.0], [2.0, 1.5, 0.4, 0.05])
+    x = np.linspace(0.0, 1.0, 41)
+    for a, b in ((0.5, 0.3), (0.42, 1.7), (2.0, 0.25)):
+        twice = dl.power(dl.power(t, a), b)
+        assert np.array_equal(twice(x), dl.power(t, a * b)(x))
+        assert np.allclose(twice(x), (t(x) ** a) ** b, rtol=1e-15, atol=0.0)
+
+
 def test_stretched_families():
     g = oracles.stretched(dl.GaussianRadial(8.0), 2.0)
     assert isinstance(g, dl.GaussianRadial) and g.m == 2.0

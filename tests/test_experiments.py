@@ -10,6 +10,7 @@ import densilab as dl
 from densilab import cli
 from densilab import experiments as exp
 from densilab.cli import main as cli_main
+from densilab.measures import MeasureTriple, select_small_sets
 
 import oracles
 
@@ -83,7 +84,8 @@ def test_config_validation():
     ("solve", ["--n", "2", "--density", "tabulated:cfg.json"], "0.0,1.0\n0.5,2.0\n0.9,1.0\n"),
     ("scan-bounded", ["--companion-alpha", "0.4", "--grid", "512"], None),
     ("scan-bounded", ["--companion-alpha", "1.5", "--grid", "64", "--m", "10,1000"], None),
-    ("gaussian-lemma", ["--L", "1e300", "--grid", "64"], None)],
+    ("gaussian-lemma", ["--L", "1e300", "--grid", "64"], None),
+    ("solve", ["--density", "foo:1"], None)],
     ids=["kmax-negative", "grid-not-power-of-two", "grid-zero", "alpha-empty", "m-empty",
          "config-grid-not-power-of-two", "config-truncated", "config-unknown-key",
          "config-missing", "scan-bounded-on-interval", "scan-blowup-subcritical",
@@ -105,7 +107,7 @@ def test_config_validation():
          "alpha-nan-exploratory", "gaussian-lemma-L-inf", "density-tabulated-one-column",
          "density-tabulated-short-of-interval", "density-tabulated-short-of-disk",
          "scan-bounded-companion-below-growth-3", "scan-bounded-companion-above-one",
-         "gaussian-lemma-box-overflows"])
+         "gaussian-lemma-box-overflows", "density-unknown-spec"])
 def test_cli_config_errors_are_usage_errors(command, flags, config, tmp_path, monkeypatch,
                                             capsys):
     def no_solve(*args, **kwargs):
@@ -399,6 +401,19 @@ def test_cli_measure_lemma(tmp_path, capsys):
     with open(tmp_path / "measure-lemma.json") as fh:
         payload = json.load(fh)
     assert payload["passed"] and len(payload["rows"]) == 50
+
+
+def test_cli_measure_lemma_csv(tmp_path, capsys):
+    path = tmp_path / "sets.csv"
+    np.savetxt(path, np.random.default_rng(5).uniform(0.1, 1.0, size=(9, 3)), delimiter=",")
+    rc = cli_main(["measure-lemma", "--csv", str(path), "--out", str(tmp_path),
+                   "--format", "json"])
+    assert rc == 0
+    assert "measure-lemma: PASS" in capsys.readouterr().out
+    with open(tmp_path / "measure-lemma.json") as fh:
+        (row,) = json.load(fh)["rows"]
+    assert row["k"] == 2 and row["passed"]
+    assert row["indices"] == " ".join(map(str, select_small_sets(MeasureTriple.from_csv(path), 2)))
 
 
 def test_cli_scaling_check(tmp_path):

@@ -86,6 +86,15 @@ def test_grid_validation():
         RadialGrid(np.linspace(0, 0.5, 33), iv)
 
 
+@pytest.mark.parametrize("at", [0, 5, 32])
+def test_grid_refuses_a_nan_node(at):
+    nodes = np.linspace(0.0, 1.0, 33)
+    nodes[at] = np.nan
+    for domain in (None, Interval(0.0, 1.0)):
+        with pytest.raises(ValueError, match="increasing"):
+            RadialGrid(nodes, domain)
+
+
 def test_graded_grids_are_nested():
     disk = RevolutionManifold.ball(2, 1.0)
     coarse = RadialGrid.graded(disk, 64)

@@ -319,6 +319,15 @@ def test_plateau_rayleigh_matches_piecewise_integral_oracle():
     assert abs(finer - exact) < abs(got - exact)
 
 
+@pytest.mark.parametrize("values, match", [(np.ones(128), "length"),
+                                           (np.zeros(129), "vanishes")],
+                         ids=["wrong-length", "all-zero"])
+def test_nodal_vector_is_checked(values, match):
+    iv = dl.Interval(-1.0, 1.0)
+    with pytest.raises(ValueError, match=match):
+        dl.rayleigh_quotient(iv, dl.Constant(1.0), 0.5, values, dl.RadialGrid.uniform(iv, 128))
+
+
 def test_minmax_constant_gives_zero_mode():
     iv = dl.Interval(-1.0, 1.0)
     bound = dl.minmax_bound(iv, dl.GaussianRadial(1.0), 0.5,
