@@ -113,12 +113,6 @@ class TridiagonalPencil:
     def size(self):
         return len(self.k_diag)
 
-    def k_norm1(self):
-        return _tri_norm1(self.k_diag, self.k_off)
-
-    def m_norm1(self):
-        return _tri_norm1(self.m_diag, self.m_off)
-
 
 @dataclass(frozen=True, eq=False)
 class ModeFamily:
@@ -155,13 +149,6 @@ class ModeFamily:
         a_diag[1] += self.g[0]  # the pole element's g_0 v_1^2, v_0 = 0
         return TridiagonalPencil(*_read_only(k_diag[1:], k_off[1:]), self.masses[1],
                                  (self.g[1:], a_diag[1:], a_off[1:]), problem, self)
-
-
-def _tri_norm1(d, e):
-    row = np.abs(d).astype(float)
-    row[:-1] += np.abs(e)
-    row[1:] += np.abs(e)
-    return float(row.max(initial=0.0))
 
 
 def _check_finite(name, vals):

@@ -118,6 +118,14 @@ def _quadratic(d, e, x):
     return np.sum(x * _tri_mul(d, e, x), axis=-1)
 
 
+def _norm1(d, e):
+    """||A||_1 of the symmetric tridiagonal A = (d, e): its largest absolute row sum."""
+    row, e = np.abs(d), np.abs(e)
+    row[:-1] += e
+    row[1:] += e
+    return float(row.max(initial=0.0))
+
+
 def _row_norms(x):
     """2-norm of each row, scaled by its largest entry so squares cannot overflow."""
     top = np.max(np.abs(x), axis=1)
@@ -159,22 +167,20 @@ def _equilibrated(*bands):
     return bands
 
 
-def _equilibration(pencil):
-    """``(s, s2, me_h, norm1)`` of ``pencil.mass``, built and checked once per ``Mass``
-    and cached in ``mass._solver``: s = 1/sqrt(m_diag), s2 = s^2, me_h the
-    off-diagonal of s M s, norm1 = ||M||_1.
+def _equilibration(mass, family=None):
+    """``(s, s2, me_h, norm1)`` of a ``Mass``, built and checked once and cached in
+    ``mass._solver``: s = 1/sqrt(m_diag), s2 = s^2, me_h the off-diagonal of
+    s M s, norm1 = ||M||_1.
 
-    A family's j >= 1 mass is the trailing principal submatrix M[1:, 1:] of
+    A ``family``'s j >= 1 mass is the trailing principal submatrix M[1:, 1:] of
     its j = 0 mass M: its s, s2 and me_h are slices of M's (built first if
     need be), equal bit for bit to their own equilibration, which is
     elementwise.  Its checks hold with M's: by induction, each rounded pivot
     of the trailing factorization is at least the matching pivot of the full one.
     """
-    mass = pencil.mass
     if mass._solver is None:
-        family = pencil.family
         if family is not None and mass is not family.masses[0]:
-            s, s2, me_h, _ = _equilibration(family.mode(0))
+            s, s2, me_h, _ = _equilibration(family.masses[0])
             arrays = s[1:], s2[1:], me_h[1:]
         else:
             md, me = mass.diag, mass.off
@@ -188,7 +194,7 @@ def _equilibration(pencil):
             arrays = s, s ** 2, me_h
             for a in arrays:
                 a.flags.writeable = False  # a j >= 1 mass's slices share them
-        mass._solver = (*arrays, pencil.m_norm1())
+        mass._solver = (*arrays, _norm1(mass.diag, mass.off))
     return mass._solver
 
 
@@ -200,11 +206,11 @@ class _Record:
     Calling it counts below sigma; ``spent`` is the number of ``_count`` calls."""
 
     def __init__(self, pencil):
-        s, s2, me_h, m_norm1 = _equilibration(pencil)
+        s, s2, me_h, m_norm1 = _equilibration(pencil.mass, pencil.family)
         with np.errstate(over="ignore", invalid="ignore"):
             self.bands = *_equilibrated(pencil.k_diag * s2,
                                         pencil.k_off * s[:-1] * s[1:]), me_h
-        self.s, self.norms = s, (pencil.k_norm1(), m_norm1)
+        self.s, self.norms = s, (_norm1(pencil.k_diag, pencil.k_off), m_norm1)
         self.sigmas, self.counts, self.spent = [], [], 0  # the memo, by increasing sigma
         self.zero = None
         if pencil.problem and not pencil.problem.pole_constrained:
@@ -379,8 +385,7 @@ def _checked_pairs(pencil, w, path):
     """Eigenvalues of the M-normalized rows of ``w``; sorted, un-equilibrated and gated.
 
     Each eigenvalue is the Rayleigh quotient with its numerator in element
-    form (``_energy``), except the deflated zero mode's, which is 0 exactly;
-    alone, that positive constant needs no quotient, sort or sign.
+    form (``_energy``), except the deflated zero mode's, which is 0 exactly.
     Gates: residuals and M-orthonormality.
     """
     kd, ke, md, me = pencil.k_diag, pencil.k_off, pencil.m_diag, pencil.m_off
@@ -389,16 +394,12 @@ def _checked_pairs(pencil, w, path):
     k = len(w)
     first = int(rec.zero is not None)
     values = np.zeros(k)
-    if k == first:
-        vectors = s * w
-    else:
-        values[first:] = (_energy(pencil.split, s, w[first:])
-                          / _quadratic(1.0, me_h, w[first:]))
-        order = np.argsort(values, kind="stable")
-        values = values[order]
-        vectors = s * w[order]
-        # a deterministic sign: largest component positive
-        vectors *= np.sign(vectors[np.arange(k), np.argmax(np.abs(vectors), axis=1)])[:, None]
+    values[first:] = _energy(pencil.split, s, w[first:]) / _quadratic(1.0, me_h, w[first:])
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    vectors = s * w[order]
+    # a deterministic sign: largest component positive
+    vectors *= np.sign(vectors[np.arange(k), np.argmax(np.abs(vectors), axis=1)])[:, None]
     mv = _tri_mul(md, me, vectors)
     residuals = (_row_norms(_tri_mul(kd, ke, vectors) - values[:, None] * mv)
                  / (rec.norms[0] + np.abs(values) * rec.norms[1]))

@@ -64,7 +64,6 @@ class SpectrumResult:
             raise ValueError("not enough eigenvalues computed to fill k_max + 1 slots")
         self._rows = [(k, *slot) for k, slot in enumerate(slots)]
         self.lambdas = np.array([v for v, _, _ in slots])
-        self.k_max = k_max
         self.modes = modes
         self.nodes = nodes
         self.cutoff = cutoff
@@ -161,6 +160,8 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, start=None):
     first vectors, interpolated onto ``grid``, seed count-certified Rayleigh
     quotient iteration (``solve_generalized(guess=...)``).
     """
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
     grid = _default_grid(domain, grid)
     pencils = {0: assemble(ModeProblem(domain=domain, rho=rho, alpha=float(alpha), grid=grid))}
     # j -> mode j's pencil; an interval's family has the one mode j = 0
@@ -263,8 +264,6 @@ class TestFunction:
 
     def _values(self, domain, nodes):
         """The profile at ``nodes``, a run of a grid's nodes."""
-        if np.isinf(self.knots[0]):
-            return np.full_like(nodes, self.left_value)
         d = np.subtract(nodes, self._origin(domain))
         return np.interp(np.abs(d, out=d), self.knots, self.knot_values,
                          left=self.left_value, right=0.0)
@@ -328,7 +327,7 @@ def _prepared(domain, grid, u):
     """``(lo, hi, values)``: ``u`` is 0 outside nodes [lo, hi) of the grid, and
     ``values(a, b)`` gives its nodal values on nodes a to b - 1.
 
-    ``u`` is a TestFunction or an array of nodal values, which spans the grid.
+    ``u`` is a TestFunction or an array of finite nodal values, which spans the grid.
     """
     nodes = grid.nodes
     if isinstance(u, TestFunction):
@@ -336,6 +335,8 @@ def _prepared(domain, grid, u):
     v = np.asarray(u, dtype=float)
     if len(v) != len(nodes):
         raise ValueError("nodal vector length does not match the grid")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("nodal vector has a non-finite value")
     return 0, len(v), lambda a, b: v[a:b]
 
 

@@ -6,7 +6,7 @@ import pytest
 import densilab as dl
 from densilab import spectrum
 from densilab.assembly import Mass, ModeProblem, TridiagonalPencil, assemble
-from densilab.eigensolver import IndefiniteMassError, counter, solve_generalized
+from densilab.eigensolver import IndefiniteMassError, _norm1, counter, solve_generalized
 from densilab.quadrature import element_integrals
 
 import oracles
@@ -39,7 +39,7 @@ def test_constant_vector_in_stiffness_kernel():
         resid = p.k_diag * ones
         resid[:-1] += p.k_off
         resid[1:] += p.k_off
-        assert np.max(np.abs(resid)) <= 1e-14 * p.k_norm1()
+        assert np.max(np.abs(resid)) <= 1e-14 * _norm1(p.k_diag, p.k_off)
 
     disk = dl.RevolutionManifold.ball(2, 1.0)
     grid = dl.RadialGrid.uniform(disk, 64)
@@ -49,7 +49,7 @@ def test_constant_vector_in_stiffness_kernel():
     resid = p.k_diag * ones
     resid[:-1] += p.k_off
     resid[1:] += p.k_off
-    assert np.max(np.abs(resid)) <= 1e-14 * p.k_norm1()
+    assert np.max(np.abs(resid)) <= 1e-14 * _norm1(p.k_diag, p.k_off)
 
 
 def test_matrices_are_symmetric_by_construction():
@@ -65,6 +65,11 @@ def test_mode_validation():
     with pytest.raises(ValueError, match="cover"):
         ModeProblem(domain=disk, rho=dl.Constant(1.0), alpha=0.0,
                     grid=dl.RadialGrid.uniform(dl.Interval(0.0, 2.0), 32), j=0)
+    grid = dl.RadialGrid.uniform(disk, 32)
+    with pytest.raises(ValueError, match=">= 0"):
+        ModeProblem(domain=disk, rho=dl.Constant(1.0), alpha=0.0, grid=grid, j=-1)
+    with pytest.raises(TypeError, match="unsupported domain type tuple"):
+        ModeProblem(domain=(0.0, 1.0), rho=dl.Constant(1.0), alpha=0.0, grid=grid)
 
 
 def test_element_integrals_exactness():
@@ -186,7 +191,7 @@ def test_modes_of_one_family_share_one_mass_record():
     full, trailing = (m._solver for m in family.masses)
     assert all(np.shares_memory(a, b) for a, b in zip(trailing[:3], full[:3]))
     # each mass has its own ||M||_1
-    assert (full[3], trailing[3]) == (family.mode(0).m_norm1(), family.mode(1).m_norm1())
+    assert (full[3], trailing[3]) == tuple(_norm1(m.diag, m.off) for m in family.masses)
 
 
 def test_mode_order_does_not_change_the_mass_records():

@@ -60,6 +60,8 @@ def test_size_and_kmax_validation():
         solve_generalized(p, 12)
     with pytest.raises(ValueError, match="pairs"):
         solve_generalized(p, -1)
+    with pytest.raises(ValueError, match=r"guess has shape \(12, 2\), expected \(12, 3\)"):
+        solve_generalized(p, 2, guess=np.ones((n, 2)))
     big = 5000
     pb = _pencil(np.ones(big), np.zeros(big - 1), np.ones(big), np.zeros(big - 1))
     pairs = solve_generalized(pb, 1)

@@ -85,7 +85,8 @@ def test_config_validation():
     ("scan-bounded", ["--companion-alpha", "0.4", "--grid", "512"], None),
     ("scan-bounded", ["--companion-alpha", "1.5", "--grid", "64", "--m", "10,1000"], None),
     ("gaussian-lemma", ["--L", "1e300", "--grid", "64"], None),
-    ("solve", ["--density", "foo:1"], None)],
+    ("solve", ["--density", "foo:1"], None),
+    ("scan-bounded", ["--n", "3", "--alpha", "0.5"], None)],
     ids=["kmax-negative", "grid-not-power-of-two", "grid-zero", "alpha-empty", "m-empty",
          "config-grid-not-power-of-two", "config-truncated", "config-unknown-key",
          "config-missing", "scan-bounded-on-interval", "scan-blowup-subcritical",
@@ -107,7 +108,8 @@ def test_config_validation():
          "alpha-nan-exploratory", "gaussian-lemma-L-inf", "density-tabulated-one-column",
          "density-tabulated-short-of-interval", "density-tabulated-short-of-disk",
          "scan-bounded-companion-below-growth-3", "scan-bounded-companion-above-one",
-         "gaussian-lemma-box-overflows", "density-unknown-spec"])
+         "gaussian-lemma-box-overflows", "density-unknown-spec",
+         "scan-bounded-supercritical"])
 def test_cli_config_errors_are_usage_errors(command, flags, config, tmp_path, monkeypatch,
                                             capsys):
     def no_solve(*args, **kwargs):
@@ -342,6 +344,19 @@ def test_one_d_construction_small():
     assert rep.passed
     assert [r["m"] for r in rep.rows] == [1.0, 10.0]
     assert all(r["lambda1_extrapolated"] >= 0.99 * r["m"] for r in rep.rows)
+
+
+def test_one_d_construction_notes_a_failing_row(monkeypatch):
+    def below(domain, rho, alpha, grid_n):
+        lam = 0.5 * rho.m if rho.m > 1.0 else 2.0
+        return {"lambda1_raw": lam, "lambda1_extrapolated": lam, "richardson_ratio": 4.0,
+                "richardson_error": 0.0, "resolved": True}
+
+    monkeypatch.setattr(exp, "lambda1_richardson", below)
+    rep = exp.exp_one_d_construction(m_values=(1.0, 10.0), alpha_values=(0.5,), grid_n=64)
+    assert not rep.passed
+    assert [(r["passed"], r["note"]) for r in rep.rows] == [(True, ""),
+                                                            (False, "lambda1 5 < 9.9")]
 
 
 def test_blowup_scan_small():

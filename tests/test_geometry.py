@@ -53,6 +53,8 @@ def test_sphere_multiplicities():
     assert all(sphere_multiplicity(j, 2) == 2 for j in range(1, 8))
     with pytest.raises(ValueError):
         sphere_multiplicity(0, 1)
+    with pytest.raises(ValueError, match=">= 0"):
+        sphere_multiplicity(-1, 3)
 
 
 def test_multiplicity_sums_match_polynomial_dimensions():
@@ -74,6 +76,10 @@ def test_pole_validation():
         RevolutionManifold(2, 1.0, lambda r: 2.0 * np.asarray(r))
     with pytest.raises(ValueError):
         RevolutionManifold.spherical_cap(2, 3.5)
+    with pytest.raises(ValueError, match="integer >= 2"):
+        RevolutionManifold(1.5, 1.0, np.sin)
+    with pytest.raises(ValueError, match="extent must be positive"):
+        RevolutionManifold(2, 0.0, np.sin)
 
 
 def test_grid_validation():
@@ -203,6 +209,13 @@ def test_pchip_is_scipys_bit_for_bit(n, shape, seed):
     grid = q[:40].reshape(5, 8)
     assert ours(grid).shape == (5, 8) and ours(grid).tobytes() == theirs(grid).tobytes()
     assert ours(q[7]).shape == () and ours(q[7]).tobytes() == theirs(q[7]).tobytes()
+
+
+def test_pchip_takes_one_dimensional_samples_only():
+    # scipy interpolates each column of 2-D samples; a profile has one
+    x = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="`y` must be 1-dimensional"):
+        pchip(x, np.stack([x, x], axis=1))
 
 
 def test_pchip_sum_starts_from_zero():

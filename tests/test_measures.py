@@ -159,6 +159,8 @@ def test_totals_validation():
         _triple(-np.ones((5, 3)))
     with pytest.raises(ValueError, match="nonnegative"):
         _triple(np.where(np.eye(5, 3) == 1, np.nan, 0.1), totals=np.ones(3))
+    with pytest.raises(ValueError, match=r"\(K, 3\)"):
+        MeasureTriple(values=np.ones((5, 2)), totals=np.full(3, 5.0))
 
 
 def test_csv_loading(tmp_path):

@@ -185,6 +185,16 @@ def test_k_max_zero_is_the_zero_mode_alone():
         assert counter(pencil)(res.cutoff) == 1
 
 
+def test_a_negative_k_max_raises_before_assembly(monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a negative k_max assembled a pencil")
+
+    monkeypatch.setattr(spectrum, "assemble", no_assembly)
+    iv = dl.Interval(-1.0, 1.0)
+    with pytest.raises(ValueError, match="k_max must be nonnegative, got -1"):
+        dl.full_spectrum(iv, dl.Constant(1.0), 0.5, -1, grid=dl.RadialGrid.uniform(iv, 64))
+
+
 def test_cutoff_keeps_clear_of_eigenvalues():
     # all 65 pairs of a flat uniform interval: the search from the ramp
     # quotient 3/4 meets 3/4 * 4^7 = 12/h^2, the top eigenvalue, exactly
@@ -207,6 +217,14 @@ def test_cutoff_search_spans_the_floating_range():
     sigma = spectrum._cutoff(slots, 1.0, 2, 4.0)
     assert 3e300 < sigma <= 3e300 * 1.25
     assert 3e300 < spectrum._cutoff(slots, 1e308, 2, 4.0) <= 3e300 * 1.25
+
+
+def test_a_cutoff_search_out_of_floating_range_raises():
+    # rho^1e300 underflows to the floor: the ramp quotient is 0, no search can start
+    iv = dl.Interval(-1.0, 1.0)
+    with pytest.raises(dl.EigenSolveError, match="left the floating range"):
+        dl.full_spectrum(iv, dl.GaussianRadial(1.0), 1e300, 1,
+                         grid=dl.RadialGrid.uniform(iv, 64))
 
 
 def test_mode_minima_increase_with_j():
@@ -252,6 +270,8 @@ def test_plateau_shape_and_validation():
         dl.build_plateau_function(iv, 0.5, 0.2)
     with pytest.raises(ValueError, match="extent"):
         dl.build_plateau_function(iv, 0.5, 1.5)
+    with pytest.raises(ValueError, match="R must be positive"):
+        dl.build_plateau_function(iv, 0.0, 0.0)
     # a NaN knot or value, unequal lengths and no knots at all are refused up
     # front: they gave a NaN quotient, numpy's length error and an IndexError
     with pytest.raises(ValueError, match="nondecreasing"):
@@ -264,6 +284,14 @@ def test_plateau_shape_and_validation():
         with pytest.raises(ValueError, match="one value per knot"):
             TestFunction(knots=knots, knot_values=values)
     assert TestFunction.constant().knots == (math.inf,)  # the constant's inf knot stays valid
+
+
+@pytest.mark.parametrize("a, r0, match", [(-0.1, 0.5, "a >= 0"), (0.2, 0.0, "r0 > 0"),
+                                           (1.5, 1.0, "exceeds the domain extent")],
+                         ids=["a-negative", "r0-zero", "past-the-extent"])
+def test_collar_validation(a, r0, match):
+    with pytest.raises(ValueError, match=match):
+        dl.build_collar_function(dl.Interval(-1.0, 1.0), a, r0)
 
 
 def test_window_of_a_plateau_starts_at_its_inner_ramp():
@@ -326,6 +354,24 @@ def test_nodal_vector_is_checked(values, match):
     iv = dl.Interval(-1.0, 1.0)
     with pytest.raises(ValueError, match=match):
         dl.rayleigh_quotient(iv, dl.Constant(1.0), 0.5, values, dl.RadialGrid.uniform(iv, 128))
+
+
+_BALL3 = dl.RevolutionManifold.ball(3, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda v, grid: dl.rayleigh_quotient(_BALL3, dl.Constant(1.0), 0.2, v, grid),
+    lambda v, grid: dl.minmax_bound(_BALL3, dl.Constant(1.0), 0.2, [v], grid),
+    lambda v, grid: dl.holder_chain_check(_BALL3, dl.Constant(1.0), 0.2, v, grid)],
+    ids=["rayleigh", "minmax", "holder"])
+def test_a_nonfinite_nodal_vector_is_refused(entry, bad):
+    # each entry point gave a NaN bound (or a report of NaNs) for it
+    grid = dl.RadialGrid.uniform(_BALL3, 128)
+    v = np.interp(grid.nodes, [0.0, 0.5], [1.0, 0.0])
+    v[40] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        entry(v, grid)
 
 
 def test_minmax_constant_gives_zero_mode():
