@@ -9,9 +9,12 @@ those counts until it holds eigenvalue i alone (Barth-Martin-Wilkinson
 1967); one inverse-iteration step at its midpoint (``dgtsv``, as in LAPACK
 ``dstein``) starts Rayleigh quotient iteration (Parlett, ch. 4) whose
 shift stays inside the bracket, every iterate M-orthogonal to the pairs
-accepted.  Each pair i is certified: exactly i eigenvalues lie below
-lambda_i (1 - 1e-8), i + 1 below lambda_i (1 + 1e-8).  Start vectors (a
-coarser grid's) run the same iteration (path ``"rqi"``).  The constants,
+accepted.  Start vectors (a coarser grid's) run the same iteration (path
+``"rqi"``).  It stops on the residual of the step's vector, which the
+shifted solve gives with no product with K, once that is at rounding level:
+one ``dgtsv`` per warm pair of the conformal check, three or four per cold
+one.  Each pair i is certified: exactly i eigenvalues lie below
+lambda_i (1 - 1e-8), i + 1 below lambda_i (1 + 1e-8).  The constants,
 the kernel of a j = 0 pencil, are returned exactly as lambda_0 = 0.
 
 One record per pencil (``counter``) keeps its equilibrated bands, its zero
@@ -31,18 +34,19 @@ import importlib.util
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 # relative half-width of a count certificate's bracket around an eigenvalue
 CERTIFICATE_DELTA = 1e-8
 _RQI_MAX_STEPS = 6
-# stop once the Rayleigh quotient moves by less than this: the convergence is
-# cubic, so the next quotient would differ only by rounding (about 1e-12)
-_RQI_RTOL = 1e-10
-# or by less than rounding moves it: this times x^T |diag K_h| x, 1e7 lambda on graded grids
-_RQI_ROUNDING = 4 * np.finfo(float).eps
+# stop once a step's residual is at rounding level on two scales: on the
+# equilibrated pencil, the first times |lambda| + y^T |diag K_h| y (1e7 lambda
+# on graded grids); in the residual gate's norm, the second (1.8e-12), about
+# where the gate's own rounding lies at N 4096 (up to 5.2e-12)
+_RQI_RESIDUAL = 64 * np.finfo(float).eps
+_RQI_GATED = 8192 * np.finfo(float).eps
 # bracket steps from the ramp quotient (also the cutoff search's); width of a cluster
 BRACKET_STEP = 4.0
 _CLUSTER_WIDTH = 1e-13
@@ -203,7 +207,8 @@ class _Record:
     (k_diag, k_off, m_off) of s (K, M) s, the 1-norms of K and M, the count
     memo and ``zero``: on an unconstrained mode (Neumann, j = 0), whose K 1 = 0
     by construction, the M-normalized constant, equilibrated; else None.
-    Calling it counts below sigma; ``spent`` is the number of ``_count`` calls."""
+    ``m_diag`` and ``kd_abs`` scale RQI's residual exit.  Calling it counts
+    below sigma; ``spent`` is the number of ``_count`` calls."""
 
     def __init__(self, pencil):
         s, s2, me_h, m_norm1 = _equilibration(pencil.mass, pencil.family)
@@ -211,12 +216,18 @@ class _Record:
             self.bands = *_equilibrated(pencil.k_diag * s2,
                                         pencil.k_off * s[:-1] * s[1:]), me_h
         self.s, self.norms = s, (_norm1(pencil.k_diag, pencil.k_off), m_norm1)
+        self.m_diag = pencil.m_diag  # 1 / s^2: K's residual is the equilibrated one over s
         self.sigmas, self.counts, self.spent = [], [], 0  # the memo, by increasing sigma
         self.zero = None
         if pencil.problem and not pencil.problem.pole_constrained:
             w = np.sqrt(pencil.m_diag)  # sqrt(m_diag) / sqrt(1^T M 1)
             self.zero = w / np.sqrt(_quadratic(1.0, me_h, w))
             self.zero.flags.writeable = False  # shared by every solve of the pencil
+
+    @cached_property
+    def kd_abs(self):
+        """|diag K_h|, the scale of rounding in K_h y: built by the first solve, if any."""
+        return np.abs(self.bands[0])
 
     def __call__(self, sigma):
         i = bisect.bisect_left(self.sigmas, sigma)
@@ -276,7 +287,6 @@ def _rqi(rec, x, w, mw, bracket=None, cluster=False):
     """
     kd_h, ke_h, me_h = rec.bands
     i = len(w)
-    kd_abs = np.abs(kd_h)
 
     def normalized(x):  # with M x, and the M-norm x had as (mantissa, power of two)
         for _ in range(2 if i else 0):
@@ -295,24 +305,30 @@ def _rqi(rec, x, w, mw, bracket=None, cluster=False):
     x, mx, _ = normalized(x)
     lo, hi = (-math.inf, math.inf) if bracket is None else bracket
     mid = math.sqrt(lo) * math.sqrt(hi) if bracket else None  # lo * hi overflows past 1.3e154
-    lam = x @ _tri_mul(kd_h, ke_h, x) if bracket is None else None
-    sigma = lam if bracket is None else mid
+    sigma = x @ _tri_mul(kd_h, ke_h, x) if bracket is None else mid
     for _ in range(_RQI_MAX_STEPS):
         off = ke_h - sigma * me_h
         *_, y, info = dgtsv(off, kd_h - sigma, off, mx[:, None])
         if info != 0:  # K - sigma M exactly singular: perturb the shift, as dstein does
             sigma *= 1 + 2.0 ** -40
             continue
-        # (K - sigma M) y = M x: the quotient of y is sigma + y^T M x / y^T M y
+        # (K - sigma M) y nu = M x with nu = norm 2^exp: y's quotient is
+        # lam = sigma + y^T M x / nu, and its residual K y - lam M y is
+        # (M x - (y^T M x) M y) / nu, no product with K needed
         y, my, (norm, exp) = normalized(y[:, 0])
+        t = y @ mx
+        r = mx - t * my
         try:
-            new = sigma + math.ldexp((y @ mx) / norm, -exp)
+            lam = sigma + math.ldexp(t / norm, -exp)
+            settled = (math.ldexp(math.sqrt(r @ r) / norm, -exp)
+                       <= _RQI_RESIDUAL * (abs(lam) + (y * y) @ rec.kd_abs)
+                       # K's residual, r / s, as the gate measures it
+                       and math.ldexp(math.sqrt((r * r) @ rec.m_diag) / norm, -exp)
+                       <= _RQI_GATED * (rec.norms[0] + abs(lam) * rec.norms[1]))
         except OverflowError:
             raise EigenSolveError(f"pair {i}: the quotient left the floating range") from None
-        settled = max(_RQI_RTOL * abs(new), _RQI_ROUNDING * ((y * y) @ kd_abs))
-        converged = lam is not None and abs(new - lam) <= settled
-        x, mx, lam = y, my, new
-        if converged:
+        x, mx = y, my
+        if settled:
             break
         if not (cluster or lo <= lam <= hi):
             lo, hi = (mid, hi) if rec(mid) <= i else (lo, mid)

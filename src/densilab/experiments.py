@@ -154,13 +154,17 @@ def _metadata(config=None, t0=None):
 def _richardson(coarse, mid, fine):
     """Richardson row of values on three grids nested by doubling.
 
-    A last difference at rounding level counts as resolved, whatever the ratio.
+    A second-order sequence has error about d2 / 3 (d2 = mid - fine) on the
+    fine grid, so its limit is about fine - d2 / 3.  ``richardson_error`` =
+    |d2| / 3 estimates the error of the raw fine value, not of the
+    extrapolated one (which is higher order).  A last difference at rounding
+    level counts as resolved, whatever the ratio.
     """
     d1, d2 = coarse - mid, mid - fine
     ratio = float(d1 / d2) if d2 != 0 else math.inf
     at_rounding = abs(d2) <= 1e-10 * abs(fine)
     return {
-        "lambda1_extrapolated": fine + d2 / 3.0,
+        "lambda1_extrapolated": fine - d2 / 3.0,
         "richardson_ratio": ratio,
         "richardson_error": abs(d2) / 3.0,
         "resolved": bool(RICHARDSON_WINDOW[0] <= ratio <= RICHARDSON_WINDOW[1]

@@ -5,7 +5,9 @@ internals: series evaluations of the error function and of (spherical) Bessel
 functions, and bisection root finding on their derivatives.  These give
 closed-form spectra of the unweighted Neumann problem on disks and balls
 and reference values for Gaussian integrals.  A dense LAPACK solve of an
-assembled pencil gives reference eigenvalues for the iterative solver.
+assembled pencil gives reference eigenvalues for the iterative solver, and
+``longdouble_count_below`` counts a pencil's eigenvalues below a shift in
+extended precision, independently of the solver's LAPACK count.
 ``assemble_per_mode`` is the assembly that evaluates the densities again
 for every mode, kept as the bit-for-bit reference of the mode family;
 ``holder_chain_whole_grid`` and ``select_small_sets_lexsort`` are the
@@ -232,6 +234,29 @@ def dense_pencil_eigenvalues(pencil, count):
     tau = (ramp @ k @ ramp) / (ramp @ m @ ramp)
     nu = sla.eigh(m, k + tau * m, eigvals_only=True, subset_by_index=[n - count, n - 1])
     return np.sort(1.0 / nu - tau)
+
+
+def longdouble_count_below(pencil, sigmas):
+    """Eigenvalues of K v = lambda M v below each of ``sigmas``, counted in ``np.longdouble``.
+
+    Sylvester's law of inertia on the pencil's own bands: the number of
+    negative pivots of the LDL^T factorization of K - sigma M, the
+    recurrence d_i = a_i - b_{i-1}^2 / d_{i-1} run for every shift at once
+    (a zero pivot counts as a tiny negative one, as in LAPACK ``dstebz``).
+    """
+    kd, ke, md, me = (np.asarray(x, dtype=np.longdouble)
+                      for x in (pencil.k_diag, pencil.k_off, pencil.m_diag, pencil.m_off))
+    sigma = np.asarray(sigmas, dtype=np.longdouble)
+    diag = kd[:, None] - md[:, None] * sigma
+    off = ke[:, None] - me[:, None] * sigma
+    tiny = np.finfo(np.longdouble).tiny
+    count = np.zeros(len(sigma), dtype=int)
+    d = diag[0]
+    with np.errstate(over="ignore"):  # past a tiny negative pivot the next may be +inf
+        for a, b in zip(diag[1:], off):
+            count += d <= 0
+            d = a - b * (b / np.where(d == 0, -tiny, d))
+    return count + (d <= 0)
 
 
 def _element_forms(problem):

@@ -16,7 +16,7 @@ from densilab.eigensolver import (EigenSolveError, IndefiniteMassError, counter,
                                   solve_generalized)
 from densilab.spectrum import full_spectrum
 
-from oracles import dense_k, dense_m, dense_pencil_eigenvalues
+from oracles import dense_k, dense_m, dense_pencil_eigenvalues, longdouble_count_below
 
 
 def _pencil(kd, ke, md, me):
@@ -318,6 +318,39 @@ def test_exactly_singular_shift_is_perturbed(monkeypatch):
     assert any(singular)
     assert pairs.residual_norms[0] <= 1e-12
     assert pairs.values[0] == pytest.approx(dense_pencil_eigenvalues(p, 1)[0], rel=1e-9)
+
+
+_CERTIFIED_DOMAINS = {"interval": dl.Interval(-1.0, 1.0),
+                      "disk": dl.RevolutionManifold.ball(2, 1.0),
+                      "ball": dl.RevolutionManifold.ball(3, 1.0)}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(list(_CERTIFIED_DOMAINS)), st.floats(min_value=0.0, max_value=4.0),
+       st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=6, max_value=12),
+       st.integers(min_value=1, max_value=8))
+def test_returned_pairs_pass_an_extended_precision_count(name, log_m, alpha, log_n, k_max):
+    # each returned positive lambda_i of each mode pencil: a long-double count
+    # of that pencil's own bands finds i eigenvalues below lambda_i (1 - 1e-9)
+    # and i + 1 below lambda_i (1 + 1e-9); and every pair's residual is at
+    # rounding level, far inside the 1e-8 gate, as RQI stops on it.  Values
+    # whose windows overlap are one cluster (a floored interval's two tails
+    # hold equal eigenvalues), certified by the counts at its two ends
+    dom, rho = _CERTIFIED_DOMAINS[name], dl.GaussianRadial(10.0 ** log_m)
+    grid = dl.RadialGrid.for_density(dom, 2 ** log_n, m=rho.m)
+    res = full_spectrum(dom, rho, alpha, k_max, grid=grid)
+    base = assemble(ModeProblem(domain=dom, rho=rho, alpha=alpha, grid=grid))
+    for j, pairs in res.modes.items():
+        pencil = base.family.mode(j) if j else base
+        i = np.flatnonzero(pairs.values > 0)
+        lo, hi = pairs.values[i] * (1 - 1e-9), pairs.values[i] * (1 + 1e-9)
+        first = np.ones(len(lo), dtype=bool)  # starts a cluster
+        first[1:] = lo[1:] >= hi[:-1]
+        last = np.roll(first, -1)  # ends one
+        last[-1:] = True
+        below = longdouble_count_below(pencil, np.concatenate([lo[first], hi[last]]))
+        assert below.tolist() == [*i[first], *(i[last] + 1)]
+        assert np.all(pairs.residual_norms <= 1e-11)
 
 
 def test_a_corrupted_vector_fails_the_residual_gate(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import densilab as dl
-from densilab import cli
+from densilab import cli, eigensolver
 from densilab import experiments as exp
 from densilab.cli import main as cli_main
 from densilab.measures import MeasureTriple, select_small_sets
@@ -254,6 +254,21 @@ def test_convergence_study_flags():
     assert not rep2.rows[-1]["resolved"]
     with pytest.raises(ValueError, match="nested"):
         exp.exp_convergence(iv, dl.Constant(1.0), 0.0, (128, 256, 384))
+
+
+@pytest.mark.parametrize("grid_n", [256, 1024])
+@pytest.mark.parametrize("name", ["interval", "disk"])
+def test_extrapolation_of_a_constant_density_reaches_the_exact_value(name, grid_n):
+    # the Neumann Laplacian: lambda_1 = (pi/2)^2 on (-1, 1), j'_{1,1}^2 on the
+    # unit disk.  The raw fine value is off by richardson_error; the
+    # extrapolated one by far less (2e-5 of it at most on these grids)
+    domain, exact = {
+        "interval": (dl.Interval(-1.0, 1.0), (math.pi / 2) ** 2),
+        "disk": (dl.RevolutionManifold.ball(2, 1.0), oracles.bessel_j_prime_zeros(1, 1)[0] ** 2),
+    }[name]
+    rich = exp.lambda1_richardson(domain, dl.Constant(1.0), 0.0, grid_n)
+    assert rich["lambda1_raw"] - exact == pytest.approx(rich["richardson_error"], rel=0.01)
+    assert abs(rich["lambda1_extrapolated"] - exact) <= 0.01 * rich["richardson_error"]
 
 
 def test_convergence_rows_match_lambda1_richardson():
@@ -628,3 +643,39 @@ def test_count_tally_of_the_benchmark_inputs(monkeypatch):
     # (1 + 1e-8), modes 0 and 1 at the cutoff (1 - 1e-8)
     warm = [res.counts_spent["plan"] for res, kw in blowup if kw["start"] is not None]
     assert len(warm) == 14 and max(warm) <= 5
+
+
+def test_dgtsv_tally_of_the_benchmark_inputs(monkeypatch):
+    # shifted solves per pass; the totals were 107 (conformal) and 56
+    # (blow-up) while RQI stopped once its quotient settled, one solve after
+    # each pair had converged
+    dgtsv, solves, spectra = eigensolver.dgtsv, [], []
+
+    def spy(*args):
+        solves.append(None)
+        return dgtsv(*args)
+
+    def spectrum(*args, **kwargs):
+        before = len(solves)
+        res = dl.full_spectrum(*args, **kwargs)
+        spectra.append((res, len(solves) - before))
+        return res
+
+    monkeypatch.setattr(eigensolver, "dgtsv", spy)
+    monkeypatch.setattr(exp, "full_spectrum", spectrum)
+    ball = dl.RevolutionManifold.ball(3, 1.0)
+    exp.exp_conformal_identity(ball, dl.normalize(dl.GaussianRadial(1.0), ball),
+                               k_max=40, grid_n=1024)
+    conformal = spectra[:]
+    spectra.clear()
+    disk = dl.RevolutionManifold.ball(2, 1.0)
+    for m in exp.DEFAULT_M_GRID:
+        exp.exp_blowup_scan(disk, (0.75,), m_values=(m,), grid_n=2048)
+    assert len(conformal) == 4 and len(spectra) == 21
+    assert sum(n for _, n in conformal) <= 82
+    assert sum(n for _, n in spectra) <= 38
+    # each warm pair of the two N 1024 spectra takes one solve; the zero
+    # mode's pair takes none
+    for res, n in conformal[2:]:
+        assert set(res.paths.values()) == {"rqi"}
+        assert n == sum(res.counts) - 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import densilab as dl
-from densilab import spectrum
+from densilab import eigensolver, spectrum
 from densilab.cli import main as cli_main
 from densilab.assembly import ModeProblem, assemble, element_forms
 from densilab.eigensolver import counter
@@ -927,15 +927,26 @@ def test_a_start_lends_its_plan_when_its_counts_hold(monkeypatch):
         assert np.allclose(res.lambdas, cold.lambdas, rtol=1e-10, atol=0.0)
 
 
-def test_exactly_singular_shifted_solve_keeps_the_warm_start():
-    # mode 2's first RQI step meets an exactly zero dgtsv pivot: the start's
-    # quotient is already an eigenvalue to working precision
-    disk = dl.RevolutionManifold.ball(2, 1.0)
-    rho = dl.GaussianRadial(1.0)
-    coarse_grid, fine_grid = (dl.RadialGrid.for_density(disk, n, m=1.0) for n in (128, 256))
-    coarse = dl.full_spectrum(disk, rho, 0.75, 4, grid=coarse_grid)
-    warm = dl.full_spectrum(disk, rho, 0.75, 4, grid=fine_grid, start=coarse)
-    cold = dl.full_spectrum(disk, rho, 0.75, 4, grid=fine_grid)
+def test_exactly_singular_shifted_solve_keeps_the_warm_start(monkeypatch):
+    # mode 2's second RQI step meets an exactly zero dgtsv pivot (the last
+    # one): the first step's quotient is an eigenvalue to working precision,
+    # but that step's residual is not yet at rounding level
+    ball, m = dl.RevolutionManifold.ball(3, 1.0), 10 ** 0.25
+    rho = dl.GaussianRadial(m)
+    coarse_grid, fine_grid = (dl.RadialGrid.for_density(ball, n, m=m) for n in (64, 128))
+    coarse = dl.full_spectrum(ball, rho, 0.5, 4, grid=coarse_grid)
+    dgtsv, singular = eigensolver.dgtsv, []
+
+    def spy(*args):
+        out = dgtsv(*args)
+        singular.append(out[-1] != 0)
+        return out
+
+    monkeypatch.setattr(eigensolver, "dgtsv", spy)
+    warm = dl.full_spectrum(ball, rho, 0.5, 4, grid=fine_grid, start=coarse)
+    monkeypatch.undo()
+    cold = dl.full_spectrum(ball, rho, 0.5, 4, grid=fine_grid)
+    assert any(singular)
     assert warm.modes[2].path == "rqi" and warm.modes[2].refused is None
     for j, pairs in warm.modes.items():
         assert np.allclose(pairs.values, cold.modes[j].values, rtol=1e-10, atol=0.0)
