@@ -11,8 +11,9 @@ u = f(r) Y_j the weak form reduces to the 1D pencil
 
 with mu_j = j(j + n - 2).  On an interval theta == 1 and only j = 0
 exists.  Piecewise-linear conforming elements with a consistent mass
-matrix keep the Rayleigh-quotient structure, so discrete eigenvalues are
-upper bounds of the continuous ones.
+matrix keep the Rayleigh-quotient structure, but discrete eigenvalues are
+upper bounds of the continuous ones only where the quadrature is exact
+(coefficients constant per element), not on a Gaussian density.
 
 Boundary conditions: the outer boundary carries no terms (natural); at
 the pole, modes j >= 1 get an essential condition f(0) = 0 (regularity
@@ -26,12 +27,9 @@ import numpy as np
 
 from . import density as density_mod
 from .geometry import Interval, RadialGrid, RevolutionManifold, _check_endpoints, sphere_eigenvalue
+from .quadrature import _P, _Q, _check_finite, element_sums, gauss_points
 # element_integrals is unused here, but the benchmark tracer patches it on this module
-from .quadrature import _GAUSS_OFFSET, element_integrals, gauss_points  # noqa: F401
-
-# P1 basis values at the two Gauss points of the reference element
-_P = 0.5 + _GAUSS_OFFSET
-_Q = 0.5 - _GAUSS_OFFSET
+from .quadrature import element_integrals  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -151,11 +149,6 @@ class ModeFamily:
                                  (self.g[1:], a_diag[1:], a_off[1:]), problem, self)
 
 
-def _check_finite(name, vals):
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"non-finite {name} value at a quadrature node")
-
-
 def _read_only(*arrays):
     for a in arrays:
         a.flags.writeable = False
@@ -213,11 +206,9 @@ def element_forms(problem, start=0, stop=None):
         vol = th ** (problem.domain.n - 1)
         wg = wk * vol
         wm = np.multiply(wm, vol, out=vol)
-    _check_finite("stiffness weight", wg)
-    _check_finite("mass weight", wm)
-    g = np.add(wg[:, 0], wg[:, 1])
-    g *= hw
+    g = element_sums(hw, wg, "stiffness weight")
     g /= np.square(2.0 * hw)  # h^2
+    _check_finite("mass weight", wm)
     return ElementForms(hw, g, wm, wk, th)
 
 

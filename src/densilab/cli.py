@@ -134,13 +134,10 @@ def _cmd_measure(cfg):
     if cfg.csv:
         try:
             triple = MeasureTriple.from_csv(cfg.csv)
-        except (OSError, ValueError) as exc:  # missing, not numeric, not a measure
+            k = max((triple.k_sets - 1) // 4, 1) if cfg.k is None else cfg.k
+            rows = [row(0, triple, k, show_indices=True)]
+        except (OSError, ValueError) as exc:  # missing, not numeric, not a measure, too few sets
             raise exp.UsageError(f"--csv {cfg.csv}: {exc}") from exc
-        k = max((triple.k_sets - 1) // 4, 1) if cfg.k is None else cfg.k
-        if triple.k_sets < 4 * k + 1:
-            raise exp.UsageError(f"k = {k} needs at least 4k + 1 = {4 * k + 1} sets, "
-                                 f"--csv has {triple.k_sets}")
-        rows = [row(0, triple, k, show_indices=True)]
     else:
         rng = np.random.default_rng(cfg.seed)
         rows = []

@@ -59,11 +59,11 @@ def select_small_sets(triple, k):
 
     Three passes, one per measure: drop the (at most k) sets exceeding
     the bound for measures 1 and 2, then keep the K - 3k smallest
-    survivors for measure 3.  Ties at exactly the bound count as
-    satisfying it, and ties in measure 3 go to the lower index so the
-    output is deterministic.  The K - 3k smallest are found by a partition
-    about the (K - 3k)-th smallest value, in linear time.  Requires
-    K >= 4k + 1.  Returns ascending indices.
+    survivors for measure 3, found by a partition in linear time.  Ties
+    at exactly the bound count as satisfying it, and ties in measure 3 go
+    to the lower index so the output is deterministic.  Requires K >= 4k + 1.
+    Returns ascending indices; raises ``ValueError`` if under k + 1 sets meet the
+    bounds (k + 1 exceed one where a column sum tops its total within rounding).
 
     The sets are tracked as boolean masks of length K, and the only copy
     of a column is the survivors' third measure, partitioned in place.
@@ -78,18 +78,21 @@ def select_small_sets(triple, k):
     survivors = values[:, 0] <= bounds[0]
     survivors &= values[:, 1] <= bounds[1]
     want = kk - 3 * k
-    if np.count_nonzero(survivors) <= want:
-        return np.flatnonzero(survivors).tolist()
-    third = values[:, 2][survivors]
-    third.partition(want - 1)
-    cut = third[want - 1]
-    del third  # the masks below need no copy of a column
-    keep = values[:, 2] < cut
-    keep &= survivors
-    tied = survivors  # reused: from here on, the survivors at the cut
-    tied &= values[:, 2] == cut
-    keep[np.flatnonzero(tied)[: want - np.count_nonzero(keep)]] = True
-    return np.flatnonzero(keep).tolist()
+    if np.count_nonzero(survivors) > want:  # else rounding let over 2k sets be dropped
+        third = values[:, 2][survivors]
+        third.partition(want - 1)
+        cut = third[want - 1]
+        del third  # the masks below need no copy of a column
+        keep = values[:, 2] < cut
+        keep &= survivors
+        tied = survivors  # reused: from here on, the survivors at the cut
+        tied &= values[:, 2] == cut
+        keep[np.flatnonzero(tied)[: want - np.count_nonzero(keep)]] = True
+        survivors = keep
+    survivors &= values[:, 2] <= bounds[2]  # drops a set only where a sum tops its total
+    if np.count_nonzero(survivors) <= k:
+        raise ValueError(f"fewer than k + 1 = {k + 1} sets meet the bounds of these totals")
+    return np.flatnonzero(survivors).tolist()
 
 
 def brute_force_verify(triple, k, selection):

@@ -30,11 +30,12 @@ import numpy as np
 
 from . import density as density_mod
 from . import assembly
-from .assembly import _P, _Q, ModeProblem, assemble, element_forms
+from .assembly import ModeProblem, assemble, element_forms
 from .eigensolver import (BRACKET_STEP, CERTIFICATE_DELTA, EigenSolveError, counter,
                           ramp_quotient, solve_generalized)
 from .geometry import (Interval, RevolutionManifold, sphere_multiplicity,
                        unit_sphere_area, _default_grid)
+from .quadrature import _P, _Q, element_sums
 
 _HARD_MODE_CAP = 256
 # the cutoff search: bracket steps of BRACKET_STEP from a cold start, then
@@ -438,7 +439,7 @@ def holder_chain_check(domain, rho, alpha, u, grid=None):
 
     All five integrals run over the region S where the test function
     varies (the flat plateau contributes nothing to the energy, only
-    weakening the bound), with the shared element quadrature, so for
+    weakening the bound), with the element sums of ``quadrature``, so for
     rho == 1 and constant |grad u| both inequalities are equalities up
     to rounding.  Needs n >= 3 and alpha in (0, (n-2)/n).
 
@@ -458,11 +459,6 @@ def holder_chain_check(domain, rho, alpha, u, grid=None):
     sig = density_mod.power(rho, alpha)
     rex = density_mod.power(rho, n * alpha / (n - 2))
 
-    def weights(vals, hw):
-        """omega times each element's integral, as ``element_integrals`` gives it."""
-        assembly._check_finite("weight", vals)
-        return omega * (hw * (vals[:, 0] + vals[:, 1]))
-
     energy = grad_n = vol_s = mass_s = mass_ex = 0.0
     supported = False
     # S lies in the elements with a node in [lo, hi)
@@ -479,11 +475,11 @@ def holder_chain_check(domain, rho, alpha, u, grid=None):
         pts, hw = assembly.gauss_points(block)
         pts, hw = pts[mask], hw[mask]
         vol = domain.profile(pts) ** (n - 1)
-        w_vol = weights(vol, hw)
+        w_vol = omega * element_sums(hw, vol, "weight")
         g = np.abs(slopes[mask])
-        mass_s += float(np.sum(weights(rho(pts) * vol, hw)))
-        energy += float(np.sum(g ** 2 * weights(sig(pts) * vol, hw)))
-        mass_ex += float(np.sum(weights(rex(pts) * vol, hw)))
+        mass_s += float(np.sum(omega * element_sums(hw, rho(pts) * vol, "weight")))
+        energy += float(np.sum(g ** 2 * (omega * element_sums(hw, sig(pts) * vol, "weight"))))
+        mass_ex += float(np.sum(omega * element_sums(hw, rex(pts) * vol, "weight")))
         grad_n += float(np.sum(g ** n * w_vol))
         vol_s += float(np.sum(w_vol))
     if not supported:

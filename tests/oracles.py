@@ -24,11 +24,11 @@ import numpy as np
 import scipy.linalg as sla
 
 from densilab import density as density_mod
-from densilab.assembly import _P, _Q, TridiagonalPencil, _check_finite
+from densilab.assembly import TridiagonalPencil
 from densilab.density import (CauchyPower, Constant, GaussianRadial, PowerDensity, Scaled,
                               Tabulated)
 from densilab.geometry import RevolutionManifold, sphere_eigenvalue, unit_sphere_area
-from densilab.quadrature import element_integrals, gauss_points
+from densilab.quadrature import _P, _Q, _check_finite, element_integrals, gauss_points
 from densilab.spectrum import HolderChainReport
 
 

@@ -370,6 +370,29 @@ def test_a_corrupted_vector_fails_the_residual_gate(monkeypatch):
         solve_generalized(p, 1)
 
 
+def test_a_repeated_vector_fails_the_orthonormality_gate(monkeypatch):
+    # pair 2 of a cold solve returns pair 1's vector: its value is its own
+    # quotient, so it passes the residual gate, and the Gram check refuses it
+    rqi = eigensolver._rqi
+
+    def repeated(rec, x, w, mw, *args):
+        return (w[1], mw[1]) if len(w) == 2 else rqi(rec, x, w, mw, *args)
+
+    monkeypatch.setattr(eigensolver, "_rqi", repeated)
+    iv = dl.Interval(-1.0, 1.0)
+    p = assemble(ModeProblem(domain=iv, rho=dl.GaussianRadial(10.0), alpha=0.5,
+                             grid=dl.RadialGrid.uniform(iv, 64)))
+    with pytest.raises(EigenSolveError, match="M-orthonormality"):
+        solve_generalized(p, 3)
+
+
+def test_a_pencil_with_no_spectral_scale_is_refused():
+    # K = 0: the ramp quotient, which seeds the cold bracket, is 0
+    p = _pencil(np.zeros(16), np.zeros(15), np.ones(16), np.zeros(15))
+    with pytest.raises(EigenSolveError, match=r"spectral scale \(tau=0.0\)"):
+        solve_generalized(p, 0)
+
+
 _DEFINITENESS = {**_EXTREME, **{
     f"{name}-gaussian-1e6-j{j}": (dom, dl.GaussianRadial(1e6), 0.75, j, 0)
     for name, dom in (("disk", dl.RevolutionManifold.ball(2, 1.0)), ("ball", _BALL))

@@ -66,6 +66,9 @@ def test_config_validation():
     ("measure-lemma", ["--csv", "cfg.json"], "a,b,c\n"),
     ("measure-lemma", ["--csv", "cfg.json"], "1,1,1\n" * 4),
     ("measure-lemma", ["--csv", "cfg.json", "--k", "2"], "1,1,1\n" * 5),
+    # each column sums to 2.0999999999999996, a third of which is below 0.7
+    ("measure-lemma", ["--csv", "cfg.json"],
+     "0.7,0,0\n" * 3 + "0,0.7,0\n" * 3 + "0,0,0.7\n" * 3),
     ("converge", ["--density", "gaussian:1000", "--grids", "9,18,36"], None),
     ("solve", ["--kmax", "100", "--grid", "64"], None),
     ("scaling-check", ["--density", "gaussian:10", "--alpha", "0.5", "--c", "0,1"], None),
@@ -100,7 +103,8 @@ def test_config_validation():
          "measure-lemma-no-instances", "scan-bounded-companion-one-decade",
          "converge-grids-too-small", "converge-grids-zero", "measure-lemma-csv-missing",
          "measure-lemma-csv-not-numeric", "measure-lemma-csv-too-few-sets",
-         "measure-lemma-csv-k-too-large", "converge-graded-interval-odd",
+         "measure-lemma-csv-k-too-large", "measure-lemma-csv-too-few-small-sets",
+         "converge-graded-interval-odd",
          "solve-kmax-above-interval-capacity", "scaling-check-c-zero",
          "gaussian-lemma-dims-zero", "conformal-check-kmax-zero", "config-density-scaled",
          "conformal-check-m-inf", "density-gaussian-inf", "density-constant-inf",

@@ -152,6 +152,27 @@ def test_selection_matches_the_sorting_reference_at_benchmark_size(rounded):
     assert all(type(i) is int for i in sel[:3])
 
 
+def _over(k, kk):
+    # k + 1 sets at (1 + 1e-13) / (k + 1) per measure, inside MeasureTriple's
+    # 1e-12 slack of the totals (1, 1, 1); the remaining sets are 0
+    values = np.zeros((kk, 3))
+    for j in range(3):
+        values[j * (k + 1):(j + 1) * (k + 1), j] = (1 + 1e-13) / (k + 1)
+    return _triple(values, totals=np.ones(3))
+
+
+@pytest.mark.parametrize("k, kk, selected", [(1, 5, [4]), (3, 13, [8, 9, 10, 12])],
+                         ids=["too-few-survivors", "partition-keeps-violators"])
+def test_too_few_small_sets_raise(k, kk, selected):
+    # measures 1 and 2 drop k + 1 sets each: K = 5, k = 1 leaves one survivor,
+    # fewer than K - 3k; K = 13, k = 3 leaves five, and the K - 3k smallest in
+    # measure 3 hold three violators of its bound; ``selected`` is each of those
+    t = _over(k, kk)
+    assert not brute_force_verify(t, k, selected)
+    with pytest.raises(ValueError, match=rf"fewer than k \+ 1 = {k + 1} sets"):
+        select_small_sets(t, k)
+
+
 def test_totals_validation():
     with pytest.raises(ValueError, match="exceed"):
         _triple(np.ones((5, 3)), totals=[1.0, 5.0, 5.0])

@@ -927,14 +927,8 @@ def test_a_start_lends_its_plan_when_its_counts_hold(monkeypatch):
         assert np.allclose(res.lambdas, cold.lambdas, rtol=1e-10, atol=0.0)
 
 
-def test_exactly_singular_shifted_solve_keeps_the_warm_start(monkeypatch):
-    # mode 2's second RQI step meets an exactly zero dgtsv pivot (the last
-    # one): the first step's quotient is an eigenvalue to working precision,
-    # but that step's residual is not yet at rounding level
-    ball, m = dl.RevolutionManifold.ball(3, 1.0), 10 ** 0.25
-    rho = dl.GaussianRadial(m)
-    coarse_grid, fine_grid = (dl.RadialGrid.for_density(ball, n, m=m) for n in (64, 128))
-    coarse = dl.full_spectrum(ball, rho, 0.5, 4, grid=coarse_grid)
+def _spy_on_dgtsv(monkeypatch):
+    """A list that records, per ``dgtsv`` call, whether its matrix was exactly singular."""
     dgtsv, singular = eigensolver.dgtsv, []
 
     def spy(*args):
@@ -943,6 +937,18 @@ def test_exactly_singular_shifted_solve_keeps_the_warm_start(monkeypatch):
         return out
 
     monkeypatch.setattr(eigensolver, "dgtsv", spy)
+    return singular
+
+
+def test_exactly_singular_shifted_solve_keeps_the_warm_start(monkeypatch):
+    # mode 2's second RQI step meets an exactly zero dgtsv pivot (the last
+    # one): the first step's quotient is an eigenvalue to working precision,
+    # but that step's residual is not yet at rounding level
+    ball, m = dl.RevolutionManifold.ball(3, 1.0), 10 ** 0.25
+    rho = dl.GaussianRadial(m)
+    coarse_grid, fine_grid = (dl.RadialGrid.for_density(ball, n, m=m) for n in (64, 128))
+    coarse = dl.full_spectrum(ball, rho, 0.5, 4, grid=coarse_grid)
+    singular = _spy_on_dgtsv(monkeypatch)
     warm = dl.full_spectrum(ball, rho, 0.5, 4, grid=fine_grid, start=coarse)
     monkeypatch.undo()
     cold = dl.full_spectrum(ball, rho, 0.5, 4, grid=fine_grid)
@@ -954,23 +960,27 @@ def test_exactly_singular_shifted_solve_keeps_the_warm_start(monkeypatch):
 
 
 _SINGULAR_STARTS = {
-    "disk-m10^0.5-a0.625-j0": ("disk", 10 ** 0.5, 0.625, 128, 0),
+    "disk-m10^0.62-a0.625-j0": ("disk", 10 ** 0.62, 0.625, 128, 0),
     "disk-m1e3-a1-j1": ("disk", 1e3, 1.0, 64, 1),
-    "ball-m1e3-a1-j1": ("ball", 1e3, 1.0, 64, 1),
+    "ball-m10^3.006-a1-j1": ("ball", 10 ** 3.006, 1.0, 64, 1),
 }
 
 
 @pytest.mark.parametrize("name", list(_SINGULAR_STARTS))
-def test_warm_starts_once_refused_by_orthonormality_are_kept(name):
-    # in a sweep of warm starts at k_max 4 these modes met an exactly singular
-    # shifted solve, then failed the M-orthonormality gate and were solved
-    # cold; they must stay warm and agree with the cold solve
+def test_warm_starts_once_refused_by_orthonormality_are_kept(name, monkeypatch):
+    # in a sweep of warm starts at k_max 4, modes whose warm spectrum met an
+    # exactly singular shifted solve failed the M-orthonormality gate and were
+    # solved cold; these inputs meet one (mode j's, in the search that pinned
+    # them), and must stay warm and agree with the cold solve
     dom_name, m, alpha, n_el, j = _SINGULAR_STARTS[name]
     dom, rho = _WARM_DOMAINS[dom_name], dl.GaussianRadial(m)
     coarse_grid, fine_grid = (dl.RadialGrid.for_density(dom, n, m=m) for n in (n_el, 2 * n_el))
     coarse = dl.full_spectrum(dom, rho, alpha, 4, grid=coarse_grid)
+    singular = _spy_on_dgtsv(monkeypatch)
     warm = dl.full_spectrum(dom, rho, alpha, 4, grid=fine_grid, start=coarse)
+    monkeypatch.undo()
     cold = dl.full_spectrum(dom, rho, alpha, 4, grid=fine_grid)
+    assert any(singular)
     assert warm.modes[j].path == "rqi" and warm.modes[j].refused is None
     assert np.allclose(warm.modes[j].values, cold.modes[j].values, rtol=1e-10, atol=0.0)
     assert np.allclose(warm.lambdas, cold.lambdas, rtol=1e-10, atol=0.0)
