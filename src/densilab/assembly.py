@@ -79,9 +79,9 @@ class TridiagonalPencil:
     """Symmetric tridiagonal stiffness/mass pair (K, M) and K's energy split.
 
     ``split`` = (g, a_diag, a_off): v^T K v = sum_i g_i (v_{i+1} - v_i)^2 + v^T A v.
-    For a mode of a family (``ModeFamily.mode``) g and A sum nonnegative
+    For a mode of a family (``ModeFamily.mode``) g and A = mu_j A_1 sum nonnegative
     element terms, so v^T K v is evaluated without the cancellation between
-    K's diagonal and off-diagonal, or the rounding of G + mu_j A into the bands.
+    K's diagonal and off-diagonal, or the rounding of G + mu_j A_1 into the bands.
     """
 
     k_diag: np.ndarray
@@ -114,23 +114,22 @@ class TridiagonalPencil:
 
 @dataclass(frozen=True, eq=False)
 class ModeFamily:
-    """The element parts every mode j of a ModeProblem shares, evaluated once (``assemble``):
-    per element the half width and the gradient weight g; sigma and theta^{n-3}
-    at the Gauss points (``theta3`` is None on an interval); the read-only bands
-    of G; ``masses``, the ``Mass`` of mode 0 and the one of every mode j >= 1."""
+    """The parts every mode j of a ModeProblem shares, assembled once (``assemble``):
+    per element the gradient weight g; the read-only bands of G, of the angular
+    form A_1 = int sigma theta^{n-3} f g on nodes 1..N (None on an interval), and
+    ``masses``, the ``Mass`` of mode 0 and the one of every mode j >= 1."""
 
     problem: ModeProblem  # mode 0
-    hw: np.ndarray
     g: np.ndarray
-    wk: np.ndarray
-    theta3: np.ndarray
     g_diag: np.ndarray
     g_off: np.ndarray
+    a_diag: np.ndarray
+    a_off: np.ndarray
     masses: tuple
 
     def mode(self, j):
-        """Mode j's pencil K_j = G + mu_j A, with no density evaluation; A is positive
-        semidefinite, so K_{j+1} - K_j = (mu_{j+1} - mu_j) A is too.  For j >= 1 the
+        """Mode j's pencil K_j = G + mu_j A_1 by band arithmetic alone; A_1 is positive
+        semidefinite, so K_{j+1} - K_j = (mu_{j+1} - mu_j) A_1 is too.  For j >= 1 the
         pole node is removed.  The bands are read-only: the pencil's solver record
         (``eigensolver.counter``) is built from them once."""
         problem = replace(self.problem, j=j)
@@ -138,15 +137,16 @@ class ModeFamily:
             return TridiagonalPencil(self.g_diag, self.g_off, self.masses[0],
                                      (self.g, np.zeros(len(self.g_diag)), np.zeros(len(self.g))),
                                      problem, self)
-        # Gauss-point weights mu_j sigma theta^{n-3} of mode j's angular form
-        wj = sphere_eigenvalue(j, problem.domain.n) * self.wk * self.theta3
-        _check_finite("angular weight", wj)
-        k_diag, k_off = self.g_diag.copy(), self.g_off.copy()
-        a_diag, a_off = np.zeros(len(k_diag)), np.zeros(len(k_off))
-        _accumulate(self.hw, wj, (k_diag, k_off), (a_diag, a_off))
-        a_diag[1] += self.g[0]  # the pole element's g_0 v_1^2, v_0 = 0
-        return TridiagonalPencil(*_read_only(k_diag[1:], k_off[1:]), self.masses[1],
-                                 (self.g[1:], a_diag[1:], a_off[1:]), problem, self)
+        mu = sphere_eigenvalue(j, problem.domain.n)
+        with np.errstate(over="ignore"):
+            a_diag, a_off = mu * self.a_diag, mu * self.a_off
+            k_diag, k_off = self.g_diag[1:] + a_diag, self.g_off[1:] + a_off
+            a_diag[0] += self.g[0]  # the pole element's g_0 v_1^2, v_0 = 0
+        # G is finite and mu_j A_1 nonnegative: K_j is finite iff mu_j A_1 and the sum are
+        if not (np.all(np.isfinite(k_diag)) and np.all(np.isfinite(k_off))):
+            raise ValueError(f"non-finite angular form of mode {j}: mu_j A_1 overflows")
+        return TridiagonalPencil(*_read_only(k_diag, k_off), self.masses[1],
+                                 (self.g[1:], a_diag, a_off), problem, self)
 
 
 def _read_only(*arrays):
@@ -155,25 +155,22 @@ def _read_only(*arrays):
     return arrays
 
 
-def _accumulate(hw, w, *bands):
-    """Add the P1 element mass form of the Gauss-point weights ``w`` to each (diag, off)."""
+def _accumulate(hw, w, diag, off):
+    """Add the P1 element mass form of the Gauss-point weights ``w`` to (diag, off)."""
     w0, w1 = w[:, 0], w[:, 1]
     b, t = np.multiply(w0, _P ** 2), np.multiply(w1, _Q ** 2)
     b += t
     b *= hw  # b11 = hw (w0 P^2 + w1 Q^2), left node
-    for diag, _ in bands:
-        diag[:-1] += b
+    diag[:-1] += b
     np.multiply(w0, _Q ** 2, out=b)
     np.multiply(w1, _P ** 2, out=t)
     b += t
     b *= hw  # b22, right node
-    for diag, _ in bands:
-        diag[1:] += b
+    diag[1:] += b
     np.add(w0, w1, out=b)
     b *= hw
     b *= _P * _Q  # b12
-    for _, off in bands:
-        off += b
+    off += b
 
 
 class ElementForms(NamedTuple):
@@ -182,7 +179,7 @@ class ElementForms(NamedTuple):
     v^T K_0 v = sum_e g[e] (v[e+1] - v[e])^2 and v^T M v = sum_e hw[e]
     sum_q wm[e, q] u_q^2, with u_q the P1 interpolant of v at Gauss point q
     of element e.  ``wk`` (sigma at the Gauss points) and ``theta`` (the
-    profile there, None on an interval) give every mode's angular form.
+    profile there, None on an interval) give the angular form A_1 of ``assemble``.
     """
 
     hw: np.ndarray     # half element widths: the weight of each Gauss point
@@ -206,8 +203,13 @@ def element_forms(problem, start=0, stop=None):
         vol = th ** (problem.domain.n - 1)
         wg = wk * vol
         wm = np.multiply(wm, vol, out=vol)
-    g = element_sums(hw, wg, "stiffness weight")
-    g /= np.square(2.0 * hw)  # h^2
+    try:  # from finite weights only an overflow or a zero h^2 makes g non-finite
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            g = element_sums(hw, wg, "stiffness weight")
+            g /= np.square(2.0 * hw)  # h^2
+    except FloatingPointError:
+        raise ValueError("non-finite gradient weight: (int_e sigma theta^{n-1}) / h^2 "
+                         "overflows") from None
     _check_finite("mass weight", wm)
     return ElementForms(hw, g, wm, wk, th)
 
@@ -219,8 +221,8 @@ def assemble(problem):
     exactly symmetric.  For j = 0 the element stiffness has exact zero
     row sums (constants are in the kernel); for j >= 1 the pole node is
     removed.  Densities, profile and Gauss points are evaluated once per
-    call (``element_forms``); ``pencil.family.mode(j)`` derives any other
-    mode from them.
+    call (``element_forms``), and the bands of G, A_1 and M built from them;
+    ``pencil.family.mode(j)`` derives any other mode from those bands.
     """
     forms = element_forms(problem)
     npts = len(forms.g) + 1
@@ -231,12 +233,20 @@ def assemble(problem):
     g_diag[:-1] += forms.g
     g_diag[1:] += forms.g
     g_off -= forms.g
-    _accumulate(forms.hw, forms.wm, (m_diag, m_off))
+    _accumulate(forms.hw, forms.wm, m_diag, m_off)
     if np.any(m_diag <= 0):
         raise ValueError("mass matrix not positive definite: "
                          "non-positive density or degenerate grid")
+    a_diag = a_off = None
+    if forms.theta is not None:
+        # A_1 from sigma theta^{n-3}, kept on nodes 1..N; an overflow to inf is
+        # left for ``ModeFamily.mode`` to refuse, as mode 0 does not use A_1
+        a_diag, a_off = np.zeros(npts), np.zeros(npts - 1)
+        with np.errstate(over="ignore"):
+            _accumulate(forms.hw, forms.wk * forms.theta ** float(problem.domain.n - 3),
+                        a_diag, a_off)
+        a_diag, a_off = _read_only(a_diag[1:], a_off[1:])
     _read_only(forms.g, g_diag, g_off, m_diag, m_off)
-    theta3 = None if forms.theta is None else forms.theta ** float(problem.domain.n - 3)
-    family = ModeFamily(replace(problem, j=0), forms.hw, forms.g, forms.wk, theta3, g_diag,
-                        g_off, (Mass(m_diag, m_off), Mass(m_diag[1:], m_off[1:])))
+    family = ModeFamily(replace(problem, j=0), forms.g, g_diag, g_off, a_diag, a_off,
+                        (Mass(m_diag, m_off), Mass(m_diag[1:], m_off[1:])))
     return family.mode(problem.j)

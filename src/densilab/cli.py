@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -63,9 +64,10 @@ def _config(args):
         args.parser.error(str(exc))
 
 
-def _emit(report, cfg):
+def _emit(report, cfg, t0):
     os.makedirs(cfg.out_dir, exist_ok=True)
-    report.metadata.update(exp._metadata(config=cfg))
+    # an experiment's own elapsed_seconds, which the Python API reports too, is kept
+    report.metadata = {**exp._metadata(config=cfg, t0=t0), **report.metadata}
     stem = os.path.join(cfg.out_dir, report.experiment)
     if cfg.fmt == "json":
         report.to_json(stem + ".json")
@@ -144,7 +146,7 @@ def _cmd_measure(cfg):
         for i in range(cfg.instances):
             k = int(rng.integers(1, 11)) if cfg.k is None else cfg.k
             rows.append(row(i, MeasureTriple.random(k, rng), k, show_indices=False))
-    return exp.ScanReport("measure-lemma", rows, {}, exp._metadata())
+    return exp.ScanReport("measure-lemma", rows)
 
 
 def _cmd_gaussian(cfg):
@@ -249,6 +251,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     cfg = _config(args)
+    t0 = time.perf_counter()
     try:
         report = args.fn(cfg)
     except exp.UsageError as exc:  # raised by an experiment's checks, before any solve
@@ -256,7 +259,7 @@ def main(argv=None):
     except EigenSolveError as exc:  # a solve that refused its pencil: one line, exit 1
         print(f"densilab: error: {exc}", file=sys.stderr)
         return 1
-    return _emit(report, cfg)
+    return _emit(report, cfg, t0)
 
 
 if __name__ == "__main__":

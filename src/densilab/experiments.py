@@ -241,8 +241,7 @@ def _series(rows, a):
             np.array([r["lambda1_normalized"] for r in sub]))
 
 
-def exp_one_d_construction(m_values=(1.0, 10.0, 100.0, 1e3, 1e4),
-                           alpha_values=(0.3, 0.5, 0.7), grid_n=2048):
+def exp_one_d_construction(m_values, alpha_values, grid_n=2048):
     """Interval scan on (-1, 1) with the rational-bump family: lambda_1 >= m.
 
     Asserts the extrapolated lambda_1(rho_m, rho_m^alpha) >= 0.99 m
@@ -401,8 +400,7 @@ def exp_conformal_identity(manifold, rho, k_max=5, grid_n=2048):
                       _metadata(t0=t0))
 
 
-def exp_gaussian_integral_lemma(dims=(1, 2, 3), m_values=(10.0, 100.0, 1e3),
-                                half_side=1.0, grid_n=2048):
+def exp_gaussian_integral_lemma(dims, m_values, half_side=1.0, grid_n=2048):
     """(int_{-L}^{L} e^{-m t^2} dt)^n is strictly above e^{-n} m^{-n/2}.
 
     The integral runs over |t| <= min(L, T_m), T_m = sqrt(745 / m), beyond
@@ -436,7 +434,7 @@ def exp_gaussian_integral_lemma(dims=(1, 2, 3), m_values=(10.0, 100.0, 1e3),
     return ScanReport("gaussian-lemma", rows, {}, _metadata(t0=t0))
 
 
-def exp_weyl_fit(domain, rho, alpha, k_max=30, grid_n=2048):
+def exp_weyl_fit(domain, rho, alpha, k_max, grid_n=2048):
     """Least-squares fit of lambda_k against k^{2/n}.
 
     Diagnostic: reports slope, intercept and R^2 of the growth law.

@@ -185,16 +185,16 @@ def _check_endpoints(nodes, domain):
 
 
 class RadialGrid:
-    """Sorted nodes covering the radial coordinate range of a domain."""
+    """Sorted nodes covering the radial coordinate range of a domain: the first
+    and last node are its bounds."""
 
-    def __init__(self, nodes, domain=None):
+    def __init__(self, nodes, domain):
         nodes = np.array(nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 9:
             raise ValueError("grid needs at least 8 elements")
         if not np.all(np.diff(nodes) > 0):  # written so that a NaN node fails it
             raise ValueError("grid nodes must be strictly increasing")
-        if domain is not None:
-            _check_endpoints(nodes, domain)
+        _check_endpoints(nodes, domain)
         self.nodes = nodes
         self.nodes.flags.writeable = False
 

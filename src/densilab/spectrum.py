@@ -3,14 +3,14 @@
 ``full_spectrum`` merges the angular-mode Sturm-Liouville problems with
 their spherical-harmonic multiplicities into the ordered sequence
 lambda_0 <= lambda_1 <= ...  The modes are one family, assembled once:
-K_j = G + mu_j A (``ModeFamily.mode``).  It counts first, then
+K_j = G + mu_j A_1 (``ModeFamily.mode``).  It counts first, then
 solves.  By Sylvester's law of inertia, count_j(sigma), the number of
 mode j's eigenvalues below sigma, is the number of negative pivots of
 K_j - sigma M_j (``eigensolver.counter``, O(N), no solve).  A cutoff
 sigma is fixed from counts alone, with N(sigma) = sum_j mult_j count_j(sigma)
 >= k_max + 1, and mode j is then solved for exactly count_j(sigma) pairs.
 The sweep ends at the first mode with count_j(sigma) = 0, and no later mode
-can reach sigma either: K_{j+1} - K_j = (mu_{j+1} - mu_j) A with A positive
+can reach sigma either: K_{j+1} - K_j = (mu_{j+1} - mu_j) A_1 with A_1 positive
 semidefinite, and a pole-constrained mode's pencil is a principal submatrix
 of the unconstrained one, so positive definiteness of K_j - sigma M_j
 carries over to every mode after it.  The count is also each solve's

@@ -9,7 +9,8 @@ assembled pencil gives reference eigenvalues for the iterative solver, and
 ``longdouble_count_below`` counts a pencil's eigenvalues below a shift in
 extended precision, independently of the solver's LAPACK count.
 ``assemble_per_mode`` is the assembly that evaluates the densities again
-for every mode, kept as the bit-for-bit reference of the mode family;
+for every mode and builds K_j = G + mu_j A_1 from them, kept as the
+bit-for-bit reference of the mode family;
 ``holder_chain_whole_grid`` and ``select_small_sets_lexsort`` are the
 whole-grid Hoelder weights and the sorting selection, kept as the
 bit-for-bit references of their package versions; ``overlapping_pair`` is
@@ -262,9 +263,10 @@ def longdouble_count_below(pencil, sigmas):
 def _element_forms(problem):
     """Gauss-point weights of a ModeProblem, densities evaluated for its mode.
 
-    Returns ``(hw, g, wm, wj)``: the half element lengths, the gradient
-    weight of each element, and the mass and angular weights at the two
-    Gauss points of each element (``wj`` is None without an angular term).
+    Returns ``(hw, g, wm, w1)``: the half element lengths, the gradient
+    weight of each element, and the mass weight and the weight sigma theta^{n-3}
+    of the angular form A_1 at the two Gauss points of each element (``w1`` is
+    None without an angular term).
     """
     nodes = problem.grid.nodes
     pts, hw = gauss_points(nodes)
@@ -274,23 +276,20 @@ def _element_forms(problem):
 
     wm = rho(pts)
     wk = sig(pts)
+    w1 = None
     if isinstance(problem.domain, RevolutionManifold):
         n = problem.domain.n
         th = problem.domain.profile(pts)
         wm = wm * th ** (n - 1)
-        wj = None
         if problem.j >= 1:
-            mu = sphere_eigenvalue(problem.j, n)
-            wj = mu * wk * th ** float(n - 3)
+            w1 = wk * th ** float(n - 3)
         wk = wk * th ** (n - 1)
-    else:
-        wj = None
     _check_finite("stiffness weight", wk)
     _check_finite("mass weight", wm)
-    if wj is not None:
-        _check_finite("angular weight", wj)
+    if w1 is not None:
+        _check_finite("angular weight", w1)
     # gradient part: (int_e wk) / h^2 * [[1, -1], [-1, 1]]
-    return hw, hw * (wk[:, 0] + wk[:, 1]) / h ** 2, wm, wj
+    return hw, hw * (wk[:, 0] + wk[:, 1]) / h ** 2, wm, w1
 
 
 def _accumulate(hw, w, diag, off):
@@ -303,9 +302,18 @@ def _accumulate(hw, w, diag, off):
     off += b12
 
 
+def _angular_bands(problem, hw, w1, dtype):
+    """mu_j A_1 on all nodes: A_1's element terms summed in ``dtype``, then scaled."""
+    a_diag, a_off = np.zeros(len(hw) + 1, dtype), np.zeros(len(hw), dtype)
+    _accumulate(hw, w1, a_diag, a_off)
+    mu = sphere_eigenvalue(problem.j, problem.domain.n)
+    return mu * a_diag, mu * a_off
+
+
 def _bands(problem, dtype):
-    """K's and M's bands of a ModeProblem, the element terms summed in ``dtype``."""
-    hw, g, wm, wj = _element_forms(problem)
+    """K's and M's bands of a ModeProblem, the element terms summed in ``dtype``;
+    K_j = G + mu_j A_1 for j >= 1, in the order of ``ModeFamily.mode``."""
+    hw, g, wm, w1 = _element_forms(problem)
     npts = len(problem.grid.nodes)
     k_diag, m_diag = np.zeros(npts, dtype), np.zeros(npts, dtype)
     k_off, m_off = np.zeros(npts - 1, dtype), np.zeros(npts - 1, dtype)
@@ -313,10 +321,9 @@ def _bands(problem, dtype):
     k_diag[1:] += g
     k_off -= g
     _accumulate(hw, wm, m_diag, m_off)
-    if wj is not None:
-        _accumulate(hw, wj, k_diag, k_off)
     if problem.pole_constrained:
-        k_diag, k_off = k_diag[1:], k_off[1:]
+        a_diag, a_off = _angular_bands(problem, hw, w1, dtype)
+        k_diag, k_off = k_diag[1:] + a_diag[1:], k_off[1:] + a_off[1:]
         m_diag, m_off = m_diag[1:], m_off[1:]
     return k_diag, k_off, m_diag, m_off
 
@@ -367,7 +374,7 @@ def element_form_eigenvalue(problem, shift, steps=3):
     precision.  The eigenvalue is its Rayleigh quotient, the numerator
     summed over elements: sum_e g_e (v_{i+1} - v_i)^2 + v^T A v.
     """
-    hw, g, _, wj = _element_forms(problem)
+    hw, g, _, w1 = _element_forms(problem)
     kd, ke, md, me = _bands(problem, np.longdouble)
     sigma = np.longdouble(shift)
     v = np.linspace(1.0, 2.0, len(kd)).astype(np.longdouble)
@@ -376,10 +383,8 @@ def element_form_eigenvalue(problem, shift, steps=3):
         v /= np.max(np.abs(v))
     u = np.concatenate([[np.longdouble(0)], v]) if problem.pole_constrained else v
     energy = g.astype(np.longdouble) @ np.diff(u) ** 2
-    if wj is not None:
-        a_diag, a_off = np.zeros(len(u), np.longdouble), np.zeros(len(g), np.longdouble)
-        _accumulate(hw, wj, a_diag, a_off)
-        energy += u @ _tridiagonal_times(a_diag, a_off, u)
+    if w1 is not None:
+        energy += u @ _tridiagonal_times(*_angular_bands(problem, hw, w1, np.longdouble), u)
     return float(energy / (v @ _tridiagonal_times(md, me, v)))
 
 
@@ -403,15 +408,14 @@ def element_form_ritz_values(pencil, vectors):
     dv_e the columns' differences across element e.  Unlike V^T K V it keeps
     no cancellation between columns of very different scale, so a column in
     K's kernel projects to an exact zero row."""
-    hw, g, _, wj = _element_forms(pencil.problem)
+    hw, g, _, w1 = _element_forms(pencil.problem)
     v = np.asarray(vectors, dtype=float)
     if pencil.problem.pole_constrained:
         v = np.vstack([np.zeros((1, v.shape[1])), v])
     dv = np.diff(v, axis=0)
     k = dv.T @ (g[:, None] * dv)
-    if wj is not None:
-        a_diag, a_off = np.zeros(len(v)), np.zeros(len(g))
-        _accumulate(hw, wj, a_diag, a_off)
+    if w1 is not None:
+        a_diag, a_off = _angular_bands(pencil.problem, hw, w1, float)
         k += v.T @ (a_diag[:, None] * v)
         k += v[:-1].T @ (a_off[:, None] * v[1:])
         k += v[1:].T @ (a_off[:, None] * v[:-1])

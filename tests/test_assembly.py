@@ -120,6 +120,39 @@ def test_pole_weight_is_integrable_for_modes():
     assert p.size == len(grid.nodes) - 1  # pole node eliminated
 
 
+def test_a_gradient_weight_that_overflows_raises():
+    # rho = 1e306, alpha 1, N 2048 on (-1, 1): each element's int sigma is finite,
+    # g = (int_e sigma) / h^2 is not; the quotient does not depend on the constant,
+    # but the bands cannot hold it.  Both entry points raise, with no RuntimeWarning
+    # first (the suite turns warnings into errors)
+    iv = dl.Interval(-1.0, 1.0)
+    grid = dl.RadialGrid.uniform(iv, 2048)
+    rho = dl.Constant(1e306)
+    with pytest.raises(ValueError, match="gradient weight"):
+        dl.rayleigh_quotient(iv, rho, 1.0, np.linspace(0.0, 1.0, 2049), grid)
+    with pytest.raises(ValueError, match="gradient weight"):
+        dl.full_spectrum(iv, rho, 1.0, 1, grid=grid)
+
+
+def test_an_angular_form_that_overflows_raises_for_its_mode():
+    # rho = 1e303, alpha 1, graded N 2048 on the disk: every g is finite, but
+    # sigma theta^{-1} overflows next to the pole, so mode 0 assembles and mode 1 raises
+    disk = dl.RevolutionManifold.ball(2, 1.0)
+    grid = dl.RadialGrid.graded(disk, 2048)
+    family = assemble(ModeProblem(domain=disk, rho=dl.Constant(1e303), alpha=1.0,
+                                  grid=grid)).family
+    assert np.all(np.isfinite(family.g)) and not np.all(np.isfinite(family.a_diag))
+    with pytest.raises(ValueError, match="angular form of mode 1"):
+        family.mode(1)
+    # A_1 finite and mu_j A_1 not: mode 1 (mu 1) assembles, mode 2 (mu 4) raises
+    family = assemble(ModeProblem(domain=disk, rho=dl.Constant(1.0), alpha=1.0,
+                                  grid=grid)).family
+    big = replace(family, a_diag=np.full_like(family.a_diag, 1e308))
+    assert big.mode(1).k_diag[-1] == family.g_diag[-1] + 1e308
+    with pytest.raises(ValueError, match="angular form of mode 2"):
+        big.mode(2)
+
+
 def test_eigenvalue_refinement_is_second_order():
     # Richardson ratio around 4 for smooth data
     iv = dl.Interval(-1.0, 1.0)
@@ -259,6 +292,9 @@ def test_assembled_bands_are_read_only():
         p.k_diag *= 4
     for pencil in (p, p.family.mode(0), p.family.mode(3)):
         assert not any(a.flags.writeable for a in _bands(pencil))
+    family = p.family
+    assert not any(a.flags.writeable for a in (family.g, family.g_diag, family.g_off,
+                                               family.a_diag, family.a_off))
     assert counter(p)(50.0) == 2
     scaled = TridiagonalPencil.from_bands(4 * p.k_diag, 4 * p.k_off, p.m_diag, p.m_off)
     assert counter(scaled)(50.0) == 1

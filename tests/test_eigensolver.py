@@ -299,11 +299,11 @@ def test_floored_pencils_match_dense_oracle(name):
 
 
 def test_exactly_singular_shift_is_perturbed(monkeypatch):
-    # pair 0's fourth shift is its own quotient and dgtsv meets an exactly zero
-    # pivot; the vector of the step before had residual 1.7e-7, so the
-    # iteration perturbs the shift and solves once more instead of stopping
+    # pair 0's fourth shift is the third step's quotient and dgtsv meets an
+    # exactly zero pivot (the last one); the third step had not met the
+    # residual exit, so the iteration perturbs the shift and solves once more
     ball = dl.RevolutionManifold.ball(3, 1.0)
-    m = 10 ** 2.90647991499506
+    m = 10 ** 2.91737991499506
     p = assemble(ModeProblem(domain=ball, rho=dl.GaussianRadial(m), alpha=1.0,
                              grid=dl.RadialGrid.for_density(ball, 512, m=m), j=1))
     dgtsv, singular = eigensolver.dgtsv, []

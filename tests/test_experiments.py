@@ -593,6 +593,10 @@ def test_recorded_config_reproduces_its_run(command, tmp_path):
                      "--out", str(replay)]) == rc
     with open(replay / f"{command}.json") as fh:
         again = json.load(fh)
+    # every report records the version, the config and how long it ran
+    for meta in (ran["metadata"], again["metadata"]):
+        assert {"tool_version", "config", "elapsed_seconds"} <= set(meta)
+        assert meta["tool_version"] == dl.__version__ and meta["elapsed_seconds"] >= 0
     # the timing fields aside, the replay is the run
     assert (again["rows"], again["fits"]) == (ran["rows"], ran["fits"])
     assert again["metadata"]["config"] == {**ran["metadata"]["config"], "out_dir": str(replay)}

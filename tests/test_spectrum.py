@@ -238,6 +238,27 @@ def test_mode_minima_increase_with_j():
     assert np.all(np.diff(mins) > 0)
 
 
+_SWEEP_DOMAINS = {"disk": dl.RevolutionManifold.ball(2, 1.0),
+                  "ball": dl.RevolutionManifold.ball(3, 1.0),
+                  "cap": dl.RevolutionManifold.spherical_cap(3, 2.0)}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(_SWEEP_DOMAINS)), st.floats(min_value=0.0, max_value=4.0),
+       st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=64, max_value=2048),
+       st.floats(min_value=-2.0, max_value=4.0))
+def test_mode_counts_do_not_increase_with_j(name, log_m, alpha, n_el, log_scale):
+    # the mode sweep's stop: count_{j+1}(sigma) <= count_j(sigma) at every sigma,
+    # since K_{j+1} - K_j = (mu_{j+1} - mu_j) A_1 is positive semidefinite and
+    # each pole-constrained pencil is a principal submatrix of mode 0's
+    dom, rho = _SWEEP_DOMAINS[name], dl.GaussianRadial(10.0 ** log_m)
+    family = assemble(ModeProblem(domain=dom, rho=rho, alpha=alpha,
+                                  grid=dl.RadialGrid.for_density(dom, n_el, m=rho.m))).family
+    sigma = 10.0 ** log_scale * eigensolver.ramp_quotient(family.mode(1))
+    counts = [counter(family.mode(j))(sigma) for j in range(9)]
+    assert all(later <= earlier for earlier, later in zip(counts, counts[1:]))
+
+
 def test_rayleigh_quotient_basics():
     iv = dl.Interval(-1.0, 1.0)
     grid = dl.RadialGrid.uniform(iv, 512)
@@ -944,7 +965,7 @@ def test_exactly_singular_shifted_solve_keeps_the_warm_start(monkeypatch):
     # mode 2's second RQI step meets an exactly zero dgtsv pivot (the last
     # one): the first step's quotient is an eigenvalue to working precision,
     # but that step's residual is not yet at rounding level
-    ball, m = dl.RevolutionManifold.ball(3, 1.0), 10 ** 0.25
+    ball, m = dl.RevolutionManifold.ball(3, 1.0), 10 ** 0.2463
     rho = dl.GaussianRadial(m)
     coarse_grid, fine_grid = (dl.RadialGrid.for_density(ball, n, m=m) for n in (64, 128))
     coarse = dl.full_spectrum(ball, rho, 0.5, 4, grid=coarse_grid)
@@ -962,7 +983,7 @@ def test_exactly_singular_shifted_solve_keeps_the_warm_start(monkeypatch):
 _SINGULAR_STARTS = {
     "disk-m10^0.62-a0.625-j0": ("disk", 10 ** 0.62, 0.625, 128, 0),
     "disk-m1e3-a1-j1": ("disk", 1e3, 1.0, 64, 1),
-    "ball-m10^3.006-a1-j1": ("ball", 10 ** 3.006, 1.0, 64, 1),
+    "ball-m10^3.0059-a1-j1": ("ball", 10 ** 3.0059, 1.0, 64, 1),
 }
 
 
