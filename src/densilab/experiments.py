@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not self.instances >= 1:
             raise ValueError(f"instances must be >= 1, got {self.instances}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not self.exploratory:
             for a in self.alpha_values:
                 if not 0.0 <= a <= 1.0:
@@ -215,7 +217,11 @@ def _weighted_slope(log_m, log_lam):
 
 def _scan(domain, alphas, m_values, density, grid_n):
     """One row per alpha in the given order and m ascending, in the scan CSV's
-    column order; ``density(m, a)`` builds the row's density."""
+    column order; ``density(m, a)`` builds the row's density.  A repeated alpha
+    or m would solve its rows twice and weigh them twice in the fits."""
+    for name, values in (("alpha", alphas), ("m", m_values)):
+        if len(set(values)) < len(values):
+            raise UsageError(f"repeated {name} value in {list(values)}")
     rows = []
     for a in alphas:
         for m in sorted(m_values):

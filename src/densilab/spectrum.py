@@ -13,7 +13,11 @@ The sweep ends at the first mode with count_j(sigma) = 0, and no later mode
 can reach sigma either: K_{j+1} - K_j = (mu_{j+1} - mu_j) A_1 with A_1 positive
 semidefinite, and a pole-constrained mode's pencil is a principal submatrix
 of the unconstrained one, so positive definiteness of K_j - sigma M_j
-carries over to every mode after it.  The count is also each solve's
+carries over to every mode after it.  On a manifold that first empty mode
+exists, and it is the sweep's only bound: A_1 = int rho^alpha theta^(n-3) f g
+is positive definite on the nodes 1..N of the modes j >= 1, which share the
+mass M_1, so K_j - sigma M_1 is positive definite once mu_j A_1 - sigma M_1
+is.  An interval has the one mode j = 0.  The count is also each solve's
 certificate: count_j(sigma) pairs, all below sigma, are exactly the mode's
 eigenvalues below sigma, so no eigenvalue below sigma was missed.  Search,
 clearance and solve share each mode's memo of counts.
@@ -24,6 +28,7 @@ subspace on which the Rayleigh quotient is at most the largest individual
 quotient.
 """
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,7 +42,6 @@ from .geometry import (Interval, RevolutionManifold, sphere_multiplicity,
                        unit_sphere_area, _default_grid)
 from .quadrature import _P, _Q, element_sums
 
-_HARD_MODE_CAP = 256
 # the cutoff search: bracket steps of BRACKET_STEP from a cold start, then
 # log-scale bisection down to this ratio (a start's cutoff is already that close)
 _BRACKET_RATIO = 1.25
@@ -149,8 +153,9 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, start=None):
     is searched on counts alone, starting from ``start.cutoff`` or else from
     the ramp quotient of mode 0, until N(sigma) >= k_max + 1 within a factor
     1.25; mode j is then solved for exactly count_j(sigma) pairs and must
-    return them all below sigma, or ``EigenSolveError`` is raised.  The
-    first mode with count_j(sigma) = 0 ends the sweep, counted, never solved.
+    return them all below sigma, or ``EigenSolveError`` is raised.  On a
+    manifold the first mode with count_j(sigma) = 0, which always exists,
+    ends the sweep, counted, never solved.
 
     ``start``, a ``SpectrumResult`` of the same problem on another (coarser)
     grid, lends its plan: when every mode counts ``start.counts`` at
@@ -166,8 +171,11 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, start=None):
     grid = _default_grid(domain, grid)
     pencils = {0: assemble(ModeProblem(domain=domain, rho=rho, alpha=float(alpha), grid=grid))}
     # j -> mode j's pencil; an interval's family has the one mode j = 0
-    j_last = 0 if isinstance(domain, Interval) else _HARD_MODE_CAP
+    one_mode = isinstance(domain, Interval)
     k_need = k_max + 1
+    if one_mode and k_need > pencils[0].size:  # no cutoff gathers them
+        raise ValueError(f"not enough eigenvalues to fill k_max + 1 = {k_need} slots: "
+                         f"modes 0 to 0 hold {pencils[0].size}")
 
     def mode(j):
         if j not in pencils:
@@ -182,7 +190,7 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, start=None):
         mode), or until their slots, sum_j mult_j count_j, exceed ``enough``;
         and that sum."""
         counts, slots = [], 0
-        for j in range(j_last + 1):
+        for j in range(1) if one_mode else itertools.count():
             if slots > enough:
                 break
             count = counter(mode(j))(sigma)
@@ -191,16 +199,6 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, start=None):
             counts.append(count)
             slots += mult(j) * count
         return counts, slots
-
-    # modes 0..j_last must hold k_max + 1 eigenvalues, or no cutoff gathers them
-    capacity = 0
-    for j in range(j_last + 1):
-        capacity += mult(j) * mode(j).size
-        if capacity >= k_need:
-            break
-    else:
-        raise ValueError(f"not enough eigenvalues to fill k_max + 1 = {k_need} slots: "
-                         f"modes 0 to {j_last} hold {capacity}")
 
     def cleared(sigma):
         """The mode counts at sigma (1 + delta) if those at sigma (1 - delta) agree, else
@@ -219,8 +217,6 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, start=None):
         cutoff = _cutoff(lambda sigma: counts_at(sigma, k_need)[1], x, k_need, step)
     while (counts := cleared(cutoff)) is None:
         cutoff *= 1 + 3 * CERTIFICATE_DELTA
-    if len(counts) > j_last and isinstance(domain, RevolutionManifold):
-        raise RuntimeError(f"mode sweep did not terminate below j={j_last}")
     plan = sum(counter(p).spent for p in pencils.values())
     modes = {j: _solve_mode(mode(j), count, start, cutoff) for j, count in enumerate(counts)}
     return SpectrumResult(k_max, modes, [mult(j) for j in modes], grid.nodes, cutoff, {
@@ -259,9 +255,12 @@ class TestFunction:
 
     def _origin(self, domain):
         """The point at d = 0: ``center`` or the interval's center, or a manifold's pole."""
-        if not isinstance(domain, Interval):
-            return 0.0
-        return domain.center if self.center is None else self.center
+        if isinstance(domain, Interval):
+            return domain.center if self.center is None else self.center
+        if self.center is not None:
+            raise ValueError("a test function on a manifold is centered at the pole, "
+                             f"got center={self.center}")
+        return 0.0
 
     def _values(self, domain, nodes):
         """The profile at ``nodes``, a run of a grid's nodes."""

@@ -89,7 +89,11 @@ def test_config_validation():
     ("scan-bounded", ["--companion-alpha", "1.5", "--grid", "64", "--m", "10,1000"], None),
     ("gaussian-lemma", ["--L", "1e300", "--grid", "64"], None),
     ("solve", ["--density", "foo:1"], None),
-    ("scan-bounded", ["--n", "3", "--alpha", "0.5"], None)],
+    ("scan-bounded", ["--n", "3", "--alpha", "0.5"], None),
+    ("measure-lemma", ["--seed", "-1"], None),
+    ("scan-blowup", ["--n", "2", "--alpha", "0.75,0.75", "--m", "10,100,1000,10000",
+                     "--grid", "64"], None),
+    ("scan-blowup", ["--n", "2", "--alpha", "0.75", "--m", "10,10,100", "--grid", "64"], None)],
     ids=["kmax-negative", "grid-not-power-of-two", "grid-zero", "alpha-empty", "m-empty",
          "config-grid-not-power-of-two", "config-truncated", "config-unknown-key",
          "config-missing", "scan-bounded-on-interval", "scan-blowup-subcritical",
@@ -113,7 +117,8 @@ def test_config_validation():
          "density-tabulated-short-of-interval", "density-tabulated-short-of-disk",
          "scan-bounded-companion-below-growth-3", "scan-bounded-companion-above-one",
          "gaussian-lemma-box-overflows", "density-unknown-spec",
-         "scan-bounded-supercritical"])
+         "scan-bounded-supercritical", "measure-lemma-seed-negative",
+         "scan-blowup-alpha-repeated", "scan-blowup-m-repeated"])
 def test_cli_config_errors_are_usage_errors(command, flags, config, tmp_path, monkeypatch,
                                             capsys):
     def no_solve(*args, **kwargs):

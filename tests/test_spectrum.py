@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import densilab as dl
 from densilab import eigensolver, spectrum
@@ -100,26 +100,33 @@ def test_each_mode_asks_only_for_pairs_it_can_place(monkeypatch):
     assert max(row[2] for row in res.slot_entries()) == 1
 
 
+_ORACLE_DOMAINS = {"disk": dl.RevolutionManifold.ball(2, 1.0),
+                   "ball3": dl.RevolutionManifold.ball(3, 1.0),
+                   "cap": dl.RevolutionManifold.spherical_cap(2, 2.5)}
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from([2, 3]), st.sampled_from([1.0, 100.0]),
-       st.integers(min_value=0, max_value=30))
-def test_mode_sweep_misses_no_eigenvalue(n, m, k_max):
+@given(st.sampled_from(["disk", "ball3"]), st.sampled_from([1.0, 100.0]),
+       st.integers(min_value=0, max_value=30), st.just(64))
+# sweeps past mode 256 on coarse grids: 332 and 380 modes
+@example("disk", 3.0, 4000, 8)
+@example("cap", 3.0, 3000, 8)
+def test_mode_sweep_misses_no_eigenvalue(name, m, k_max, n_el):
     # every pair of every mode, solved densely, then merged: the sweep's
     # count plan and stopping rule must not change the lowest k_max + 1
-    dom = dl.RevolutionManifold.ball(n, 1.0)
-    grid = dl.RadialGrid.uniform(dom, 64)
+    dom = _ORACLE_DOMAINS[name]
+    grid = dl.RadialGrid.uniform(dom, n_el)
     rho = dl.GaussianRadial(m)
-    union, mode_minima, pencils, dense = [], [], [], []
-    for j in range(32):
-        pencil = assemble(ModeProblem(domain=dom, rho=rho, alpha=0.5, grid=grid, j=j))
-        values = oracles.dense_pencil_eigenvalues(pencil, pencil.size)
-        union.extend(np.repeat(values, dl.sphere_multiplicity(j, n)))
-        mode_minima.append(values[0])
-        pencils.append(pencil)
-        dense.append(values)
-    expected = np.sort(union)[:k_max + 1]
-    assert mode_minima[-1] > expected[-1]  # the oracle swept far enough
     res = dl.full_spectrum(dom, rho, 0.5, k_max, grid=grid)
+    union, pencils, dense = [], [], []
+    # mode minima do not decrease in j: the oracle sweeps until one lies above
+    # both the lowest k_max + 1 values so far and the sweep's cutoff
+    while len(union) <= k_max or dense[-1][0] <= max(np.sort(union)[k_max], res.cutoff):
+        j = len(pencils)
+        pencils.append(assemble(ModeProblem(domain=dom, rho=rho, alpha=0.5, grid=grid, j=j)))
+        dense.append(oracles.dense_pencil_eigenvalues(pencils[-1], pencils[-1].size))
+        union.extend(np.repeat(dense[-1], dl.sphere_multiplicity(j, dom.n)))
+    expected = np.sort(union)[:k_max + 1]
     lam1 = expected[1] if k_max >= 1 else 1.0
     assert np.allclose(res.lambdas, expected, rtol=1e-9, atol=1e-9 * lam1)
     # every mode's count at the cutoff is the number of its returned values
@@ -293,6 +300,11 @@ def test_plateau_shape_and_validation():
         dl.build_plateau_function(iv, 0.5, 1.5)
     with pytest.raises(ValueError, match="R must be positive"):
         dl.build_plateau_function(iv, 0.0, 0.0)
+    # a manifold's test functions are centered at the pole; a center there was dropped
+    disk = dl.RevolutionManifold.ball(2, 1.0)
+    off_pole = dl.build_plateau_function(disk, 0.1, 0.3, center=0.5)
+    with pytest.raises(ValueError, match="centered at the pole"):
+        dl.rayleigh_quotient(disk, dl.Constant(1.0), 0.5, off_pole, dl.RadialGrid.uniform(disk, 64))
     # a NaN knot or value, unequal lengths and no knots at all are refused up
     # front: they gave a NaN quotient, numpy's length error and an IndexError
     with pytest.raises(ValueError, match="nondecreasing"):
@@ -307,12 +319,16 @@ def test_plateau_shape_and_validation():
     assert TestFunction.constant().knots == (math.inf,)  # the constant's inf knot stays valid
 
 
-@pytest.mark.parametrize("a, r0, match", [(-0.1, 0.5, "a >= 0"), (0.2, 0.0, "r0 > 0"),
-                                           (1.5, 1.0, "exceeds the domain extent")],
-                         ids=["a-negative", "r0-zero", "past-the-extent"])
-def test_collar_validation(a, r0, match):
+@pytest.mark.parametrize("domain, a, r0, center, match", [
+    (dl.Interval(-1.0, 1.0), -0.1, 0.5, None, "a >= 0"),
+    (dl.Interval(-1.0, 1.0), 0.2, 0.0, None, "r0 > 0"),
+    (dl.Interval(-1.0, 1.0), 1.5, 1.0, None, "exceeds the domain extent"),
+    (dl.RevolutionManifold.ball(2, 1.0), 0.2, 0.3, 0.5, "centered at the pole")],
+    ids=["a-negative", "r0-zero", "past-the-extent", "center-on-a-manifold"])
+def test_collar_validation(domain, a, r0, center, match):
     with pytest.raises(ValueError, match=match):
-        dl.build_collar_function(dl.Interval(-1.0, 1.0), a, r0)
+        u = dl.build_collar_function(domain, a, r0, center=center)
+        dl.rayleigh_quotient(domain, dl.Constant(1.0), 0.5, u, dl.RadialGrid.uniform(domain, 64))
 
 
 def test_window_of_a_plateau_starts_at_its_inner_ramp():
