@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,20 @@ class ExperimentConfig:
     grids: tuple = None  # converge's nested grid sizes; None is grid_n / 4, / 2, grid_n
 
     def __post_init__(self):
+        # JSON types first: a float count or a string flag would fail in a solve
+        counts = [("grid_n", self.grid_n), ("k_max", self.k_max), ("seed", self.seed),
+                  ("instances", self.instances), ("k", 1 if self.k is None else self.k),
+                  *(("each grids entry", g) for g in self.grids or ())]
+        for name, v in counts:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        if not isinstance(self.exploratory, bool):
+            raise ValueError(f"exploratory must be true or false, got {self.exploratory!r}")
+        if self.fmt not in ("csv", "json"):
+            raise ValueError(f"fmt must be 'csv' or 'json', got {self.fmt!r}")
+        for name in ("domain", "density"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValueError(f"{name} must be a JSON object, got {getattr(self, name)!r}")
         ranges = (self.alpha_values, self.m_values, self.c_values, self.dims)
         if any(len(r) == 0 for r in ranges):
             raise ValueError("parameter ranges must be nonempty")
@@ -375,26 +390,33 @@ def exp_conformal_identity(manifold, rho, k_max=5, grid_n=2048):
     (rho, rho^{(n-2)/n}) problem on the original manifold.  Checks the
     relative eigenvalue differences at half resolution and at ``grid_n``,
     warm-started from it: at most 1e-3 at ``grid_n``, and no larger than
-    at half resolution.
+    at half resolution.  A density whose reparametrization cannot be
+    tabulated on either grid is a ``UsageError``.
     """
     t0 = time.perf_counter()
     if k_max < 1:
         raise UsageError(f"k_max must be >= 1 (lambda_0 = 0 on both sides), got {k_max}")
     n = manifold.n
+    grids = [RadialGrid.uniform(manifold, n_el) for n_el in (grid_n // 2, grid_n)]
+    tildes = []
+    for grid in grids:  # both tables, before any solve
+        try:
+            tildes.append(conformal_reparametrize(manifold, rho, grid))
+        except ValueError as exc:
+            raise UsageError(f"the conformal manifold cannot be tabulated on "
+                             f"{grid.n_elements} elements: {exc}") from exc
 
-    def diffs(n_el, starts=(None, None)):
-        grid = RadialGrid.uniform(manifold, n_el)
-        tilde = conformal_reparametrize(manifold, rho, grid)
+    def diffs(grid, tilde, starts=(None, None)):
         sides = (full_spectrum(tilde, Constant(1.0), 0.0, k_max,
-                               grid=RadialGrid.uniform(tilde, n_el), start=starts[0]),
+                               grid=RadialGrid.uniform(tilde, grid.n_elements), start=starts[0]),
                  full_spectrum(manifold, rho, (n - 2) / n, k_max, grid=grid, start=starts[1]))
         left, right = (side.lambdas for side in sides)
         out = np.zeros(k_max + 1)
         out[1:] = np.abs(left[1:] - right[1:]) / np.abs(right[1:])
         return out, left, right, sides
 
-    coarse, _, _, starts = diffs(grid_n // 2)
-    fine, left, right, _ = diffs(grid_n, starts)
+    coarse, _, _, starts = diffs(grids[0], tildes[0])
+    fine, left, right, _ = diffs(grids[1], tildes[1], starts)
     rows = [{"k": k, "lambda_conformal": left[k], "lambda_weighted": right[k],
              "rel_diff": fine[k], "rel_diff_coarse": coarse[k]}
             for k in range(k_max + 1)]
@@ -443,14 +465,25 @@ def exp_gaussian_integral_lemma(dims, m_values, half_side=1.0, grid_n=2048):
 def exp_weyl_fit(domain, rho, alpha, k_max, grid_n=2048):
     """Least-squares fit of lambda_k against k^{2/n}.
 
-    Diagnostic: reports slope, intercept and R^2 of the growth law.
+    Reports slope, intercept and R^2 of the growth law, and asserts that the
+    fit stays in the resolved range: every mode it draws from uses at most a
+    quarter of its pencil's unknowns.  Mode j uses p_j unknowns when its p_j
+    lowest pairs fill slots among lambda_0..lambda_k_max; its pencil has
+    N + 1 unknowns for j = 0 and N for a pole-constrained j >= 1.  On a
+    uniform grid the P1 eigenvalue of index N/4 is already about
+    (pi/4)^2 / 12 = 5 % high, so past a quarter the fit reads mesh modes.
+    ``largest_share`` is the largest p_j / unknowns of the fit.
     """
     t0 = time.perf_counter()
     if k_max < 20:
         raise UsageError("the fit needs k_max >= 20")
     n = domain.dim
     grid = RadialGrid.for_density(domain, grid_n, m=getattr(rho, "m", None))
-    lams = full_spectrum(domain, rho, alpha, k_max, grid=grid).lambdas
+    result = full_spectrum(domain, rho, alpha, k_max, grid=grid)
+    lams = result.lambdas
+    slots = Counter((j, mult) for _, _, j, mult in result.slot_entries())
+    share = max(math.ceil(count / mult) / (len(result.nodes) - (j > 0))
+                for (j, mult), count in slots.items())
     k = np.arange(1, k_max + 1)
     x = k ** (2.0 / n)
     y = lams[1:]
@@ -465,7 +498,8 @@ def exp_weyl_fit(domain, rho, alpha, k_max, grid_n=2048):
             for kk, lam, xx, ff in zip(k, y, x, fitted)]
     return ScanReport("weyl-fit", rows,
                       {"fit": {"slope": float(coef[0]), "intercept": float(coef[1]),
-                               "r_squared": r2, "n": n}},
+                               "r_squared": r2, "n": n, "largest_share": share,
+                               "passed": bool(share <= 0.25)}},
                       _metadata(t0=t0))
 
 
@@ -475,14 +509,24 @@ def exp_scaling_identity(domain, rho, alpha, c_values=(1e-3, 1.0, 1e3),
 
     An exact discrete identity (the pencils scale entry-by-entry), so the
     tolerance, a relative 1e-12, is machine-level and independent of the grid.
+    A c for which c rho or (c rho)^alpha leaves the range of a density is a
+    ``UsageError``, raised before any solve.
     """
     t0 = time.perf_counter()
+    scaled = []
+    for c in sorted(c_values):
+        try:  # c rho and (c rho)^alpha, as the solve builds them
+            rho_c = density_mod.scale(rho, c)
+            density_mod.power(rho_c, alpha)
+        except ValueError as exc:
+            raise UsageError(f"c={c:g}: c rho or (c rho)^alpha is not a valid density: "
+                             f"{exc}") from exc
+        scaled.append((c, rho_c))
     grid = RadialGrid.uniform(domain, grid_n)
     base = full_spectrum(domain, rho, alpha, 1, grid=grid).lambdas[1]
     rows = []
-    for c in sorted(c_values):
-        lam = full_spectrum(domain, density_mod.scale(rho, c), alpha, 1,
-                            grid=grid).lambdas[1]
+    for c, rho_c in scaled:
+        lam = full_spectrum(domain, rho_c, alpha, 1, grid=grid).lambdas[1]
         expected = c ** (float(alpha) - 1.0) * base
         err = abs(lam - expected) / abs(expected)
         rows.append({"c": c, "alpha": float(alpha), "lambda1": lam,

@@ -289,7 +289,8 @@ def conformal_reparametrize(manifold, rho, grid=None):
     New arclength s(r) = int_0^r rho^{1/n} dt and new profile
     theta~(s(r)) = rho(r)^{1/n} theta(r), tabulated on ``grid`` and
     interpolated monotone-cubically.  The volume of the result equals
-    int_M rho dV to quadrature accuracy.
+    int_M rho dV to quadrature accuracy.  Raises ``ValueError`` where s(r)
+    stops increasing in double precision, which the table cannot hold.
     """
     if not getattr(rho, "is_radial", False):
         raise ValueError("conformal reparametrization needs a radial density")
@@ -298,6 +299,10 @@ def conformal_reparametrize(manifold, rho, grid=None):
     theta = manifold.profile
     ds = element_integrals(grid.nodes, lambda r: rho(r) ** (1.0 / n))
     s_nodes = np.concatenate([[0.0], np.cumsum(ds)])
+    flat = np.flatnonzero(np.diff(s_nodes) <= 0.0)
+    if flat.size:  # the increments fall below the rounding of s
+        raise ValueError(f"the conformal arclength s(r) = int rho^(1/{n}) stops increasing in "
+                         f"double precision past r = {grid.nodes[flat[0]]:.4g}")
     theta_new = rho(grid.nodes) ** (1.0 / n) * theta(grid.nodes)
     theta_new[0] = 0.0
     # the interpolant's endpoint slope carries an O(h^2) tabulation error

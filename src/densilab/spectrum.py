@@ -42,8 +42,7 @@ from .geometry import (Interval, RevolutionManifold, sphere_multiplicity,
                        unit_sphere_area, _default_grid)
 from .quadrature import _P, _Q, element_sums
 
-# the cutoff search: bracket steps of BRACKET_STEP from a cold start, then
-# log-scale bisection down to this ratio (a start's cutoff is already that close)
+# the cutoff search bisects its bracket in log scale down to this ratio
 _BRACKET_RATIO = 1.25
 
 
@@ -115,12 +114,12 @@ def _solve_mode(pencil, count, start, cutoff):
     return pairs
 
 
-def _cutoff(slots, x, k_need, step):
+def _cutoff(slots, x, k_need):
     """A cutoff sigma with ``slots(sigma) >= k_need``, searched from ``x > 0``.
 
     ``slots(sigma)``, the number of eigenvalues below sigma, counted with
     multiplicity, is nondecreasing.  The bracket [lo, hi] grows from x by
-    factors of ``step``, then is bisected in log scale until
+    factors of BRACKET_STEP, then is bisected in log scale until
     hi / lo <= _BRACKET_RATIO; a hi with slots(hi) == k_need already gives
     the smallest plan, so the search stops there.
     """
@@ -138,9 +137,9 @@ def _cutoff(slots, x, k_need, step):
         else:
             lo = x
         if lo == 0.0:
-            x = hi / step
+            x = hi / BRACKET_STEP
         elif hi == np.inf:
-            x = lo * step
+            x = lo * BRACKET_STEP
         else:
             x = np.sqrt(lo) * np.sqrt(hi)  # lo * hi overflows past 1.3e154
     return hi
@@ -150,21 +149,21 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, start=None):
     """First k_max + 1 eigenvalues of the full problem, multiplicity-correct.
 
     Counts first, then solves (see the module docstring): the cutoff sigma
-    is searched on counts alone, starting from ``start.cutoff`` or else from
-    the ramp quotient of mode 0, until N(sigma) >= k_max + 1 within a factor
-    1.25; mode j is then solved for exactly count_j(sigma) pairs and must
-    return them all below sigma, or ``EigenSolveError`` is raised.  On a
-    manifold the first mode with count_j(sigma) = 0, which always exists,
-    ends the sweep, counted, never solved.
+    is searched on counts alone, from the ramp quotient of mode 0, until
+    N(sigma) >= k_max + 1 within a factor 1.25; mode j is then solved for
+    exactly count_j(sigma) pairs and must return them all below sigma, or
+    ``EigenSolveError`` is raised.  On a manifold the first mode with
+    count_j(sigma) = 0, which always exists, ends the sweep, counted, never
+    solved.
 
     ``start``, a ``SpectrumResult`` of the same problem on another (coarser)
-    grid, lends its plan: when every mode counts ``start.counts`` at
-    ``start.cutoff`` (1 -+ CERTIFICATE_DELTA) and they fill k_max + 1 slots,
-    its cutoff is the plan, kept as it is, not searched down to a factor 1.25
-    of N(sigma) = k_max + 1; else the search runs from ``start.cutoff``.  It
-    also warm-starts each mode it solved for at least as many pairs: its
-    first vectors, interpolated onto ``grid``, seed count-certified Rayleigh
-    quotient iteration (``solve_generalized(guess=...)``).
+    grid, lends its cutoff as it is or not at all: as it is when every mode
+    counts ``start.counts`` at ``start.cutoff`` (1 -+ CERTIFICATE_DELTA) and
+    they fill k_max + 1 slots (not searched down to a factor 1.25), else the
+    spectrum plans as it would without a start.  It also warm-starts each
+    mode it solved for at least as many pairs: its first vectors,
+    interpolated onto ``grid``, seed count-certified Rayleigh quotient
+    iteration (``solve_generalized(guess=...)``).
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
@@ -212,9 +211,8 @@ def full_spectrum(domain, rho, alpha, k_max, grid=None, start=None):
             and cleared(start.cutoff) == list(start.counts)):
         cutoff = start.cutoff
     else:
-        x, step = ((ramp_quotient(pencils[0]), BRACKET_STEP) if start is None
-                   else (start.cutoff, _BRACKET_RATIO))
-        cutoff = _cutoff(lambda sigma: counts_at(sigma, k_need)[1], x, k_need, step)
+        cutoff = _cutoff(lambda sigma: counts_at(sigma, k_need)[1],
+                         ramp_quotient(pencils[0]), k_need)
     while (counts := cleared(cutoff)) is None:
         cutoff *= 1 + 3 * CERTIFICATE_DELTA
     plan = sum(counter(p).spent for p in pencils.values())

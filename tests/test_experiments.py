@@ -93,7 +93,20 @@ def test_config_validation():
     ("measure-lemma", ["--seed", "-1"], None),
     ("scan-blowup", ["--n", "2", "--alpha", "0.75,0.75", "--m", "10,100,1000,10000",
                      "--grid", "64"], None),
-    ("scan-blowup", ["--n", "2", "--alpha", "0.75", "--m", "10,10,100", "--grid", "64"], None)],
+    ("scan-blowup", ["--n", "2", "--alpha", "0.75", "--m", "10,10,100", "--grid", "64"], None),
+    ("solve", ["--config", "cfg.json"], '{"domain": "ball"}'),
+    ("measure-lemma", ["--config", "cfg.json"], '{"seed": 1.5}'),
+    ("measure-lemma", ["--config", "cfg.json"], '{"instances": 2.5}'),
+    ("measure-lemma", ["--config", "cfg.json"], '{"k": 2.5}'),
+    ("converge", ["--config", "cfg.json"], '{"grids": [512.0, 1024.0, 2048.0]}'),
+    ("solve", ["--config", "cfg.json"], '{"fmt": "xml"}'),
+    ("solve", ["--config", "cfg.json"], '{"exploratory": "no", "alpha_values": [2.0]}'),
+    ("scaling-check", ["--n", "2", "--density", "constant:1e300", "--alpha", "1",
+                       "--c", "1e10", "--grid", "64"], None),
+    ("scaling-check", ["--density", "gaussian:10", "--alpha", "2", "--c", "1e-300",
+                       "--grid", "64", "--exploratory"], None),
+    ("conformal-check", ["--n", "3", "--m", "1e4"], None),
+    ("conformal-check", ["--n", "3", "--m", "1e3", "--grid", "64"], None)],
     ids=["kmax-negative", "grid-not-power-of-two", "grid-zero", "alpha-empty", "m-empty",
          "config-grid-not-power-of-two", "config-truncated", "config-unknown-key",
          "config-missing", "scan-bounded-on-interval", "scan-blowup-subcritical",
@@ -118,7 +131,11 @@ def test_config_validation():
          "scan-bounded-companion-below-growth-3", "scan-bounded-companion-above-one",
          "gaussian-lemma-box-overflows", "density-unknown-spec",
          "scan-bounded-supercritical", "measure-lemma-seed-negative",
-         "scan-blowup-alpha-repeated", "scan-blowup-m-repeated"])
+         "scan-blowup-alpha-repeated", "scan-blowup-m-repeated", "config-domain-string",
+         "config-seed-float", "config-instances-float", "config-k-float",
+         "config-grids-float", "config-fmt-xml", "config-exploratory-string",
+         "scaling-check-c-overflows-density", "scaling-check-c-underflows-power",
+         "conformal-check-arclength-flat", "conformal-check-arclength-flat-grid-64"])
 def test_cli_config_errors_are_usage_errors(command, flags, config, tmp_path, monkeypatch,
                                             capsys):
     def no_solve(*args, **kwargs):
@@ -524,6 +541,17 @@ def test_cli_weyl_fit(tmp_path):
                    "--density", "constant:1", "--kmax", "20", "--grid", "256",
                    "--out", str(tmp_path)])
     assert rc == 0
+
+
+@pytest.mark.parametrize("k_max, code, used", [(1000, 1, 20), (300, 0, 11)])
+def test_cli_weyl_fit_stays_in_the_resolved_range(k_max, code, used, tmp_path):
+    # disk, Gaussian m 1, alpha 0.5, N 64: mode 1's pencil has 64 unknowns
+    rc = cli_main(["weyl-fit", "--n", "2", "--kmax", str(k_max), "--grid", "64",
+                   "--out", str(tmp_path)])
+    assert rc == code
+    with open(tmp_path / "weyl-fit.meta.json") as fh:
+        fit = json.load(fh)["fits"]["fit"]
+    assert fit["largest_share"] == used / 64 and fit["passed"] == (code == 0)
 
 
 def test_cli_config_file(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from densilab import (Interval, RadialGrid, RevolutionManifold,
-                      Constant, GaussianRadial, conformal_reparametrize,
+                      Constant, GaussianRadial, conformal_reparametrize, normalize,
                       sphere_eigenvalue, sphere_multiplicity, total_mass, volume)
 from densilab.geometry import pchip
 
@@ -170,6 +170,14 @@ def test_conformal_rejects_nonradial():
 
     with pytest.raises(ValueError, match="radial"):
         conformal_reparametrize(disk, NotRadial())
+
+
+def test_conformal_rejects_an_arclength_that_stops_increasing():
+    # rho^(1/3) of a normalized Gaussian m 1e3 falls below the rounding of s past r 0.328
+    ball = RevolutionManifold.ball(3, 1.0)
+    rho = normalize(GaussianRadial(1e3), ball)
+    with pytest.raises(ValueError, match=r"stops increasing .* past r = 0\.3281"):
+        conformal_reparametrize(ball, rho, RadialGrid.uniform(ball, 64))
 
 
 def test_tabulated_profile_roundtrip():

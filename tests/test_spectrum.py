@@ -221,9 +221,9 @@ def test_cutoff_search_spans_the_floating_range():
     def slots(sigma):
         return 1 + 2 * (sigma > 3e300)
 
-    sigma = spectrum._cutoff(slots, 1.0, 2, 4.0)
+    sigma = spectrum._cutoff(slots, 1.0, 2)
     assert 3e300 < sigma <= 3e300 * 1.25
-    assert 3e300 < spectrum._cutoff(slots, 1e308, 2, 4.0) <= 3e300 * 1.25
+    assert 3e300 < spectrum._cutoff(slots, 1e308, 2) <= 3e300 * 1.25
 
 
 def test_a_cutoff_search_out_of_floating_range_raises():
@@ -943,11 +943,13 @@ def test_wrong_start_is_refused_and_solved_cold():
 def test_a_start_lends_its_plan_when_its_counts_hold(monkeypatch):
     # the m = 10 blow-up row's grids: the N 512 spectrum keeps the N 256
     # cutoff, with no search; a start of k_max 1 fills 3 of the 6 slots of
-    # k_max 5, so that spectrum searches from its cutoff as before, with the
-    # same counts
-    searched = []
-    cutoff = spectrum._cutoff
+    # k_max 5, so that spectrum plans as it would without a start: one search
+    # from mode 0's ramp quotient
+    searched, quotients = [], []
+    cutoff, ramp_quotient = spectrum._cutoff, spectrum.ramp_quotient
     monkeypatch.setattr(spectrum, "_cutoff", lambda *a: searched.append(a) or cutoff(*a))
+    monkeypatch.setattr(spectrum, "ramp_quotient", lambda pencil: quotients.append(
+        (pencil.problem.j, ramp_quotient(pencil))) or quotients[-1][1])
     disk, rho = _WARM_DOMAINS["disk"], dl.GaussianRadial(10.0)
     coarse_grid, fine_grid = (dl.RadialGrid.for_density(disk, n, m=10.0) for n in (256, 512))
     coarse = dl.full_spectrum(disk, rho, 0.75, 1, grid=coarse_grid)
@@ -955,13 +957,16 @@ def test_a_start_lends_its_plan_when_its_counts_hold(monkeypatch):
     kept = dl.full_spectrum(disk, rho, 0.75, 1, grid=fine_grid, start=coarse)
     assert not searched and kept.counts_spent["plan"] <= 5
     assert kept.cutoff == coarse.cutoff and kept.counts == coarse.counts == (1, 1)
+    quotients.clear()
     wider = dl.full_spectrum(disk, rho, 0.75, 5, grid=fine_grid, start=coarse)
-    assert len(searched) == 1 and searched[0][1] == coarse.cutoff
-    assert wider.cutoff == 65.10066978722291 and wider.counts == (2, 1, 1)
-    assert wider.counts_spent == {"plan": 22, "solve": 11}
-    for res, k_max in ((kept, 1), (wider, 5)):
-        cold = dl.full_spectrum(disk, rho, 0.75, k_max, grid=fine_grid)
-        assert np.allclose(res.lambdas, cold.lambdas, rtol=1e-10, atol=0.0)
+    assert len(searched) == 1 and [(0, searched[0][1])] == quotients
+    assert wider.cutoff == 75.4206721158456 and wider.counts == (2, 1, 1)
+    assert wider.counts_spent == {"plan": 18, "solve": 7}
+    cold = dl.full_spectrum(disk, rho, 0.75, 5, grid=fine_grid)
+    assert (wider.cutoff, wider.counts) == (cold.cutoff, cold.counts)
+    assert np.array_equal(wider.lambdas, cold.lambdas)
+    cold = dl.full_spectrum(disk, rho, 0.75, 1, grid=fine_grid)
+    assert np.allclose(kept.lambdas, cold.lambdas, rtol=1e-10, atol=0.0)
 
 
 def _spy_on_dgtsv(monkeypatch):
